@@ -7,7 +7,7 @@ so the relations compose freely inside padded products.
 
 from __future__ import annotations
 
-from .automaton import Dfa, Dfao, minimize, product, symbols
+from .automaton import Dfa, Dfao, minimize, symbols
 from .numeral import MSD, RadixContext
 
 _RELATIONS = ("==", "!=", "<", "<=", ">", ">=")
@@ -162,10 +162,3 @@ def seq_const(a: Dfao, symbol: str, ctx: RadixContext | None = None) -> Dfa:
         raise ValueError(f"output symbol {symbol!r} not in the sequence alphabet")
     acc = [s for s in range(a.num_states) if a.output[s] == symbol]
     return minimize(Dfa(a.k, 1, a.trans, acc, a.initial, MSD, True))
-
-
-def intersect_all(machines: list[Dfa], mode: str = "and") -> Dfa:
-    out = machines[0]
-    for m in machines[1:]:
-        out = minimize(product(out, m, mode))
-    return out

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-import numpy as np
-
 from .numeral import LSD, MSD, DigitWord
 from .rational import INF, Value
 
@@ -30,6 +28,10 @@ class IncompatibleError(AutomatonError):
 
 class StateLimitError(RuntimeError):
     """Raised when an intermediate machine exceeds CRITEX_MAX_STATES."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed; the result would be wrong."""
 
 
 _SYMBOLS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
@@ -57,11 +59,6 @@ def state_limit() -> int:
         return int(os.environ.get("CRITEX_MAX_STATES", "1000000"))
     except ValueError:
         return 1000000
-
-
-def _check_limit(count: int) -> None:
-    if count > state_limit():
-        raise StateLimitError(f"intermediate automaton exceeded {state_limit()} states")
 
 
 class Dfa:
@@ -224,22 +221,7 @@ class Dfao:
     def behavioral_classes(self) -> list[int]:
         """Output-equivalence classes of states (Myhill-Nerode on outputs)."""
         out2id: dict[str, int] = {}
-        cls = []
-        for o in self.output:
-            if o not in out2id:
-                out2id[o] = len(out2id)
-            cls.append(out2id[o])
-        s_count = self.alphabet_size
-        while True:
-            sig2id: dict[tuple, int] = {}
-            new = []
-            for s in range(self.num_states):
-                row = self.trans[s]
-                sig = (cls[s],) + tuple(cls[row[c]] for c in range(s_count))
-                new.append(sig2id.setdefault(sig, len(sig2id)))
-            if new == cls:
-                return cls
-            cls = new
+        return _refine(self.trans, [out2id.setdefault(o, len(out2id)) for o in self.output])
 
     def is_zero_invariant(self) -> bool:
         """True iff prepending zero digits never changes the computed output."""
@@ -428,93 +410,43 @@ def determinize(nfa: Nfa) -> Dfa:
     return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
 
 
+def _refine(trans, cls: list[int]) -> list[int]:
+    """Coarsest partition refining cls that the transitions respect (Moore).
+
+    Class ids are numbered by first occurrence in state order.
+    """
+    n_cls = len(set(cls))
+    while True:
+        sig2id: dict[tuple, int] = {}
+        cls = [sig2id.setdefault((c, *map(cls.__getitem__, row)), len(sig2id)) for c, row in zip(cls, trans)]
+        if len(sig2id) == n_cls:
+            return cls
+        n_cls = len(sig2id)
+
+
 def minimize(a: Dfa) -> Dfa:
     """Minimal complete machine with canonical breadth-first state numbering.
 
     Equal languages therefore yield bit-identical machines.
     """
-    n = a.num_states
-    s_count = a.alphabet_size
-    reach_order = [a.initial]
-    seen = {a.initial}
-    for s in reach_order:
+    reach = [a.initial]
+    pos = {a.initial: 0}
+    for s in reach:
         for t in a.trans[s]:
-            if t not in seen:
-                seen.add(t)
-                reach_order.append(t)
-    remap = {s: i for i, s in enumerate(reach_order)}
-    m = len(reach_order)
-    trans = np.empty((m, s_count), dtype=np.int32)
-    for i, s in enumerate(reach_order):
-        trans[i] = [remap[t] for t in a.trans[s]]
-    accept = np.zeros(m, dtype=np.int32)
-    for s in a.accept:
-        if s in remap:
-            accept[remap[s]] = 1
-    cls = accept
-    n_cls = len(np.unique(cls))
-    record = [("", np.int32)] * (s_count + 1)
-    while True:
-        sig = np.ascontiguousarray(np.concatenate([cls[:, None], cls[trans]], axis=1))
-        view = sig.view(record).ravel()
-        _, inverse = np.unique(view, return_inverse=True)
-        cls = inverse.ravel().astype(np.int32)
-        new_n = int(cls.max()) + 1 if m else 0
-        if new_n == n_cls:
-            break
-        n_cls = new_n
-    rep_trans: dict[int, list[int]] = {}
-    rep_acc: dict[int, bool] = {}
-    for s in range(m):
-        c = int(cls[s])
-        if c not in rep_trans:
-            rep_trans[c] = [int(cls[t]) for t in trans[s]]
-            rep_acc[c] = bool(accept[s])
-    init_c = int(cls[remap[a.initial]])
-    bfs = [init_c]
-    pos = {init_c: 0}
-    for c in bfs:
-        for t in rep_trans[c]:
             if t not in pos:
-                pos[t] = len(bfs)
-                bfs.append(t)
-    rows = [[pos[t] for t in rep_trans[c]] for c in bfs]
-    acc = [pos[c] for c in bfs if rep_acc[c]]
-    return Dfa(a.k, a.tracks, rows, acc, 0, a.order, a.zero_invariant)
-
-
-def minimize_moore_reference(a: Dfa) -> Dfa:
-    """Plain-Python partition refinement; cross-check for minimize()."""
-    n = a.num_states
-    s_count = a.alphabet_size
-    cls = [1 if s in a.accept else 0 for s in range(n)]
-    while True:
-        sig2id: dict[tuple, int] = {}
-        new = []
-        for s in range(n):
-            row = a.trans[s]
-            sig = (cls[s],) + tuple(cls[row[c]] for c in range(s_count))
-            new.append(sig2id.setdefault(sig, len(sig2id)))
-        if new == cls:
-            break
-        cls = new
-    rep_trans: dict[int, list[int]] = {}
-    rep_acc: dict[int, bool] = {}
-    for s in range(n):
-        c = cls[s]
-        if c not in rep_trans:
-            rep_trans[c] = [cls[t] for t in a.trans[s]]
-            rep_acc[c] = s in a.accept
-    init_c = cls[a.initial]
-    bfs = [init_c]
-    pos = {init_c: 0}
-    for c in bfs:
-        for t in rep_trans[c]:
-            if t not in pos:
-                pos[t] = len(bfs)
-                bfs.append(t)
-    rows = [[pos[t] for t in rep_trans[c]] for c in bfs]
-    acc = [pos[c] for c in bfs if rep_acc[c]]
+                pos[t] = len(reach)
+                reach.append(t)
+    trans = [[pos[t] for t in a.trans[s]] for s in reach]
+    cls = _refine(trans, [1 if s in a.accept else 0 for s in reach])
+    # States are in breadth-first order, so first-occurrence class ids are
+    # already the breadth-first numbering of the quotient machine.
+    rows: list = [None] * (max(cls) + 1)
+    acc = set()
+    for s, c in enumerate(cls):
+        if rows[c] is None:
+            rows[c] = [cls[t] for t in trans[s]]
+            if reach[s] in a.accept:
+                acc.add(c)
     return Dfa(a.k, a.tracks, rows, acc, 0, a.order, a.zero_invariant)
 
 

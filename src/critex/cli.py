@@ -12,8 +12,7 @@ Exit codes: 0 success, 2 input/parse error, 3 precondition violation,
 
 All numeric output is exact: reduced fractions rendered "num/den", or the
 literal "inf".  CRITEX_MAX_STATES bounds intermediate machines (default
-10**6); CRITEX_THREADS is accepted for interface compatibility and runs the
-same deterministic schedule.
+10**6).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import exponents, oracle
 from .autfile import AutFileError, load_automaton, save_automaton
-from .automaton import Dfa, Dfao, PumpDecomposition, StateLimitError
+from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition, StateLimitError
 from .logic import CompilationEnv, FormulaError, compile_formula, free_vars, parse
 from .numeral import DigitWord, NumeralError, RadixContext
 from .quotient import (
@@ -196,7 +195,8 @@ def cmd_eval(args) -> RunReport:
         raise InputError(f"open formula: declare the track order with --vars (free: {sorted(fv)})")
     env = CompilationEnv(declared, a, RadixContext(a.k))
     machine = compile_formula(f, env)
-    assert isinstance(machine, Dfa)
+    if not isinstance(machine, Dfa):
+        raise InvariantError("an open formula compiled to a truth value")
     report.values["free-vars"] = ",".join(declared)
     report.sizes["compiled_states"] = machine.num_states
     if args.dump:
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EmptyLanguageError, FiniteLanguageError, exponents.ExponentError, QuotientError) as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (StateLimitError, SearchError, AssertionError) as exc:
+    except (StateLimitError, SearchError, InvariantError) as exc:
         print(f"internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.time_ms = int((time.monotonic() - started) * 1000)

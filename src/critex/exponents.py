@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Dfa, Dfao, PumpDecomposition
+from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
 from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
 from .numeral import DigitWord, RadixContext
 from .quotient import FiniteLanguageError, largest_limit_quotient, sup_quo
@@ -64,7 +64,8 @@ def _compile_pairs(a: Dfao, text: str, free: tuple[str, ...]) -> Dfa:
         return cached
     env = CompilationEnv(free, a, _ctx(a))
     out = compile_formula(parse(text), env)
-    assert isinstance(out, Dfa)
+    if not isinstance(out, Dfa):
+        raise InvariantError(f"pair formula {text!r} compiled to a truth value")
     _PAIR_CACHE[key] = out
     return out
 

@@ -28,6 +28,7 @@ from . import arith
 from .automaton import (
     Dfa,
     Dfao,
+    InvariantError,
     complement,
     determinize,
     is_empty,
@@ -521,7 +522,8 @@ def evaluate_sentence(f: Formula, env: CompilationEnv) -> bool:
     if free_vars(f):
         raise CompileError(f"sentence has free variables: {sorted(free_vars(f))}")
     out = compile_formula(f, CompilationEnv((), env.dfao, env.ctx))
-    assert isinstance(out, bool)
+    if not isinstance(out, bool):
+        raise InvariantError("a sentence compiled to a machine")
     return out
 
 

@@ -19,7 +19,6 @@ alongside for cross-validation on small machines.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from fractions import Fraction
 from .arith import cmp_rel, nonzero_track_dfa, successor_rel
 from .automaton import (
     Dfa,
+    InvariantError,
     PumpDecomposition,
     canonicalize,
     complement,
@@ -70,13 +70,6 @@ class UndefinedRatioError(QuotientError):
 
 class SearchError(RuntimeError):
     pass
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CRITEX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -217,6 +210,35 @@ def _trim_adjacency(a: Dfa, trim: set[int]) -> dict[int, list[tuple[int, int]]]:
     return {s: [(c, t) for c, t in enumerate(a.trans[s]) if t in trim] for s in sorted(trim)}
 
 
+def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = None) -> dict[int, int]:
+    """One max-plus step: the best weight of each state one symbol further.
+
+    Ties keep the first move found; with `par`, records each winner's
+    (predecessor, symbol index).
+    """
+    nxt: dict[int, int] = {}
+    for s, val in cur.items():
+        kv = val * k
+        for c, t in adj[s]:
+            nv = kv + w[c]
+            old = nxt.get(t)
+            if old is None or nv > old:
+                nxt[t] = nv
+                if par is not None:
+                    par[t] = (s, c)
+    return nxt
+
+
+def _walk(parents: list[dict], s: int, syms) -> list:
+    """Symbols of the recorded walk that ends at s after len(parents) steps."""
+    out = []
+    for par in reversed(parents):
+        s, c = par[s]
+        out.append(syms[c])
+    out.reverse()
+    return out
+
+
 def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_argmax: bool = False):
     """Maximum of Q*inc1 - P*inc2 over pumps, or None if no pump exists.
 
@@ -237,15 +259,7 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_a
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
     for ln in range(1, T):
-        nxt: dict[int, int] = {}
-        for s, val in cur.items():
-            kv = val * k
-            for c, t in adj[s]:
-                nv = kv + w[c]
-                old = nxt.get(t)
-                if old is None or nv > old:
-                    nxt[t] = nv
-        cur = nxt
+        cur = _layer(cur, adj, k, w)
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
@@ -256,15 +270,7 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_a
         x0, xlen = xstar[s0]
         curz = {s0: 0}
         for b in range(1, T + 1):
-            nxtz: dict[int, int] = {}
-            for s, val in curz.items():
-                kv = val * k
-                for c, t in adj[s]:
-                    nv = kv + w[c]
-                    old = nxtz.get(t)
-                    if old is None or nv > old:
-                        nxtz[t] = nv
-            curz = nxtz
+            curz = _layer(curz, adj, k, w)
             if not curz:
                 break
             yb = curz.get(s0)
@@ -285,53 +291,15 @@ def _reconstruct_pump(a: Dfa, P: int, Q: int, trim: set[int], combo) -> PumpDeco
     syms = symbols(k, 2)
     w = _symbol_weights(k, P, Q)
     adj = _trim_adjacency(a, trim)
-    # forward layers with parents, up to xlen
-    layers: list[dict[int, int]] = [{a.initial: 0}]
-    parents: list[dict[int, tuple[int, int]]] = [{}]
-    for ln in range(1, xlen + 1):
-        nxt: dict[int, int] = {}
-        par: dict[int, tuple[int, int]] = {}
-        for s, val in layers[-1].items():
-            kv = val * k
-            for c, t in adj[s]:
-                nv = kv + w[c]
-                old = nxt.get(t)
-                if old is None or nv > old:
-                    nxt[t] = nv
-                    par[t] = (s, c)
-        layers.append(nxt)
-        parents.append(par)
-    u_syms: list = []
-    s = s0
-    for ln in range(xlen, 0, -1):
-        p, c = parents[ln][s]
-        u_syms.append(syms[c])
-        s = p
-    u_syms.reverse()
-    # cycle layers from s0 with parents, up to b
-    zlayers: list[dict[int, int]] = [{s0: 0}]
-    zparents: list[dict[int, tuple[int, int]]] = [{}]
-    for ln in range(1, b + 1):
-        nxt = {}
-        par = {}
-        for s, val in zlayers[-1].items():
-            kv = val * k
-            for c, t in adj[s]:
-                nv = kv + w[c]
-                old = nxt.get(t)
-                if old is None or nv > old:
-                    nxt[t] = nv
-                    par[t] = (s, c)
-        zlayers.append(nxt)
-        zparents.append(par)
-    v_syms: list = []
-    s = s0
-    for ln in range(b, 0, -1):
-        p, c = zparents[ln][s]
-        v_syms.append(syms[c])
-        s = p
-    v_syms.reverse()
-    return make_pump(k, u_syms, v_syms, s0, a.order)
+    walks = []
+    for start, steps in ((a.initial, xlen), (s0, b)):
+        cur = {start: 0}
+        parents: list[dict] = []
+        for _ in range(steps):
+            parents.append({})
+            cur = _layer(cur, adj, k, w, parents[-1])
+        walks.append(_walk(parents, s0, syms))
+    return make_pump(k, walks[0], walks[1], s0, a.order)
 
 
 def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, with_argmax: bool = False):
@@ -339,6 +307,7 @@ def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, with_argmax: bool = Fa
     k = a.k
     w = _symbol_weights(k, P, Q)
     co = trim_states(a)
+    adj = _trim_adjacency(a, co)
     best = None
     best_at = None
     cur = {a.initial: 0} if a.initial in co else {}
@@ -347,19 +316,7 @@ def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, with_argmax: bool = Fa
         best_at = 0
     acc = a.accept
     for ln in range(1, max_len + 1):
-        nxt: dict[int, int] = {}
-        for s, val in cur.items():
-            kv = val * k
-            row = a.trans[s]
-            for c in range(len(w)):
-                t = row[c]
-                if t not in co:
-                    continue
-                nv = kv + w[c]
-                old = nxt.get(t)
-                if old is None or nv > old:
-                    nxt[t] = nv
-        cur = nxt
+        cur = _layer(cur, adj, k, w)
         if not cur:
             break
         for s, val in cur.items():
@@ -379,38 +336,17 @@ def _reconstruct_word(a: Dfa, P: int, Q: int, max_len: int) -> DigitWord | None:
     co = trim_states(a)
     if a.initial not in co:
         return None
-    layers: list[dict[int, int]] = [{a.initial: 0}]
-    parents: list[dict[int, tuple[int, int]]] = [{}]
-    for ln in range(0, max_len + 1):
-        layer = layers[ln]
-        for s, val in layer.items():
+    adj = _trim_adjacency(a, co)
+    cur = {a.initial: 0}
+    parents: list[dict] = []
+    for ln in range(max_len + 1):
+        for s, val in cur.items():
             if s in a.accept and val == 0:
-                out: list = []
-                cur_s = s
-                for back in range(ln, 0, -1):
-                    p, c = parents[back][cur_s]
-                    out.append(syms[c])
-                    cur_s = p
-                out.reverse()
-                return DigitWord(k, 2, tuple(out), a.order)
+                return DigitWord(k, 2, tuple(_walk(parents, s, syms)), a.order)
         if ln == max_len:
             break
-        nxt: dict[int, int] = {}
-        par: dict[int, tuple[int, int]] = {}
-        for s, val in layer.items():
-            kv = val * k
-            row = a.trans[s]
-            for c in range(len(w)):
-                t = row[c]
-                if t not in co:
-                    continue
-                nv = kv + w[c]
-                old = nxt.get(t)
-                if old is None or nv > old:
-                    nxt[t] = nv
-                    par[t] = (s, c)
-        layers.append(nxt)
-        parents.append(par)
+        parents.append({})
+        cur = _layer(cur, adj, k, w, parents[-1])
     return None
 
 
@@ -667,7 +603,8 @@ def is_sup_infinite(L: Dfa) -> tuple[bool, PumpDecomposition | None]:
     """
     pump = find_unbounded_pump(L)
     if pump is not None:
-        assert pump.inc2 == 0 and pump.inc1 > 0
+        if not (pump.inc2 == 0 and pump.inc1 > 0):
+            raise InvariantError("unbounded pump with a nonzero denominator increment")
         return True, pump
     return False, None
 
@@ -714,7 +651,8 @@ def largest_limit_quotient(L: Dfa, ctx: RadixContext, prepared: bool = False):
 
     sigma = rational_search(cmp)
     got = max_pump_weight(work, sigma.numerator, sigma.denominator, trim, with_argmax=True)
-    assert got is not None and got[0] == 0
+    if got is None or got[0] != 0:
+        raise InvariantError(f"pump weight at the computed limit {sigma} is not zero")
     pump = _reconstruct_pump(work, sigma.numerator, sigma.denominator, trim, got[1])
     return sigma, pump
 
@@ -783,29 +721,14 @@ def sup_quo_reference(L: Dfa, ctx: RadixContext, prepared: bool = False) -> SupR
     if inf_pump is not None:
         return SupResult(INF, False, inf_pump)
     cand = candidates(work)
-    assert not cand.unbounded_pumps
+    if cand.unbounded_pumps:
+        raise InvariantError("unbounded pump missed by find_unbounded_pump")
     betas = cand.finite_values()
 
     def qualifies(beta: Fraction) -> bool:
         return is_empty(compare_language(work, ctx, beta, ">"))
 
-    threads = _thread_count()
-    alpha = None
-    if threads > 1:
-        # all verdicts, then the least qualifying: identical to sequential order
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(qualifies, betas))
-        for beta, ok in zip(betas, verdicts):
-            if ok:
-                alpha = beta
-                break
-    else:
-        for beta in betas:
-            if qualifies(beta):
-                alpha = beta
-                break
+    alpha = next((beta for beta in betas if qualifies(beta)), None)
     if alpha is None:
         raise SearchError("no qualifying candidate; candidate set incomplete")
     eq = compare_language(work, ctx, alpha, "==")

@@ -1,4 +1,5 @@
-"""Shared test machinery: random machines, random words, pump validation."""
+"""Shared test machinery: random machines, random words, pump validation,
+and an independent minimizer."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import random
 from critex.arith import nonzero_track_dfa
 from critex.automaton import (
     Dfa,
+    Nfa,
     PumpDecomposition,
     canonicalize,
+    determinize,
     is_empty,
     product,
     symbols,
@@ -40,6 +43,29 @@ def prepared_random_suite(seed: int, count: int, k: int = 2, max_states: int = 4
         if not is_empty(work):
             out.append(work)
     return out
+
+
+def brzozowski_minimize(a: Dfa) -> Dfa:
+    """Minimal machine by double reversal, det(rev(det(rev(a)))), renumbered
+    breadth-first; shares no refinement code with automaton.minimize."""
+
+    def rev(m: Dfa) -> Nfa:
+        rows = [[set() for _ in range(m.alphabet_size)] for _ in range(m.num_states)]
+        for s, row in enumerate(m.trans):
+            for c, t in enumerate(row):
+                rows[t][c].add(s)
+        return Nfa(m.k, m.tracks, rows, {m.initial}, m.accept, m.order)
+
+    d = determinize(rev(determinize(rev(a))))
+    pos = {d.initial: 0}
+    bfs = [d.initial]
+    for s in bfs:
+        for t in d.trans[s]:
+            if t not in pos:
+                pos[t] = len(bfs)
+                bfs.append(t)
+    rows = [[pos[t] for t in d.trans[s]] for s in bfs]
+    return Dfa(a.k, a.tracks, rows, {pos[s] for s in d.accept}, 0, a.order, a.zero_invariant)
 
 
 def random_word(rng: random.Random, k: int, tracks: int, max_len: int, order: str = MSD) -> DigitWord:

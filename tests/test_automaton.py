@@ -15,7 +15,6 @@ from critex.automaton import (
     language_equal,
     lift_tracks,
     minimize,
-    minimize_moore_reference,
     permute_tracks,
     product,
     project,
@@ -28,7 +27,7 @@ from critex.automaton import (
 from critex.numeral import LSD, MSD, DigitWord
 from critex.sequences import dfa_for_words, pairs_ones_then_01, pairs_unbounded
 
-from helpers import all_words_upto, random_dfa, random_word, verify_pump, pump_words
+from helpers import all_words_upto, brzozowski_minimize, random_dfa, random_word, verify_pump, pump_words
 
 
 def all_words_dfa(k, tracks):
@@ -199,9 +198,9 @@ def test_minimize_membership_exhaustive(k):
 
 def test_minimize_matches_reference():
     rng = random.Random(12)
-    for _ in range(40):
+    for _ in range(400):
         a = random_dfa(rng, tracks=rng.choice([1, 2]), max_states=5)
-        assert minimize(a) == minimize_moore_reference(a)
+        assert minimize(a) == brzozowski_minimize(a)
 
 
 # ------------------------------------------------------------- emptiness / infinity

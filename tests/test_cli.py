@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +204,49 @@ def test_console_entry_point_smoke(files):
     )
     assert proc.returncode == 0
     assert "value=2/1" in proc.stdout
+
+
+def _run_python(flags, script, cwd):
+    import critex
+
+    src = str(Path(critex.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *flags, "-c", f"import sys\nsys.path.insert(0, {src!r})\n" + script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=cwd,
+    )
+
+
+def test_invariant_breach_is_internal_error_under_optimize(tmp_path):
+    script = """
+from critex import cli, quotient
+real = quotient.max_pump_weight
+def off_by_one(*args, **kw):
+    got = real(*args, **kw)
+    return (got[0] + 1, got[1]) if kw.get("with_argmax") else got
+quotient.max_pump_weight = off_by_one
+sys.exit(cli.main(["special", "pairs.dfa"]))
+"""
+    save_automaton(str(tmp_path / "pairs.dfa"), pairs_ones_then_01())
+    proc = _run_python(["-O"], script, tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "internal:" in proc.stderr
+
+
+def test_solving_path_runs_without_numpy(tmp_path):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    script = f"""
+sys.modules["numpy"] = None
+from critex import cli
+code = cli.main(["exponent", {str(fixtures / "tm.dfao")!r}, "--which", "critical"])
+assert code == 0, code
+code = cli.main(["eval", {str(fixtures / "tm.dfao")!r}, "--formula", "p >= 1 & seq[q] = seq[q+p]",
+                 "--vars", "q,p", "--dump", "out.dfa"])
+assert code == 0, code
+"""
+    proc = _run_python([], script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "value=2/1" in proc.stdout
+    assert (tmp_path / "out.dfa").exists()

@@ -205,15 +205,6 @@ def test_sup_matches_reference_on_random_machines():
             assert verify_pump(machine, fast.witness)
 
 
-def test_reference_filter_parallel_schedule_identical(monkeypatch):
-    machines = prepared_random_suite(4700, 8)
-    sequential = [sup_quo_reference(m, CTX, prepared=True) for m in machines]
-    monkeypatch.setenv("CRITEX_THREADS", "4")
-    for m, seq in zip(machines, sequential):
-        par = sup_quo_reference(m, CTX, prepared=True)
-        assert (par.value, par.attained) == (seq.value, seq.attained)
-
-
 def test_largest_limit_matches_pump_enumeration():
     for machine in prepared_random_suite(4400, 40, max_states=3):
         if not is_infinite(machine):
