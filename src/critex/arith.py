@@ -47,7 +47,7 @@ def cmp_rel(ctx: RadixContext, relation: str) -> Dfa:
             row.append(idx[nxt])
         rows.append(row)
     acc = {idx[n] for n in _verdict_accept(relation)}
-    return minimize(Dfa(k, 2, rows, acc, idx["eq"], MSD, True))
+    return minimize(Dfa(k, 2, rows, acc, idx["eq"], MSD))
 
 
 def eq_rel(ctx: RadixContext) -> Dfa:
@@ -75,7 +75,7 @@ def add_rel(ctx: RadixContext) -> Dfa:
             row.append(0 if nd == 0 else (1 if nd == -1 else 2))
         rows.append(row)
     rows.append([2] * len(syms))
-    return minimize(Dfa(k, 3, rows, {0}, 0, MSD, True))
+    return minimize(Dfa(k, 3, rows, {0}, 0, MSD))
 
 
 def successor_rel(ctx: RadixContext) -> Dfa:
@@ -91,7 +91,7 @@ def successor_rel(ctx: RadixContext) -> Dfa:
             row.append(0 if nd == 0 else (1 if nd == 1 else 2))
         rows.append(row)
     rows.append([2] * len(syms))
-    return minimize(Dfa(k, 2, rows, {1}, 0, MSD, True))
+    return minimize(Dfa(k, 2, rows, {1}, 0, MSD))
 
 
 def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:
@@ -109,7 +109,7 @@ def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:
             row.append(nv if nv <= value else dead)
         rows.append(row)
     rows.append([dead] * k)
-    return minimize(Dfa(k, 1, rows, {value}, 0, MSD, True))
+    return minimize(Dfa(k, 1, rows, {value}, 0, MSD))
 
 
 def nonzero_track_dfa(ctx: RadixContext, tracks: int, track: int) -> Dfa:
@@ -118,7 +118,7 @@ def nonzero_track_dfa(ctx: RadixContext, tracks: int, track: int) -> Dfa:
     syms = symbols(k, tracks)
     # 0: all zero so far, 1: saw a nonzero digit
     rows = [[1 if sym[track] != 0 else 0 for sym in syms], [1] * len(syms)]
-    return Dfa(k, tracks, rows, {1}, 0, MSD, True)
+    return Dfa(k, tracks, rows, {1}, 0, MSD)
 
 
 def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
@@ -150,7 +150,7 @@ def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
             row.append(j)
         rows.append(row)
     acc = [i for i, (s1, s2) in enumerate(states) if a.output[s1] == a.output[s2]]
-    return minimize(Dfa(k, 2, rows, acc, 0, MSD, True))
+    return minimize(Dfa(k, 2, rows, acc, 0, MSD))
 
 
 def seq_const(a: Dfao, symbol: str, ctx: RadixContext | None = None) -> Dfa:
@@ -161,4 +161,4 @@ def seq_const(a: Dfao, symbol: str, ctx: RadixContext | None = None) -> Dfa:
     if symbol not in a.output_alphabet:
         raise ValueError(f"output symbol {symbol!r} not in the sequence alphabet")
     acc = [s for s in range(a.num_states) if a.output[s] == symbol]
-    return minimize(Dfa(a.k, 1, a.trans, acc, a.initial, MSD, True))
+    return minimize(Dfa(a.k, 1, a.trans, acc, a.initial, MSD))

@@ -64,16 +64,15 @@ def state_limit() -> int:
 class Dfa:
     """Complete deterministic acceptor over (Sigma_k)^tracks."""
 
-    __slots__ = ("k", "tracks", "trans", "accept", "initial", "order", "zero_invariant")
+    __slots__ = ("k", "tracks", "trans", "accept", "initial", "order")
 
-    def __init__(self, k, tracks, trans, accept, initial, order=MSD, zero_invariant=False):
+    def __init__(self, k, tracks, trans, accept, initial, order=MSD):
         self.k = k
         self.tracks = tracks
         self.trans = tuple(tuple(row) for row in trans)
         self.accept = frozenset(accept)
         self.initial = initial
         self.order = order
-        self.zero_invariant = zero_invariant
         n = len(self.trans)
         s_count = k**tracks
         if not 0 <= initial < n:
@@ -94,9 +93,6 @@ class Dfa:
     @property
     def alphabet_size(self) -> int:
         return self.k**self.tracks
-
-    def step(self, state: int, sym_idx: int) -> int:
-        return self.trans[state][sym_idx]
 
     def run(self, word: DigitWord) -> int:
         if word.k != self.k or word.tracks != self.tracks:
@@ -307,13 +303,13 @@ def product(a: Dfa, b: Dfa, mode: str = "and") -> Dfa:
         acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept and sb in b.accept]
     else:
         acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept or sb in b.accept]
-    return Dfa(a.k, a.tracks, rows, acc, 0, a.order, a.zero_invariant and b.zero_invariant)
+    return Dfa(a.k, a.tracks, rows, acc, 0, a.order)
 
 
 def complement(a: Dfa) -> Dfa:
     """Flip acceptance; sound because every machine here is complete."""
     acc = set(range(a.num_states)) - a.accept
-    return Dfa(a.k, a.tracks, a.trans, acc, a.initial, a.order, a.zero_invariant)
+    return Dfa(a.k, a.tracks, a.trans, acc, a.initial, a.order)
 
 
 def project(a: Dfa, drop_track: int) -> Nfa:
@@ -447,24 +443,7 @@ def minimize(a: Dfa) -> Dfa:
             rows[c] = [cls[t] for t in trans[s]]
             if reach[s] in a.accept:
                 acc.add(c)
-    return Dfa(a.k, a.tracks, rows, acc, 0, a.order, a.zero_invariant)
-
-
-def _coaccessible(a: Dfa) -> set[int]:
-    n = a.num_states
-    inv: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for t in a.trans[s]:
-            inv[t].append(s)
-    co = set(a.accept)
-    queue = deque(co)
-    while queue:
-        t = queue.popleft()
-        for s in inv[t]:
-            if s not in co:
-                co.add(s)
-                queue.append(s)
-    return co
+    return Dfa(a.k, a.tracks, rows, acc, 0, a.order)
 
 
 def trim_states(a: Dfa) -> set[int]:
@@ -477,7 +456,8 @@ def trim_states(a: Dfa) -> set[int]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return seen & _coaccessible(a)
+    dist = distance_to_accept(a)
+    return {s for s in seen if dist[s] != float("inf")}
 
 
 def shortest_accepted(a: Dfa) -> DigitWord | None:
@@ -552,11 +532,10 @@ def leading_zero_filter(k: int, tracks: int, order=MSD) -> Dfa:
 
 
 def canonicalize(a: Dfa) -> Dfa:
-    """Drop words starting with the all-zero symbol; minimize; clear the pad flag."""
+    """Drop words starting with the all-zero symbol, then minimize."""
     if a.order != MSD:
         raise AutomatonError("canonicalize expects an MSD machine")
-    out = minimize(product(a, leading_zero_filter(a.k, a.tracks), "and"))
-    return Dfa(out.k, out.tracks, out.trans, out.accept, out.initial, out.order, False)
+    return minimize(product(a, leading_zero_filter(a.k, a.tracks), "and"))
 
 
 def zero_closure(a: Dfa) -> Dfa:
@@ -579,8 +558,7 @@ def zero_closure(a: Dfa) -> Dfa:
     if a.initial in a.accept:
         acc.add(n)
     nfa = Nfa(a.k, a.tracks, rows, acc, {n, a.initial}, a.order)
-    out = minimize(determinize(nfa))
-    return Dfa(out.k, out.tracks, out.trans, out.accept, out.initial, out.order, True)
+    return minimize(determinize(nfa))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:
@@ -710,24 +688,17 @@ def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:
     for s in range(a.num_states):
         row_in = a.trans[s]
         rows.append([row_in[m] for m in mapping])
-    return Dfa(k, new_tracks, rows, a.accept, a.initial, a.order, a.zero_invariant)
+    return Dfa(k, new_tracks, rows, a.accept, a.initial, a.order)
 
 
 def permute_tracks(a: Dfa, perm: list[int]) -> Dfa:
     """Reorder tracks: output track j carries what was input track perm[j]."""
     if sorted(perm) != list(range(a.tracks)):
         raise AutomatonError("perm must be a permutation of the tracks")
-    k = a.k
     inv = [0] * a.tracks
     for j, i in enumerate(perm):
         inv[i] = j
-    wide = symbols(k, a.tracks)
-    mapping = [sym_index(tuple(sym[inv[i]] for i in range(a.tracks)), k) for sym in wide]
-    rows = []
-    for s in range(a.num_states):
-        row_in = a.trans[s]
-        rows.append([row_in[m] for m in mapping])
-    return Dfa(k, a.tracks, rows, a.accept, a.initial, a.order, a.zero_invariant)
+    return lift_tracks(a, inv, a.tracks)
 
 
 def language_equal(a: Dfa, b: Dfa) -> bool:

@@ -373,7 +373,7 @@ class CompilationEnv:
 
 def bool_dfa(k: int, truth: bool) -> Dfa:
     """0-track machine standing for a closed subformula's truth value."""
-    return Dfa(k, 0, [[0]], {0} if truth else set(), 0, MSD, True)
+    return Dfa(k, 0, [[0]], {0} if truth else set(), 0, MSD)
 
 
 class _Compiler:
@@ -407,9 +407,7 @@ class _Compiler:
             return bool_dfa(self.k, not is_empty(m)), ()
         idx = mvars.index(name)
         nfa = zero_saturate(project(m, idx))
-        out = minimize(determinize(nfa))
-        out = Dfa(out.k, out.tracks, out.trans, out.accept, out.initial, out.order, True)
-        return out, mvars[:idx] + mvars[idx + 1 :]
+        return minimize(determinize(nfa)), mvars[:idx] + mvars[idx + 1 :]
 
     # -- terms and atoms ----------------------------------------------------
 
@@ -508,13 +506,10 @@ def compile_formula(f: Formula, env: CompilationEnv) -> Dfa | bool:
     if not env.free_vars:
         if mvars:
             raise CompileError("closed formula left open tracks")
-        if isinstance(m, Dfa):
-            return not is_empty(m)
-        return bool(m)
+        return not is_empty(m)
     if set(mvars) != set(env.free_vars):
         raise CompileError(f"compiled tracks {mvars} do not cover {env.free_vars}")
     m = comp.lift(m, mvars, env.free_vars) if mvars != env.free_vars else m
-    m = Dfa(m.k, m.tracks, m.trans, m.accept, m.initial, m.order, True)
     return minimize(m)
 
 

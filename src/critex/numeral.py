@@ -46,10 +46,6 @@ class RadixContext:
         if self.k < 2:
             raise NumeralError(f"base must be >= 2, got {self.k}")
 
-    @property
-    def alphabet(self) -> range:
-        return range(self.k)
-
 
 @dataclass(frozen=True)
 class DigitWord:

@@ -188,7 +188,7 @@ def comparator_dfa(comp: Comparator) -> Dfa:
             sign = "zero" if st == 0 else ("pos" if st > 0 else "neg")
         if sign in accept_signs:
             acc.append(i)
-    out = minimize(Dfa(k, 2, rows, acc, 0, MSD, True))
+    out = minimize(Dfa(k, 2, rows, acc, 0, MSD))
     if len(_COMPARATOR_CACHE) > 8192:
         _COMPARATOR_CACHE.clear()
     _COMPARATOR_CACHE[cache_key] = out
@@ -302,30 +302,23 @@ def _reconstruct_pump(a: Dfa, P: int, Q: int, trim: set[int], combo) -> PumpDeco
     return make_pump(k, walks[0], walks[1], s0, a.order)
 
 
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, with_argmax: bool = False):
+def max_word_weight(a: Dfa, P: int, Q: int, max_len: int) -> int | None:
     """Maximum of Q*p - P*q over accepted words of length <= max_len, or None."""
     k = a.k
     w = _symbol_weights(k, P, Q)
     co = trim_states(a)
     adj = _trim_adjacency(a, co)
-    best = None
-    best_at = None
     cur = {a.initial: 0} if a.initial in co else {}
-    if a.initial in a.accept:
-        best = 0
-        best_at = 0
+    best = 0 if a.initial in a.accept else None
     acc = a.accept
-    for ln in range(1, max_len + 1):
+    for _ in range(max_len):
         cur = _layer(cur, adj, k, w)
         if not cur:
             break
         for s, val in cur.items():
             if s in acc and (best is None or val > best):
                 best = val
-                best_at = ln
-    if best is None:
-        return None
-    return (best, best_at) if with_argmax else best
+    return best
 
 
 def _reconstruct_word(a: Dfa, P: int, Q: int, max_len: int) -> DigitWord | None:
@@ -360,12 +353,7 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
     """
     if max_word_weight(a, 0, 1, max_len) is None:
         return None, None
-
-    def cmp(P: int, Q: int) -> int:
-        m = max_word_weight(a, P, Q, max_len)
-        return 0 if m == 0 else (1 if m > 0 else -1)
-
-    val = rational_search(cmp)
+    val = rational_search(lambda P, Q: _sign(max_word_weight(a, P, Q, max_len)))
     witness = _reconstruct_word(a, val.numerator, val.denominator, max_len)
     if witness is None:
         raise SearchError("no witness at the computed bounded maximum")
@@ -373,6 +361,13 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
 
 
 # ------------------------------------------------------------- rational search
+
+
+def _sign(m: int | None) -> int:
+    """Sign of a weight maximum, as the comparison oracle rational_search reads."""
+    if m is None:
+        raise SearchError("the sign oracle found no word or pump to weigh")
+    return (m > 0) - (m < 0)
 
 
 def rational_search(cmp, max_steps: int = 200000) -> Fraction:
@@ -386,58 +381,29 @@ def rational_search(cmp, max_steps: int = 200000) -> Fraction:
         return Fraction(0)
     if s < 0:
         raise SearchError("target lies below zero")
-    a, b, c, d = 0, 1, 1, 0
+    lo, hi = (0, 1), (1, 0)
     for _ in range(max_steps):
-        p, q = a + c, b + d
+        p, q = lo[0] + hi[0], lo[1] + hi[1]
         s = cmp(p, q)
         if s == 0:
             return Fraction(p, q)
-        if s > 0:
-            t = 1
-            while True:
-                t2 = t * 2
-                p2, q2 = a + t2 * c, b + t2 * d
-                s2 = cmp(p2, q2)
-                if s2 == 0:
-                    return Fraction(p2, q2)
-                if s2 < 0:
-                    lo_t, hi_t = t, t2
-                    break
-                t = t2
-            while hi_t - lo_t > 1:
-                mid = (lo_t + hi_t) // 2
-                sm = cmp(a + mid * c, b + mid * d)
-                if sm == 0:
-                    return Fraction(a + mid * c, b + mid * d)
-                if sm > 0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            a, b = a + lo_t * c, b + lo_t * d
-            c, d = a + c, b + d
-        else:
-            t = 1
-            while True:
-                t2 = t * 2
-                p2, q2 = t2 * a + c, t2 * b + d
-                s2 = cmp(p2, q2)
-                if s2 == 0:
-                    return Fraction(p2, q2)
-                if s2 > 0:
-                    lo_t, hi_t = t, t2
-                    break
-                t = t2
-            while hi_t - lo_t > 1:
-                mid = (lo_t + hi_t) // 2
-                sm = cmp(mid * a + c, mid * b + d)
-                if sm == 0:
-                    return Fraction(mid * a + c, mid * b + d)
-                if sm < 0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            c, d = lo_t * a + c, lo_t * b + d
-            a, b = a + c, b + d
+        # The bound on the target's side moves towards the other one, through
+        # (x + t*y) / (z + t*w) for t = 2, 4, 8, ... until a probe lands past
+        # the target, then bisects t between the last two probes.
+        (x, z), (y, w) = (lo, hi) if s > 0 else (hi, lo)
+        t_in, t_out = 1, None
+        while t_out is None or t_out - t_in > 1:
+            t = 2 * t_in if t_out is None else (t_in + t_out) // 2
+            st = cmp(x + t * y, z + t * w)
+            if st == 0:
+                return Fraction(x + t * y, z + t * w)
+            if st == s:
+                t_in = t
+            else:
+                t_out = t
+        moved = (x + t_in * y, z + t_in * w)
+        other = (moved[0] + y, moved[1] + w)
+        lo, hi = (moved, other) if s > 0 else (other, moved)
     raise SearchError("rational search did not terminate")
 
 
@@ -627,7 +593,18 @@ def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
     return canonicalize(product(L, nonzero_track_dfa(ctx, 2, 1), "and"))
 
 
-def largest_limit_quotient(L: Dfa, ctx: RadixContext, prepared: bool = False):
+def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
+    """Largest pump ratio of a prepared infinite machine without an unbounded
+    pump: Stern-Brocot search on the pump-weight sign, then the witness."""
+    trim = trim_states(work)
+    sigma = rational_search(lambda P, Q: _sign(max_pump_weight(work, P, Q, trim)))
+    got = max_pump_weight(work, sigma.numerator, sigma.denominator, trim, with_argmax=True)
+    if got is None or got[0] != 0:
+        raise InvariantError(f"pump weight at the computed limit {sigma} is not zero")
+    return sigma, _reconstruct_pump(work, sigma.numerator, sigma.denominator, trim, got[1])
+
+
+def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomposition]:
     """Largest value arising as the limit of the quotient over infinitely many
     distinct accepted words; rational or infinite, with a pump witness.
 
@@ -635,29 +612,16 @@ def largest_limit_quotient(L: Dfa, ctx: RadixContext, prepared: bool = False):
     limit, and any such limit is realized by a pump within first-repeat
     bounds.
     """
-    work = L if prepared else _prepare(L, ctx)
+    work = _prepare(L, ctx)
     if not is_infinite(work):
         raise FiniteLanguageError("a finite language has no limit value")
-    inf_pump = find_unbounded_pump(work)
-    if inf_pump is not None:
-        return INF, inf_pump
-    trim = trim_states(work)
-
-    def cmp(P: int, Q: int) -> int:
-        m = max_pump_weight(work, P, Q, trim)
-        if m is None:
-            raise SearchError("no pump in an infinite language")
-        return 0 if m == 0 else (1 if m > 0 else -1)
-
-    sigma = rational_search(cmp)
-    got = max_pump_weight(work, sigma.numerator, sigma.denominator, trim, with_argmax=True)
-    if got is None or got[0] != 0:
-        raise InvariantError(f"pump weight at the computed limit {sigma} is not zero")
-    pump = _reconstruct_pump(work, sigma.numerator, sigma.denominator, trim, got[1])
-    return sigma, pump
+    infinite, pump = is_sup_infinite(work)
+    if infinite:
+        return INF, pump
+    return _limit(work)
 
 
-def sup_quo(L: Dfa, ctx: RadixContext, prepared: bool = False) -> SupResult:
+def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     """Exact supremum of the pair quotient over the language.
 
     Infinite iff an unbounded pump exists; otherwise the maximum of the
@@ -666,16 +630,15 @@ def sup_quo(L: Dfa, ctx: RadixContext, prepared: bool = False) -> SupResult:
     by the usual pumping exchange).  Attained iff the short-word maximum
     wins, in which case the witness is a shortest attaining word.
     """
-    work = L if prepared else _prepare(L, ctx)
+    work = _prepare(L, ctx)
     if is_empty(work):
         raise EmptyLanguageError("the supremum of an empty language is undefined")
-    inf_pump = find_unbounded_pump(work)
-    if inf_pump is not None:
-        return SupResult(INF, False, inf_pump)
-    sigma = None
-    sigma_pump = None
+    infinite, pump = is_sup_infinite(work)
+    if infinite:
+        return SupResult(INF, False, pump)
+    sigma = sigma_pump = None
     if is_infinite(work):
-        sigma, sigma_pump = largest_limit_quotient(work, ctx, prepared=True)
+        sigma, sigma_pump = _limit(work)
     m_short, m_witness = bounded_max_ratio(work, work.num_states - 1)
     if m_short is None:
         raise EmptyLanguageError("no accepted word carries a nonzero denominator")
@@ -710,11 +673,11 @@ def candidates(L: Dfa) -> CandidateSet:
     )
 
 
-def sup_quo_reference(L: Dfa, ctx: RadixContext, prepared: bool = False) -> SupResult:
+def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
     """Candidate-filter supremum: the least explicit candidate beta with
     L inside the closed half-plane at beta.  Exponential enumeration;
     used to cross-validate sup_quo on small machines."""
-    work = L if prepared else _prepare(L, ctx)
+    work = _prepare(L, ctx)
     if is_empty(work):
         raise EmptyLanguageError("the supremum of an empty language is undefined")
     inf_pump = find_unbounded_pump(work)
@@ -760,7 +723,6 @@ def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:
     succ = successor_rel(ctx)
     wide = product(lift_tracks(succ, [0, 2], 3), lift_tracks(Lz, [2, 1], 3), "and")
     shift = minimize(determinize(zero_saturate(project(wide, 2))))
-    shift = Dfa(shift.k, shift.tracks, shift.trans, shift.accept, shift.initial, shift.order, True)
     bad = product(product(L, cmp_rel(ctx, ">"), "and"), complement(shift), "and")
     d_ok = is_empty(bad)
     return {"a": a_ok, "c": c_ok, "d": d_ok, "b": "not checked"}

@@ -47,10 +47,6 @@ INF = Infinity()
 Value = Fraction | Infinity
 
 
-def is_finite(v: Value) -> bool:
-    return not isinstance(v, Infinity)
-
-
 def fmt_value(v: Value | None) -> str:
     """Render as "num/den" (always with denominator) or "inf"."""
     if v is None:

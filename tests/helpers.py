@@ -65,7 +65,7 @@ def brzozowski_minimize(a: Dfa) -> Dfa:
                 pos[t] = len(bfs)
                 bfs.append(t)
     rows = [[pos[t] for t in d.trans[s]] for s in bfs]
-    return Dfa(a.k, a.tracks, rows, {pos[s] for s in d.accept}, 0, a.order, a.zero_invariant)
+    return Dfa(a.k, a.tracks, rows, {pos[s] for s in d.accept}, 0, a.order)
 
 
 def random_word(rng: random.Random, k: int, tracks: int, max_len: int, order: str = MSD) -> DigitWord:

@@ -129,7 +129,7 @@ def test_criterion_5_solver_cross_validation():
         suite = prepared_random_suite(20260808, 100)
         assert len(suite) == 100
         for idx, machine in enumerate(suite):
-            res = sup_quo(machine, CTX, prepared=True)
+            res = sup_quo(machine, CTX)
             cand = candidates(machine)
             finite = cand.finite_values()
             # (a) filter property.  Nothing sits above the sup (comparator
@@ -166,7 +166,7 @@ def test_criterion_5_solver_cross_validation():
                 assert m12 == res.value, idx
             # (c) the largest limit value is approached by infinitely many words
             if is_infinite(machine):
-                sigma, _pump = largest_limit_quotient(machine, CTX, prepared=True)
+                sigma, _pump = largest_limit_quotient(machine, CTX)
                 if sigma is INF:
                     for t in (1, 2, 4, 8):
                         probe = product(

@@ -174,7 +174,6 @@ def test_compiled_machines_zero_invariant(tm, ctx):
     from critex.numeral import DigitWord
 
     m = compile_formula(parse("E j . x = j + j & seq[j] = 1"), env_for(tm, ctx, "x"))
-    assert m.zero_invariant
     for w in all_words_upto(2, 1, 6):
         padded = DigitWord(2, 1, ((0,),) + w.symbols)
         assert m.accepts(w) == m.accepts(padded)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from critex import quotient
 from critex.automaton import canonicalize, is_infinite, product, pump_decompositions
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
@@ -158,6 +159,25 @@ def test_sup_examples():
     assert r.value is INF and not r.attained
 
 
+def test_sup_runs_the_unbounded_pump_test_once(monkeypatch):
+    calls = []
+    real = quotient.find_unbounded_pump
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(quotient, "find_unbounded_pump", counted)
+    assert sup_quo(pairs_ones_then_01(), CTX).value == Fraction(1)
+    assert len(calls) == 1
+
+
+def test_prepare_is_idempotent():
+    # the solvers always prepare, so a prepared machine must come back unchanged
+    for machine in prepared_random_suite(5100, 300, max_states=5):
+        assert _prepare(machine, CTX) == machine
+
+
 def test_sup_empty_language_error():
     with pytest.raises(EmptyLanguageError):
         sup_quo(dfa_for_words(2, 2, []), CTX)
@@ -194,8 +214,8 @@ def test_candidate_examples():
 
 def test_sup_matches_reference_on_random_machines():
     for machine in prepared_random_suite(4300, 40):
-        fast = sup_quo(machine, CTX, prepared=True)
-        ref = sup_quo_reference(machine, CTX, prepared=True)
+        fast = sup_quo(machine, CTX)
+        ref = sup_quo_reference(machine, CTX)
         assert fast.value == ref.value
         assert fast.attained == ref.attained
         if fast.attained:
@@ -209,7 +229,7 @@ def test_largest_limit_matches_pump_enumeration():
     for machine in prepared_random_suite(4400, 40, max_states=3):
         if not is_infinite(machine):
             continue
-        got, pump = largest_limit_quotient(machine, CTX, prepared=True)
+        got, pump = largest_limit_quotient(machine, CTX)
         ratios = []
         for p in pump_decompositions(machine):
             if p.inc1 == 0 and p.inc2 == 0:
@@ -286,6 +306,62 @@ def test_comparator_fuzz_base3():
             assert m.accepts(w) == fn(p * t.denominator, q * t.numerator), (p, q, t, rel)
 
 
+# Exact probe lists of the galloping Stern-Brocot descent.  Each probe costs
+# one pump or word DP, so a change to the order is a change in cost.
+_PINNED_PROBES = [
+    (Fraction(0), [(0, 1)]),
+    (Fraction(1), [(0, 1), (1, 1)]),
+    (Fraction(7, 2), [(0, 1), (1, 1), (2, 1), (4, 1), (3, 1), (7, 2)]),
+    (
+        Fraction(355, 113),
+        [
+            (0, 1), (1, 1), (2, 1), (4, 1), (3, 1), (7, 2), (10, 3), (16, 5), (28, 9), (22, 7),
+            (25, 8), (47, 15), (69, 22), (113, 36), (201, 64), (377, 120), (289, 92), (333, 106),
+            (355, 113),
+        ],
+    ),
+    (
+        Fraction(1, 10**6),
+        [
+            (0, 1), (1, 1), (1, 2), (1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 128), (1, 256),
+            (1, 512), (1, 1024), (1, 2048), (1, 4096), (1, 8192), (1, 16384), (1, 32768),
+            (1, 65536), (1, 131072), (1, 262144), (1, 524288), (1, 1048576), (1, 786432),
+            (1, 917504), (1, 983040), (1, 1015808), (1, 999424), (1, 1007616), (1, 1003520),
+            (1, 1001472), (1, 1000448), (1, 999936), (1, 1000192), (1, 1000064), (1, 1000000),
+        ],
+    ),
+    (
+        Fraction(10**9, 7),
+        [
+            (0, 1), (1, 1), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1),
+            (512, 1), (1024, 1), (2048, 1), (4096, 1), (8192, 1), (16384, 1), (32768, 1),
+            (65536, 1), (131072, 1), (262144, 1), (524288, 1), (1048576, 1), (2097152, 1),
+            (4194304, 1), (8388608, 1), (16777216, 1), (33554432, 1), (67108864, 1), (134217728, 1),
+            (268435456, 1), (201326592, 1), (167772160, 1), (150994944, 1), (142606336, 1),
+            (146800640, 1), (144703488, 1), (143654912, 1), (143130624, 1), (142868480, 1),
+            (142737408, 1), (142802944, 1), (142835712, 1), (142852096, 1), (142860288, 1),
+            (142856192, 1), (142858240, 1), (142857216, 1), (142856704, 1), (142856960, 1),
+            (142857088, 1), (142857152, 1), (142857120, 1), (142857136, 1), (142857144, 1),
+            (142857140, 1), (142857142, 1), (142857143, 1), (285714285, 2), (428571428, 3),
+            (714285714, 5), (1285714286, 9), (1000000000, 7),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("target,probes", _PINNED_PROBES, ids=str)
+def test_rational_search_probe_sequence(target, probes):
+    seen = []
+
+    def cmp(P, Q):
+        seen.append((P, Q))
+        d = target - Fraction(P, Q)
+        return 0 if d == 0 else (1 if d > 0 else -1)
+
+    assert rational_search(cmp) == target
+    assert seen == probes
+
+
 def test_rational_search_large_denominators():
     for target in (Fraction(123457, 654321), Fraction(1, 99991), Fraction(99991, 7)):
 
@@ -300,7 +376,7 @@ def test_sup_invariants_on_larger_machines():
     # machines too big for the enumeration reference: check the defining
     # properties of the answer through comparator products instead
     for machine in prepared_random_suite(4900, 12, max_states=6):
-        res = sup_quo(machine, CTX, prepared=True)
+        res = sup_quo(machine, CTX)
         if res.value is INF:
             pump = res.witness
             assert pump.inc2 == 0 < pump.inc1
@@ -315,7 +391,7 @@ def test_sup_invariants_on_larger_machines():
         m9, _ = bounded_max_ratio(machine, 9)
         assert m9 is not None and m9 <= res.value
         if is_infinite(machine):
-            sigma, pump = largest_limit_quotient(machine, CTX, prepared=True)
+            sigma, pump = largest_limit_quotient(machine, CTX)
             assert sigma <= res.value
             if sigma is not INF:
                 assert verify_pump(machine, pump)
