@@ -23,10 +23,8 @@ from .exponents import (
 )
 from .numeral import DigitWord, RadixContext, decode, encode, encode_pair, ratio
 from .quotient import (
-    CandidateSet,
     Comparator,
     SupResult,
-    candidates,
     comparator_dfa,
     check_pair_closure,
     is_sup_infinite,
@@ -54,12 +52,10 @@ __all__ = [
     "Value",
     "fmt_value",
     "Comparator",
-    "CandidateSet",
     "SupResult",
     "comparator_dfa",
     "pump_ratio",
     "is_sup_infinite",
-    "candidates",
     "sup_quo",
     "largest_limit_quotient",
     "check_pair_closure",

@@ -7,47 +7,35 @@ so the relations compose freely inside padded products.
 
 from __future__ import annotations
 
-from .automaton import Dfa, Dfao, minimize, symbols
-from .numeral import MSD, RadixContext
+from .automaton import Dfa, Dfao, explore, minimize, symbols
+from .numeral import MSD, RadixContext, digits_of
 
-_RELATIONS = ("==", "!=", "<", "<=", ">", ">=")
+# Signs of (sum - c) that satisfy each relation.
+_SIGNS = {"==": (0,), "!=": (-1, 1), "<": (-1,), "<=": (-1, 0), ">": (1,), ">=": (0, 1)}
 
 
-def _verdict_accept(relation: str) -> set[str]:
-    if relation not in _RELATIONS:
+def linear_rel(k: int, coeffs: tuple[int, ...], relation: str, c: int = 0) -> Dfa:
+    """Machine over len(coeffs) tracks accepting x with sum(a_i * x_i) <relation> c.
+
+    Reads MSD-first tracking the running sum D of the prefix.  D locks at
+    hi = max(sum |negative a_i|, c + 1) and lo = min(-sum positive a_i, c - 1):
+    past either bound no later digits bring D back, so its side of c is
+    fixed.  Zero-invariant by construction.
+    """
+    if relation not in _SIGNS:
         raise ValueError(f"unknown relation {relation!r}")
-    return {
-        "==": {"eq"},
-        "!=": {"lt", "gt"},
-        "<": {"lt"},
-        "<=": {"eq", "lt"},
-        ">": {"gt"},
-        ">=": {"eq", "gt"},
-    }[relation]
+    wts = [sum(a * d for a, d in zip(coeffs, sym)) for sym in symbols(k, len(coeffs))]
+    hi = max(-sum(a for a in coeffs if a < 0), c + 1)
+    lo = min(-sum(a for a in coeffs if a > 0), c - 1)
+    rows, sums = explore(0, lambda d: [min(max(k * d + w, lo), hi) for w in wts])
+    signs = _SIGNS[relation]
+    acc = [i for i, d in enumerate(sums) if (d > c) - (d < c) in signs]
+    return minimize(Dfa(k, len(coeffs), rows, acc, 0, MSD))
 
 
 def cmp_rel(ctx: RadixContext, relation: str) -> Dfa:
-    """2-track machine accepting (x, y) with x <relation> y.
-
-    Reading MSD-first over padded tracks, the first digit difference fixes
-    the verdict; equal prefixes stay undecided.
-    """
-    k = ctx.k
-    syms = symbols(k, 2)
-    names = ["eq", "lt", "gt"]
-    idx = {n: i for i, n in enumerate(names)}
-    rows = []
-    for name in names:
-        row = []
-        for a, b in syms:
-            if name == "eq":
-                nxt = "eq" if a == b else ("lt" if a < b else "gt")
-            else:
-                nxt = name
-            row.append(idx[nxt])
-        rows.append(row)
-    acc = {idx[n] for n in _verdict_accept(relation)}
-    return minimize(Dfa(k, 2, rows, acc, idx["eq"], MSD))
+    """2-track machine accepting (x, y) with x <relation> y."""
+    return linear_rel(ctx.k, (1, -1), relation)
 
 
 def eq_rel(ctx: RadixContext) -> Dfa:
@@ -59,66 +47,38 @@ def lt_rel(ctx: RadixContext) -> Dfa:
 
 
 def add_rel(ctx: RadixContext) -> Dfa:
-    """3-track machine accepting (x, y, z) with x + y = z.
-
-    MSD construction tracking the running difference d of (x + y) - z over
-    the prefix read so far; d stays in {-1, 0}, anything else is dead.
-    """
-    k = ctx.k
-    syms = symbols(k, 3)
-    # states: 0 -> d = 0, 1 -> d = -1, 2 -> dead
-    rows = []
-    for d in (0, -1):
-        row = []
-        for a, b, c in syms:
-            nd = k * d + a + b - c
-            row.append(0 if nd == 0 else (1 if nd == -1 else 2))
-        rows.append(row)
-    rows.append([2] * len(syms))
-    return minimize(Dfa(k, 3, rows, {0}, 0, MSD))
+    """3-track machine accepting (x, y, z) with x + y = z."""
+    return linear_rel(ctx.k, (1, 1, -1), "==")
 
 
 def successor_rel(ctx: RadixContext) -> Dfa:
     """2-track machine accepting (x, y) with x = y + 1."""
-    k = ctx.k
-    syms = symbols(k, 2)
-    # states by running difference of x - y: 0, 1, dead
-    rows = []
-    for d in (0, 1):
-        row = []
-        for a, b in syms:
-            nd = k * d + a - b
-            row.append(0 if nd == 0 else (1 if nd == 1 else 2))
-        rows.append(row)
-    rows.append([2] * len(syms))
-    return minimize(Dfa(k, 2, rows, {1}, 0, MSD))
+    return linear_rel(ctx.k, (1, -1), "==", 1)
 
 
 def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:
-    """1-track machine accepting every padded encoding of the constant."""
+    """1-track machine accepting every padded encoding of the constant.
+
+    State 0 reads leading zeros, state i has matched the first i digits of
+    the constant, and the last state is dead: O(log_k value) states.
+    """
     if value < 0:
         raise ValueError("constants are naturals")
     k = ctx.k
-    # states 0..value track the prefix value; value+1 is dead
-    dead = value + 1
-    rows = []
-    for v in range(value + 1):
-        row = []
-        for (d,) in symbols(k, 1):
-            nv = k * v + d
-            row.append(nv if nv <= value else dead)
-        rows.append(row)
-    rows.append([dead] * k)
-    return minimize(Dfa(k, 1, rows, {value}, 0, MSD))
+    digits = digits_of(value, k)
+    dead = len(digits) + 1
+    rows = [[dead] * k for _ in range(dead + 1)]
+    rows[0][0] = 0
+    for i, d in enumerate(digits):
+        rows[i][d] = i + 1
+    return minimize(Dfa(k, 1, rows, {len(digits)}, 0, MSD))
 
 
 def nonzero_track_dfa(ctx: RadixContext, tracks: int, track: int) -> Dfa:
     """Accepts words whose given track holds a nonzero value."""
-    k = ctx.k
-    syms = symbols(k, tracks)
-    # 0: all zero so far, 1: saw a nonzero digit
-    rows = [[1 if sym[track] != 0 else 0 for sym in syms], [1] * len(syms)]
-    return Dfa(k, tracks, rows, {1}, 0, MSD)
+    unit = [0] * tracks
+    unit[track] = 1
+    return linear_rel(ctx.k, tuple(unit), ">")
 
 
 def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
@@ -129,28 +89,12 @@ def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
     """
     if a.order != MSD:
         raise ValueError("sequence atoms need an MSD Dfao")
-    k = a.k
-    syms = symbols(k, 2)
-    start = (a.initial, a.initial)
-    index = {start: 0}
-    states = [start]
-    rows = []
-    i = 0
-    while i < len(states):
-        s1, s2 = states[i]
-        i += 1
-        row = []
-        for d1, d2 in syms:
-            key = (a.trans[s1][d1], a.trans[s2][d2])
-            j = index.get(key)
-            if j is None:
-                j = len(states)
-                index[key] = j
-                states.append(key)
-            row.append(j)
-        rows.append(row)
+    trans = a.trans
+    rows, states = explore(
+        (a.initial, a.initial), lambda p: [(t1, t2) for t1 in trans[p[0]] for t2 in trans[p[1]]]
+    )
     acc = [i for i, (s1, s2) in enumerate(states) if a.output[s1] == a.output[s2]]
-    return minimize(Dfa(k, 2, rows, acc, 0, MSD))
+    return minimize(Dfa(a.k, 2, rows, acc, 0, MSD))
 
 
 def seq_const(a: Dfao, symbol: str, ctx: RadixContext | None = None) -> Dfa:

@@ -270,35 +270,42 @@ def _require_compatible(a: Dfa, b: Dfa) -> None:
         )
 
 
+def explore(start, step):
+    """Number the states reachable from `start` breadth-first.
+
+    States are hashable keys; step(key) lists one successor key per symbol.
+    Returns the transition rows over the numbering and the key of every
+    state, both in breadth-first order; raises StateLimitError once more than
+    CRITEX_MAX_STATES keys are found.
+    """
+    limit = state_limit()
+    index = {start: 0}
+    keys = [start]
+    rows = []
+    for key in keys:
+        succ = step(key)
+        row = list(map(index.get, succ))
+        if None in row:
+            for c, t in enumerate(succ):
+                if row[c] is None:
+                    j = index.get(t)
+                    if j is None:
+                        j = index[t] = len(keys)
+                        keys.append(t)
+                    row[c] = j
+            if len(keys) > limit:
+                raise StateLimitError(f"intermediate automaton exceeded {limit} states")
+        rows.append(row)
+    return rows, keys
+
+
 def product(a: Dfa, b: Dfa, mode: str = "and") -> Dfa:
     """Reachable product; accepts the intersection ("and") or union ("or")."""
     if mode not in ("and", "or"):
         raise AutomatonError(f"unknown product mode {mode!r}")
     _require_compatible(a, b)
-    s_count = a.alphabet_size
     ta, tb = a.trans, b.trans
-    start = (a.initial, b.initial)
-    index = {start: 0}
-    pairs = [start]
-    rows = []
-    limit = state_limit()
-    i = 0
-    while i < len(pairs):
-        sa, sb = pairs[i]
-        i += 1
-        ra, rb = ta[sa], tb[sb]
-        row = []
-        for c in range(s_count):
-            key = (ra[c], rb[c])
-            j = index.get(key)
-            if j is None:
-                j = len(pairs)
-                index[key] = j
-                pairs.append(key)
-                if j + 1 > limit:
-                    raise StateLimitError(f"intermediate automaton exceeded {limit} states")
-            row.append(j)
-        rows.append(row)
+    rows, pairs = explore((a.initial, b.initial), lambda p: list(zip(ta[p[0]], tb[p[1]])))
     if mode == "and":
         acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept and sb in b.accept]
     else:
@@ -358,50 +365,24 @@ def determinize(nfa: Nfa) -> Dfa:
     single big-int ors.
     """
     s_count = nfa.alphabet_size
-    n = nfa.num_states
-    masks = [[0] * s_count for _ in range(n)]
-    for s in range(n):
-        row_in = nfa.trans[s]
-        mrow = masks[s]
+    masks = [[sum(1 << t for t in tgt) for tgt in row] for row in nfa.trans]
+    accept_mask = sum(1 << s for s in nfa.accept)
+
+    def step(cur: int) -> list[int]:
+        member_rows = []
+        while cur:
+            low = cur & -cur
+            cur ^= low
+            member_rows.append(masks[low.bit_length() - 1])
+        row_masks = [0] * s_count
         for c in range(s_count):
             m = 0
-            for t in row_in[c]:
-                m |= 1 << t
-            mrow[c] = m
-    init_mask = 0
-    for s in nfa.initials:
-        init_mask |= 1 << s
-    accept_mask = 0
-    for s in nfa.accept:
-        accept_mask |= 1 << s
-    limit = state_limit()
-    index: dict[int, int] = {init_mask: 0}
-    subsets = [init_mask]
-    rows = []
-    qi = 0
-    while qi < len(subsets):
-        cur = subsets[qi]
-        qi += 1
-        row_masks = [0] * s_count
-        rest = cur
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            mrow = masks[low.bit_length() - 1]
-            for c in range(s_count):
-                row_masks[c] |= mrow[c]
-        row = []
-        for c in range(s_count):
-            tgt = row_masks[c]
-            j = index.get(tgt)
-            if j is None:
-                j = len(subsets)
-                index[tgt] = j
-                subsets.append(tgt)
-                if j + 1 > limit:
-                    raise StateLimitError(f"intermediate automaton exceeded {limit} states")
-            row.append(j)
-        rows.append(row)
+            for mrow in member_rows:
+                m |= mrow[c]
+            row_masks[c] = m
+        return row_masks
+
+    rows, subsets = explore(sum(1 << s for s in nfa.initials), step)
     acc = [i for i, m in enumerate(subsets) if m & accept_mask]
     return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
 
@@ -425,14 +406,7 @@ def minimize(a: Dfa) -> Dfa:
 
     Equal languages therefore yield bit-identical machines.
     """
-    reach = [a.initial]
-    pos = {a.initial: 0}
-    for s in reach:
-        for t in a.trans[s]:
-            if t not in pos:
-                pos[t] = len(reach)
-                reach.append(t)
-    trans = [[pos[t] for t in a.trans[s]] for s in reach]
+    trans, reach = explore(a.initial, a.trans.__getitem__)
     cls = _refine(trans, [1 if s in a.accept else 0 for s in reach])
     # States are in breadth-first order, so first-occurrence class ids are
     # already the breadth-first numbering of the quotient machine.
@@ -448,16 +422,8 @@ def minimize(a: Dfa) -> Dfa:
 
 def trim_states(a: Dfa) -> set[int]:
     """States both reachable from the initial state and co-accessible."""
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        s = queue.popleft()
-        for t in a.trans[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
     dist = distance_to_accept(a)
-    return {s for s in seen if dist[s] != float("inf")}
+    return {s for s in explore(a.initial, a.trans.__getitem__)[1] if dist[s] != float("inf")}
 
 
 def shortest_accepted(a: Dfa) -> DigitWord | None:
@@ -486,19 +452,7 @@ def shortest_accepted(a: Dfa) -> DigitWord | None:
 
 
 def is_empty(a: Dfa) -> bool:
-    if a.initial in a.accept:
-        return False
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        s = queue.popleft()
-        for t in a.trans[s]:
-            if t not in seen:
-                if t in a.accept:
-                    return False
-                seen.add(t)
-                queue.append(t)
-    return True
+    return a.accept.isdisjoint(explore(a.initial, a.trans.__getitem__)[1])
 
 
 def is_infinite(a: Dfa) -> bool:
@@ -608,55 +562,6 @@ def enumerate_accepted(a: Dfa, max_len: int):
 
     for length in range(max_len + 1):
         yield from rec(a.initial, length, [])
-
-
-def pump_decompositions(a: Dfa):
-    """First-repeated-state pumps: a simple path u to a loop state plus a simple
-    cycle v whose interior avoids the path; the loop state is co-accessible,
-    so u v^i w is accepted for every i and suitable w, and |uv| <= state count.
-
-    Exponential in the worst case; used on small machines and for audits.
-    """
-    if a.tracks != 2:
-        raise AutomatonError("pump enumeration expects a 2-track machine")
-    trim = trim_states(a)
-    if a.initial not in trim:
-        return
-    syms = symbols(a.k, a.tracks)
-    s_count = len(syms)
-    trans = a.trans
-
-    def cycles_from(state, start, blocked, u_syms, v_syms):
-        for c in range(s_count):
-            t = trans[state][c]
-            if t not in trim:
-                continue
-            if t == start:
-                yield make_pump(a.k, u_syms, v_syms + (syms[c],), start, a.order)
-            elif t not in blocked:
-                yield from cycles_from(t, start, blocked | {t}, u_syms, v_syms + (syms[c],))
-
-    def paths(state, on_path, u_syms):
-        yield from cycles_from(state, state, on_path, u_syms, ())
-        for c in range(s_count):
-            t = trans[state][c]
-            if t in trim and t not in on_path:
-                yield from paths(t, on_path | {t}, u_syms + (syms[c],))
-
-    yield from paths(a.initial, frozenset({a.initial}), ())
-
-
-def accepted_from(a: Dfa, state: int, limit: int, max_len: int | None = None):
-    """Up to `limit` words leading from `state` to acceptance, shortest first."""
-    view = Dfa(a.k, a.tracks, a.trans, a.accept, state, a.order)
-    if max_len is None:
-        max_len = a.num_states + 4
-    count = 0
-    for w in enumerate_accepted(view, max_len):
-        yield w
-        count += 1
-        if count >= limit:
-            return
 
 
 def reverse(a: Dfa) -> Dfa:

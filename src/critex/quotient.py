@@ -13,8 +13,8 @@ The supremum solver rests on three exact primitives:
   over accepted words of bounded length.
 
 Feeding the sign oracles to a Stern-Brocot search yields exact values
-without enumerating words or pumps; enumeration-based references are kept
-alongside for cross-validation on small machines.
+without enumerating words or pumps; the enumeration-based references that
+cross-validate them on small machines live with the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import cmp_rel, nonzero_track_dfa, successor_rel
+from .arith import cmp_rel, linear_rel, nonzero_track_dfa, successor_rel
 from .automaton import (
     Dfa,
     InvariantError,
@@ -31,7 +31,6 @@ from .automaton import (
     canonicalize,
     complement,
     determinize,
-    enumerate_accepted,
     is_empty,
     is_infinite,
     leading_zero_filter,
@@ -40,15 +39,13 @@ from .automaton import (
     minimize,
     product,
     project,
-    pump_decompositions,
     pump_increments,
-    shortest_accepted,
     symbols,
     trim_states,
     zero_closure,
     zero_saturate,
 )
-from .numeral import MSD, DigitWord, RadixContext, ratio
+from .numeral import DigitWord, RadixContext
 from .rational import INF, Value
 
 
@@ -94,19 +91,6 @@ class SupResult:
     witness: DigitWord | PumpDecomposition
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Explicit supremum candidates: quotients of short words plus pump ratios."""
-
-    short_values: frozenset
-    pump_values: tuple  # (Fraction, PumpDecomposition) pairs, deduped by value
-    unbounded_pumps: tuple  # pumps with inc2 == 0 < inc1
-
-    def finite_values(self) -> list[Fraction]:
-        vals = set(self.short_values) | {v for v, _ in self.pump_values}
-        return sorted(vals)
-
-
 def pump_ratio(u: DigitWord, v: DigitWord) -> Value:
     """Increment ratio of one pump of v after prefix u; the limit of the
     pair quotient of u v^i w as i grows."""
@@ -129,66 +113,15 @@ _COMPARATOR_CACHE: dict[tuple, Dfa] = {}
 def comparator_dfa(comp: Comparator) -> Dfa:
     """Machine accepting pair encodings (p, q) with p*Q <relation> q*P.
 
-    Reads MSD-first tracking the running difference D = Q*p - P*q of the
-    prefix; D locks positive at max(P, 1) and negative at -Q, since later
-    digits can no longer flip the sign.  Zero-invariant by construction.
+    The linear relation Q*p - P*q <relation> 0: its running sum locks
+    positive at max(P, 1) and negative at -Q, so it has O(P + Q) states.
     """
     cache_key = (comp.ctx.k, comp.threshold, comp.relation)
     cached = _COMPARATOR_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    k = comp.ctx.k
     P, Q = comp.threshold.numerator, comp.threshold.denominator
-    syms = symbols(k, 2)
-    wts = [Q * c1 - P * c2 for (c1, c2) in syms]
-    pos_lock = max(P, 1)
-    neg_lock = -Q
-    POS, NEG = "pos", "neg"
-    index: dict = {0: 0}
-    states: list = [0]
-    rows: list[list[int]] = []
-    qi = 0
-    while qi < len(states):
-        st = states[qi]
-        qi += 1
-        row = []
-        for c in range(len(syms)):
-            if st == POS or st == NEG:
-                nxt = st
-            else:
-                nd = k * st + wts[c]
-                if nd >= pos_lock:
-                    nxt = POS
-                elif nd <= neg_lock:
-                    nxt = NEG
-                else:
-                    nxt = nd
-            j = index.get(nxt)
-            if j is None:
-                j = len(states)
-                index[nxt] = j
-                states.append(nxt)
-            row.append(j)
-        rows.append(row)
-    accept_signs = {
-        "<": ("neg",),
-        "<=": ("neg", "zero"),
-        "==": ("zero",),
-        ">=": ("pos", "zero"),
-        ">": ("pos",),
-        "!=": ("pos", "neg"),
-    }[comp.relation]
-    acc = []
-    for i, st in enumerate(states):
-        if st == POS:
-            sign = "pos"
-        elif st == NEG:
-            sign = "neg"
-        else:
-            sign = "zero" if st == 0 else ("pos" if st > 0 else "neg")
-        if sign in accept_signs:
-            acc.append(i)
-    out = minimize(Dfa(k, 2, rows, acc, 0, MSD))
+    out = linear_rel(comp.ctx.k, (Q, -P), comp.relation)
     if len(_COMPARATOR_CACHE) > 8192:
         _COMPARATOR_CACHE.clear()
     _COMPARATOR_CACHE[cache_key] = out
@@ -575,16 +508,6 @@ def is_sup_infinite(L: Dfa) -> tuple[bool, PumpDecomposition | None]:
     return False, None
 
 
-def is_sup_infinite_reference(L: Dfa, ctx: RadixContext) -> bool:
-    """Literal interval test: L meets the comparator at k**n; n = state count.
-
-    The comparator holds ~k**n states, so this is for small machines and
-    cross-validation only.
-    """
-    thresh = Fraction(ctx.k**L.num_states, 1)
-    return not is_empty(compare_language(L, ctx, thresh, ">="))
-
-
 # ------------------------------------------------------------- solvers
 
 
@@ -645,61 +568,6 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     if sigma is None or m_short >= sigma:
         return SupResult(m_short, True, m_witness)
     return SupResult(sigma, False, sigma_pump)
-
-
-def candidates(L: Dfa) -> CandidateSet:
-    """Explicit candidate values by enumeration (small machines, audits).
-
-    short_values: quotients of accepted words shorter than the state count;
-    pump_values: finite pump ratios over first-repeat pumps.
-    """
-    n = L.num_states
-    short = set()
-    for word in enumerate_accepted(L, n - 1):
-        if word.value(1) != 0:
-            short.add(ratio(word))
-    finite: dict[Fraction, PumpDecomposition] = {}
-    unbounded = []
-    for pump in pump_decompositions(L):
-        if pump.inc2 == 0:
-            if pump.inc1 > 0:
-                unbounded.append(pump)
-            continue
-        finite.setdefault(Fraction(pump.inc1, pump.inc2), pump)
-    return CandidateSet(
-        frozenset(short),
-        tuple(sorted(finite.items(), key=lambda kv: kv[0])),
-        tuple(unbounded),
-    )
-
-
-def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
-    """Candidate-filter supremum: the least explicit candidate beta with
-    L inside the closed half-plane at beta.  Exponential enumeration;
-    used to cross-validate sup_quo on small machines."""
-    work = _prepare(L, ctx)
-    if is_empty(work):
-        raise EmptyLanguageError("the supremum of an empty language is undefined")
-    inf_pump = find_unbounded_pump(work)
-    if inf_pump is not None:
-        return SupResult(INF, False, inf_pump)
-    cand = candidates(work)
-    if cand.unbounded_pumps:
-        raise InvariantError("unbounded pump missed by find_unbounded_pump")
-    betas = cand.finite_values()
-
-    def qualifies(beta: Fraction) -> bool:
-        return is_empty(compare_language(work, ctx, beta, ">"))
-
-    alpha = next((beta for beta in betas if qualifies(beta)), None)
-    if alpha is None:
-        raise SearchError("no qualifying candidate; candidate set incomplete")
-    eq = compare_language(work, ctx, alpha, "==")
-    witness = shortest_accepted(eq)
-    if witness is not None:
-        return SupResult(alpha, True, witness)
-    pump = next(p for v, p in cand.pump_values if v == alpha)
-    return SupResult(alpha, False, pump)
 
 
 # ------------------------------------------------------------- closure report

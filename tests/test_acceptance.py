@@ -22,7 +22,6 @@ from critex.oracle import scan_max_exponent, scan_recurrence, sequence_prefix
 from critex.quotient import (
     Comparator,
     bounded_max_ratio,
-    candidates,
     comparator_dfa,
     largest_limit_quotient,
     sup_quo,
@@ -30,6 +29,7 @@ from critex.quotient import (
 from critex.rational import INF
 
 from helpers import prepared_random_suite
+from reference import candidates
 from property_suites import run_chain_suite, run_comparator_suite, run_mediant_suite
 
 CTX = RadixContext(2)
@@ -105,7 +105,7 @@ def _word_above(machine, res, beta_max) -> None:
     """Exhibit an accepted word with quotient above beta_max, verified by a
     direct machine run plus exact ratio arithmetic.  One such word witnesses
     L intersect L_{>beta} nonempty for every candidate beta <= beta_max."""
-    from critex.automaton import accepted_from
+    from reference import accepted_from
     from critex.numeral import ratio as word_ratio
 
     if res.attained:

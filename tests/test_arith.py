@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,14 +8,25 @@ from critex.arith import (
     cmp_rel,
     const_eq_rel,
     eq_rel,
+    linear_rel,
     lt_rel,
     nonzero_track_dfa,
     seq_const,
     seq_eq,
     successor_rel,
 )
-from critex.automaton import complement, is_empty, language_equal, lift_tracks, minimize, product
-from critex.numeral import LSD, MSD, DigitWord, RadixContext
+from critex.automaton import (
+    Dfao,
+    StateLimitError,
+    complement,
+    is_empty,
+    language_equal,
+    lift_tracks,
+    minimize,
+    product,
+    symbols,
+)
+from critex.numeral import LSD, MSD, DigitWord, RadixContext, digits_of
 
 from helpers import all_words_upto
 
@@ -125,6 +137,74 @@ def test_const_eq_rel(ctx):
         for v in range(40):
             w = encode_tuple((v,), 2, width=8)
             assert m.accepts(w) == (v == c)
+
+
+def test_const_eq_rel_huge_constant(ctx):
+    value = 10**30
+    m = const_eq_rel(ctx, value)
+    assert m.num_states <= 2 * len(digits_of(value, 2)) + 2
+    for v in (value - 1, value, value + 1, 2 * value):
+        for pad in (0, 3):
+            w = encode_tuple((v,), 2, width=v.bit_length() + pad)
+            assert m.accepts(w) == (v == value)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_const_eq_rel_matches_linear_reference(k):
+    # linear_rel with a constant walks every running value up to it: O(value)
+    # states, so it serves only as a reference for small constants.
+    ctx = RadixContext(k)
+    for v in range(301):
+        assert const_eq_rel(ctx, v) == linear_rel(k, (1,), "==", v), v
+
+
+_HOLDS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _assert_linear_rel_exact(k, coeffs, relation, c, max_len):
+    """Every word of length <= max_len (each a padded encoding of its value
+    tuple) is accepted exactly when sum(a_i * x_i) <relation> c."""
+    m = linear_rel(k, coeffs, relation, c)
+    holds = _HOLDS[relation]
+    syms = symbols(k, len(coeffs))
+    stack = [(m.initial, (0,) * len(coeffs), 0)]
+    while stack:
+        s, xs, n = stack.pop()
+        want = holds(sum(a * x for a, x in zip(coeffs, xs)), c)
+        assert (s in m.accept) == want, (k, coeffs, relation, c, xs, n)
+        if n < max_len:
+            for i, sym in enumerate(syms):
+                stack.append((m.trans[s][i], tuple(k * x + d for x, d in zip(xs, sym)), n + 1))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_linear_rel_brute_force(k):
+    relations = list(_HOLDS)
+    # one track: every coefficient, constant and relation
+    for a in range(-3, 4):
+        for c in range(-3, 4):
+            for relation in relations:
+                if a:
+                    _assert_linear_rel_exact(k, (a,), relation, c, 5)
+    # two and three tracks: a seeded sample, every relation equally often;
+    # words up to length 5, except 3 for k = 3 on three tracks (27**3 words)
+    rng = random.Random(4100 + k)
+    for tracks in (2, 3):
+        max_len = 3 if (k, tracks) == (3, 3) else 5
+        for i in range(24):
+            coeffs = (0,) * tracks
+            while not any(coeffs):
+                coeffs = tuple(rng.randint(-3, 3) for _ in range(tracks))
+            _assert_linear_rel_exact(k, coeffs, relations[i % 6], rng.randint(-3, 3), max_len)
+
+
+def test_seq_eq_respects_the_state_cap(monkeypatch):
+    # digit-sum counter mod 40: every one of the 1600 state pairs is reachable
+    n = 40
+    counter = Dfao(2, 1, [[s, (s + 1) % n] for s in range(n)], [str(s) for s in range(n)], 0)
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError):
+        seq_eq(counter)
 
 
 def test_nonzero_track(ctx):

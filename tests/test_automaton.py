@@ -18,8 +18,6 @@ from critex.automaton import (
     permute_tracks,
     product,
     project,
-    pump_decompositions,
-    accepted_from,
     reverse,
     shortest_accepted,
     zero_closure,
@@ -28,6 +26,7 @@ from critex.numeral import LSD, MSD, DigitWord
 from critex.sequences import dfa_for_words, pairs_ones_then_01, pairs_unbounded
 
 from helpers import all_words_upto, brzozowski_minimize, random_dfa, random_word, verify_pump, pump_words
+from reference import accepted_from, pump_decompositions
 
 
 def all_words_dfa(k, tracks):

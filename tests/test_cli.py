@@ -195,6 +195,13 @@ def test_state_limit_is_internal_error(files, capsys, monkeypatch):
     assert "states" in err
 
 
+def test_huge_constant_compiles_under_a_small_state_cap(files, capsys, monkeypatch):
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    code, out, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", "E i . i = 1000000 & seq[i] = 1")
+    assert code == 0, err
+    assert "sentence=true" in out
+
+
 def test_console_entry_point_smoke(files):
     proc = subprocess.run(
         [sys.executable, "-m", "critex", "exponent", files["tm.dfao"], "--which", "critical"],

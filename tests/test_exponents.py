@@ -100,7 +100,7 @@ def test_diophantine_exponent(tm, zero, alternating):
     assert r.value == Fraction(5, 3)
     # pump audit: the witness is a real pump of the compiled language whose
     # ratio equals the reported value, and no enumerated pump beats it
-    from critex.automaton import pump_decompositions
+    from reference import pump_decompositions
     from critex.quotient import _prepare
 
     work = _prepare(r.pair_dfa, CTX)

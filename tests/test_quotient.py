@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from critex import quotient
-from critex.automaton import canonicalize, is_infinite, product, pump_decompositions
+from critex.automaton import StateLimitError, canonicalize, is_infinite, product
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
     Comparator,
@@ -13,18 +13,15 @@ from critex.quotient import (
     QuotientError,
     UndefinedRatioError,
     bounded_max_ratio,
-    candidates,
     check_pair_closure,
     comparator_dfa,
     find_unbounded_pump,
     is_sup_infinite,
-    is_sup_infinite_reference,
     largest_limit_quotient,
     max_pump_weight,
     pump_ratio,
     rational_search,
     sup_quo,
-    sup_quo_reference,
     _prepare,
 )
 from critex.oracle import brute_quo_profile
@@ -38,6 +35,7 @@ from critex.sequences import (
 )
 
 from helpers import prepared_random_suite, verify_pump
+from reference import candidates, is_sup_infinite_reference, pump_decompositions, sup_quo_reference
 
 CTX = RadixContext(2)
 
@@ -80,6 +78,14 @@ def test_comparator_seven_thirds():
     c = comparator_dfa(Comparator(Fraction(7, 3), "<=", CTX))
     assert c.accepts(encode_pair(7, 3, CTX))
     assert not c.accepts(encode_pair(8, 3, CTX))
+
+
+def test_comparator_respects_the_state_cap(monkeypatch):
+    # the comparator holds about P + Q running differences; this threshold is
+    # used nowhere else, so the comparator cache cannot answer it
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError):
+        comparator_dfa(Comparator(Fraction(5001, 5000), "<=", CTX))
 
 
 def test_comparator_rejects_negative_threshold():
