@@ -358,15 +358,14 @@ def zero_saturate(nfa: Nfa) -> Nfa:
     return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure, nfa.order)
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; the empty subset is the dead sink.
+def _mask(states) -> int:
+    return sum(1 << s for s in states)
 
-    Subsets are integer bitmasks, so per-symbol successor sets merge with
-    single big-int ors.
-    """
-    s_count = nfa.alphabet_size
-    masks = [[sum(1 << t for t in tgt) for tgt in row] for row in nfa.trans]
-    accept_mask = sum(1 << s for s in nfa.accept)
+
+def _subsets(masks: list[list[int]], start: int, s_count: int):
+    """Subset construction from the subset `start`; masks[s][c] is the
+    bitmask of the c-successors of state s.  Returns explore's (rows,
+    subsets); the empty subset is the dead sink."""
 
     def step(cur: int) -> list[int]:
         member_rows = []
@@ -382,8 +381,51 @@ def determinize(nfa: Nfa) -> Dfa:
             row_masks[c] = m
         return row_masks
 
-    rows, subsets = explore(sum(1 << s for s in nfa.initials), step)
+    return explore(start, step)
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Forward subset construction; the empty subset is the dead sink."""
+    masks = [[_mask(tgt) for tgt in row] for row in nfa.trans]
+    rows, subsets = _subsets(masks, _mask(nfa.initials), nfa.alphabet_size)
+    accept_mask = _mask(nfa.accept)
     acc = [i for i, m in enumerate(subsets) if m & accept_mask]
+    return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
+
+
+def _reverse_subsets(n: int, s_count: int, arcs, accept, initials):
+    """Subset construction of the reversed machine: arcs lists the moves
+    (s, c, t) of an n-state machine, the reversal starts from its accepting
+    states and accepts the subsets that meet its initial states.
+
+    When the machine is deterministic and every state is reachable, the
+    result is the minimal machine of the reversed language, and explore's
+    breadth-first numbering makes it the canonical one (Brzozowski).
+    """
+    rm = [[0] * s_count for _ in range(n)]
+    for s, c, t in arcs:
+        rm[t][c] |= 1 << s
+    rows, subsets = _subsets(rm, _mask(accept), s_count)
+    initial_mask = _mask(initials)
+    return rows, [i for i, m in enumerate(subsets) if m & initial_mask]
+
+
+def _dfa_arcs(rows):
+    return ((s, c, t) for s, row in enumerate(rows) for c, t in enumerate(row))
+
+
+def determinize_minimal(nfa: Nfa) -> Dfa:
+    """Minimal canonical machine of an NFA's language by double reversal,
+    det(rev(det(rev(nfa)))).
+
+    Equals minimize(determinize(nfa)) field for field.  The first pass
+    determinizes the reversal; the second reverses that accessible machine
+    back, which yields the minimal machine in minimize's numbering.
+    """
+    s_count = nfa.alphabet_size
+    arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
+    rows, acc = _reverse_subsets(nfa.num_states, s_count, arcs, nfa.accept, nfa.initials)
+    rows, acc = _reverse_subsets(len(rows), s_count, _dfa_arcs(rows), acc, (0,))
     return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
 
 
@@ -511,8 +553,7 @@ def zero_closure(a: Dfa) -> Dfa:
     acc = set(a.accept)
     if a.initial in a.accept:
         acc.add(n)
-    nfa = Nfa(a.k, a.tracks, rows, acc, {n, a.initial}, a.order)
-    return minimize(determinize(nfa))
+    return determinize_minimal(Nfa(a.k, a.tracks, rows, acc, {n, a.initial}, a.order))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:
@@ -565,16 +606,11 @@ def enumerate_accepted(a: Dfa, max_len: int):
 
 
 def reverse(a: Dfa) -> Dfa:
-    """Machine for the reversed language; the digit-order marker flips."""
-    n = a.num_states
-    s_count = a.alphabet_size
-    rows: list[list[set]] = [[set() for _ in range(s_count)] for _ in range(n)]
-    for s in range(n):
-        for c, t in enumerate(a.trans[s]):
-            rows[t][c].add(s)
-    new_order = LSD if a.order == MSD else MSD
-    nfa = Nfa(a.k, a.tracks, rows, {a.initial}, a.accept, new_order)
-    return minimize(determinize(nfa))
+    """Minimal machine for the reversed language; the digit-order marker flips."""
+    rows, reach = explore(a.initial, a.trans.__getitem__)
+    acc = [i for i, s in enumerate(reach) if s in a.accept]
+    rows, acc = _reverse_subsets(len(rows), a.alphabet_size, _dfa_arcs(rows), acc, (0,))
+    return Dfa(a.k, a.tracks, rows, acc, 0, LSD if a.order == MSD else MSD)
 
 
 def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:

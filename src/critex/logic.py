@@ -2,10 +2,12 @@
 
 Formulas support addition terms, the six comparisons, sequence-value atoms
 over a Dfao, the boolean connectives and E/A quantifiers.  Compilation lowers
-terms through the addition relation, turns E into erase+determinize over the
-quantified track, A into the double complement, and minimizes after every
-step.  The track order of a compiled machine is exactly the declared
-free-variable order, never inferred from the formula.
+terms through the addition relation, turns E into erasing the quantified
+track and determinizing by double reversal, det(rev(det(rev(N)))), which
+yields the minimal machine directly, A into the double complement, and
+minimizes the result of every other construction.  The track order of a
+compiled machine is exactly the declared free-variable order, never inferred
+from the formula.
 
 ASCII grammar (parse):
 
@@ -30,7 +32,7 @@ from .automaton import (
     Dfao,
     InvariantError,
     complement,
-    determinize,
+    determinize_minimal,
     is_empty,
     lift_tracks,
     minimize,
@@ -406,8 +408,7 @@ class _Compiler:
         if len(mvars) == 1:
             return bool_dfa(self.k, not is_empty(m)), ()
         idx = mvars.index(name)
-        nfa = zero_saturate(project(m, idx))
-        return minimize(determinize(nfa)), mvars[:idx] + mvars[idx + 1 :]
+        return determinize_minimal(zero_saturate(project(m, idx))), mvars[:idx] + mvars[idx + 1 :]
 
     # -- terms and atoms ----------------------------------------------------
 

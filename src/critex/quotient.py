@@ -30,16 +30,16 @@ from .automaton import (
     PumpDecomposition,
     canonicalize,
     complement,
-    determinize,
+    determinize_minimal,
     is_empty,
     is_infinite,
     leading_zero_filter,
     lift_tracks,
     make_pump,
-    minimize,
     product,
     project,
     pump_increments,
+    state_limit,
     symbols,
     trim_states,
     zero_closure,
@@ -116,7 +116,9 @@ def comparator_dfa(comp: Comparator) -> Dfa:
     The linear relation Q*p - P*q <relation> 0: its running sum locks
     positive at max(P, 1) and negative at -Q, so it has O(P + Q) states.
     """
-    cache_key = (comp.ctx.k, comp.threshold, comp.relation)
+    # The cap is part of the key, so a machine built under a larger cap is
+    # never handed out where a fresh build would raise StateLimitError.
+    cache_key = (comp.ctx.k, comp.threshold, comp.relation, state_limit())
     cached = _COMPARATOR_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -590,7 +592,7 @@ def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:
     Lz = zero_closure(L)
     succ = successor_rel(ctx)
     wide = product(lift_tracks(succ, [0, 2], 3), lift_tracks(Lz, [2, 1], 3), "and")
-    shift = minimize(determinize(zero_saturate(project(wide, 2))))
+    shift = determinize_minimal(zero_saturate(project(wide, 2)))
     bad = product(product(L, cmp_rel(ctx, ">"), "and"), complement(shift), "and")
     d_ok = is_empty(bad)
     return {"a": a_ok, "c": c_ok, "d": d_ok, "b": "not checked"}

@@ -30,6 +30,19 @@ def random_dfa(rng: random.Random, k: int = 2, tracks: int = 2, max_states: int 
     return Dfa(k, tracks, rows, accept, 0, MSD)
 
 
+def random_nfa(rng: random.Random) -> Nfa:
+    """k 2-3, 1-3 tracks (at most 9 symbols), several initial states, and an
+    empty accepting set about one time in six."""
+    k = rng.randint(2, 3)
+    tracks = rng.randint(1, 3 if k == 2 else 2)
+    n = rng.randint(1, 7)
+    density = rng.choice((0.1, 0.25, 0.5))
+    rows = [[{t for t in range(n) if rng.random() < density} for _ in range(k**tracks)] for _ in range(n)]
+    accept = [] if rng.random() < 1 / 6 else [s for s in range(n) if rng.random() < 0.4]
+    initials = [s for s in range(n) if rng.random() < 0.3] or [rng.randrange(n)]
+    return Nfa(k, tracks, rows, accept, initials, MSD)
+
+
 def prepared_random_suite(seed: int, count: int, k: int = 2, max_states: int = 4) -> list[Dfa]:
     """Random pair acceptors, denominator-nonzero enforced and canonicalized;
     resamples until `count` machines with nonempty languages are collected."""

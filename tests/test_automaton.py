@@ -6,9 +6,11 @@ from critex.automaton import (
     Dfa,
     IncompatibleError,
     Nfa,
+    StateLimitError,
     canonicalize,
     complement,
     determinize,
+    determinize_minimal,
     enumerate_accepted,
     is_empty,
     is_infinite,
@@ -25,7 +27,15 @@ from critex.automaton import (
 from critex.numeral import LSD, MSD, DigitWord
 from critex.sequences import dfa_for_words, pairs_ones_then_01, pairs_unbounded
 
-from helpers import all_words_upto, brzozowski_minimize, random_dfa, random_word, verify_pump, pump_words
+from helpers import (
+    all_words_upto,
+    brzozowski_minimize,
+    pump_words,
+    random_dfa,
+    random_nfa,
+    random_word,
+    verify_pump,
+)
 from reference import accepted_from, pump_decompositions
 
 
@@ -157,6 +167,76 @@ def test_projection_never_loses_words():
             w = random_word(rng, 2, 2, 6)
             if a.accepts(w):
                 assert d.accepts(w.track(0))
+
+
+# ------------------------------------------------------------- double reversal
+
+
+def test_determinize_minimal_matches_forward_path_random():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = random_nfa(rng)
+        out = determinize_minimal(n)
+        assert out == minimize(determinize(n))
+        assert minimize(out) == out
+
+
+def test_determinize_minimal_numbering_ignores_input_numbering():
+    # the second pass numbers breadth-first in symbol order, which is
+    # minimize's canonical numbering whatever the input's state order
+    rng = random.Random(20)
+    for _ in range(100):
+        a = random_dfa(rng, k=rng.randint(2, 3), tracks=rng.randint(1, 2), max_states=6)
+        perm = list(range(a.num_states))
+        rng.shuffle(perm)
+        rows = [None] * a.num_states
+        for s, row in enumerate(a.trans):
+            rows[perm[s]] = [{perm[t]} for t in row]
+        n = Nfa(a.k, a.tracks, rows, {perm[s] for s in a.accept}, {perm[a.initial]}, a.order)
+        assert determinize_minimal(n) == minimize(a)
+
+
+def _nth_symbol_is_one(n: int, from_end: bool) -> Nfa:
+    """Words over {0,1} whose n-th symbol from the start (or end) is 1;
+    n + 1 states, and the minimal machine of the end variant has 2^n."""
+    rows = [[{i + 1}, {i + 1}] for i in range(n)] + [[set(), set()]]
+    if from_end:
+        rows[0] = [{0}, {0, 1}]
+    else:
+        rows[n - 1] = [set(), {n}]
+        rows[n] = [{n}, {n}]
+    return Nfa(2, 1, rows, {n}, {0}, MSD)
+
+
+def test_determinize_minimal_nth_symbol_languages():
+    for n in (1, 2, 5):
+        for from_end in (False, True):
+            nfa = _nth_symbol_is_one(n, from_end)
+            out = determinize_minimal(nfa)
+            assert out == minimize(determinize(nfa))
+            assert out.num_states == (2**n if from_end else n + 2)
+            for w in all_words_upto(2, 1, n + 2):
+                assert out.accepts(w) == (len(w) >= n and w.symbols[-n if from_end else n - 1] == (1,))
+
+
+def test_determinize_minimal_state_cap_in_first_pass(monkeypatch):
+    # reversing "10th symbol from the start" gives "10th from the end": the
+    # first pass needs 2^10 subsets, the minimal machine has 12 states
+    nfa = _nth_symbol_is_one(10, from_end=False)
+    assert determinize_minimal(nfa).num_states == 12
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError):
+        determinize_minimal(nfa)
+
+
+def test_determinize_minimal_state_cap_in_second_pass(monkeypatch):
+    # "10th symbol from the end": the first pass is a 12-subset chain, the
+    # second builds the 2^10-state minimal machine
+    nfa = _nth_symbol_is_one(10, from_end=True)
+    assert determinize_minimal(nfa).num_states == 1024
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError):
+        determinize_minimal(nfa)
 
 
 # ------------------------------------------------------------- minimize

@@ -202,6 +202,22 @@ def test_huge_constant_compiles_under_a_small_state_cap(files, capsys, monkeypat
     assert "sentence=true" in out
 
 
+def test_projection_state_cap_exits_4(files, capsys, monkeypatch):
+    # the first reversed pass of one projection in the tm gap language needs
+    # 100 subsets, more than any other construction of that compile
+    from critex.exponents import GAP_FORMULA
+
+    argv = ("eval", files["tm.dfao"], "--formula", GAP_FORMULA, "--vars", "n,l")
+    monkeypatch.setenv("CRITEX_MAX_STATES", "99")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert "exceeded 99 states" in err
+    monkeypatch.setenv("CRITEX_MAX_STATES", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert "compiled_states=12" in out
+
+
 def test_console_entry_point_smoke(files):
     proc = subprocess.run(
         [sys.executable, "-m", "critex", "exponent", files["tm.dfao"], "--which", "critical"],

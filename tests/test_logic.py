@@ -250,3 +250,59 @@ def test_bounded_quantifier_one_sided_fuzz(tm, ctx):
             assert not box_e
         if not box_a:
             assert not ta
+
+
+# ------------------------------------------------------------- quantifier projection
+
+
+def _paperfolding_value(n: int) -> int:
+    """Regular paperfolding word at n: 1 iff the odd part of n+1 is 1 mod 4."""
+    n += 1
+    while n % 2 == 0:
+        n //= 2
+    return int(n % 4 == 1)
+
+
+def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
+    # every E projection met while compiling the period, gap and prefix-tail
+    # languages; rs is left out because its forward path takes about 20 s
+    import critex.logic as logic
+    from critex import sequences
+    from critex.automaton import determinize, determinize_minimal, minimize
+    from critex.exponents import GAP_FORMULA, PERIOD_FORMULA, PREFIX_TAIL_FORMULA
+
+    captured = []
+
+    def capture(nfa):
+        captured.append(nfa)
+        return determinize_minimal(nfa)
+
+    monkeypatch.setattr(logic, "determinize_minimal", capture)
+    seqs = [
+        sequences.thue_morse(),
+        sequences.vtm(),
+        sequences.period_doubling(),
+        sequences.dfao_from_function(_paperfolding_value, 2),
+    ]
+    for a in seqs:
+        for text, free in ((PERIOD_FORMULA, ("q", "p")), (GAP_FORMULA, ("n", "l")), (PREFIX_TAIL_FORMULA, ("s", "t"))):
+            compile_formula(parse(text), CompilationEnv(free, a, RadixContext(a.k)))
+    assert len(captured) == 120
+    for nfa in captured:
+        out = determinize_minimal(nfa)
+        assert out == minimize(determinize(nfa))
+        assert minimize(out) == out
+
+
+def test_projection_respects_the_state_cap(tm, ctx, monkeypatch):
+    # the tm gap language's largest construction is a first reversed pass of
+    # 100 subsets; every product, atom and second pass stays below 99
+    from critex.automaton import StateLimitError
+    from critex.exponents import GAP_FORMULA
+
+    monkeypatch.setenv("CRITEX_MAX_STATES", "99")
+    with pytest.raises(StateLimitError) as info:
+        compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l"))
+    assert "_reverse_subsets" in [e.name for e in info.traceback]
+    monkeypatch.setenv("CRITEX_MAX_STATES", "100")
+    assert compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l")).num_states == 12

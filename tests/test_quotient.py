@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from critex import quotient
-from critex.automaton import StateLimitError, canonicalize, is_infinite, product
+from critex.automaton import Dfa, StateLimitError, canonicalize, is_infinite, product
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
     Comparator,
@@ -81,11 +81,18 @@ def test_comparator_seven_thirds():
 
 
 def test_comparator_respects_the_state_cap(monkeypatch):
-    # the comparator holds about P + Q running differences; this threshold is
-    # used nowhere else, so the comparator cache cannot answer it
+    # the comparator holds about P + Q running differences
     monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
     with pytest.raises(StateLimitError):
         comparator_dfa(Comparator(Fraction(5001, 5000), "<=", CTX))
+
+
+def test_comparator_cache_respects_the_state_cap(monkeypatch):
+    comp = Comparator(Fraction(5001, 5000), "<=", CTX)
+    assert comparator_dfa(comp).num_states > 1000
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError):
+        comparator_dfa(comp)
 
 
 def test_comparator_rejects_negative_threshold():
@@ -430,3 +437,12 @@ def test_check_pair_closure_shift_language():
     )
     report = check_pair_closure(ge1, CTX)
     assert report["a"] and report["c"] and report["d"]
+
+
+def test_check_pair_closure_shift_language_under_a_small_cap(monkeypatch):
+    # the forward subset construction of this shift language passes 20,000
+    # subsets; the report is the one the default cap gives
+    raw = Dfa(2, 2, [[3, 3, 0, 2], [4, 3, 3, 2], [3, 2, 4, 1], [4, 1, 2, 1], [0, 4, 2, 4]], [3], 0)
+    L = quotient.compare_language(raw, CTX, Fraction(3, 2), "<=")
+    monkeypatch.setenv("CRITEX_MAX_STATES", "20000")
+    assert check_pair_closure(L, CTX) == {"a": False, "c": False, "d": False, "b": "not checked"}
