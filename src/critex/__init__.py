@@ -8,7 +8,7 @@ recurrence constant.  All results are exact rationals or infinite, with
 machine-checkable witnesses.
 """
 
-from .automaton import Dfa, Dfao, Nfa, PumpDecomposition
+from .automaton import Dfa, Dfao, PumpDecomposition
 from .exponents import (
     ExponentResult,
     RecurrenceReport,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dfa",
     "Dfao",
-    "Nfa",
     "PumpDecomposition",
     "DigitWord",
     "RadixContext",

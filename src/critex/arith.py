@@ -42,10 +42,6 @@ def eq_rel(ctx: RadixContext) -> Dfa:
     return cmp_rel(ctx, "==")
 
 
-def lt_rel(ctx: RadixContext) -> Dfa:
-    return cmp_rel(ctx, "<")
-
-
 def add_rel(ctx: RadixContext) -> Dfa:
     """3-track machine accepting (x, y, z) with x + y = z."""
     return linear_rel(ctx.k, (1, 1, -1), "==")

@@ -12,9 +12,9 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
-from .numeral import LSD, MSD, DigitWord
+from .numeral import MSD, DigitWord
 from .rational import INF, Value
 
 
@@ -55,10 +55,16 @@ def sym_index(sym: tuple[int, ...], k: int) -> int:
 
 
 def state_limit() -> int:
+    """CRITEX_MAX_STATES, default 1000000; a value that is not a positive
+    integer raises AutomatonError."""
+    raw = os.environ.get("CRITEX_MAX_STATES", "1000000")
     try:
-        return int(os.environ.get("CRITEX_MAX_STATES", "1000000"))
+        limit = int(raw)
     except ValueError:
-        return 1000000
+        limit = 0
+    if limit < 1:
+        raise AutomatonError(f"CRITEX_MAX_STATES must be a positive integer, got {raw!r}")
+    return limit
 
 
 class Dfa:
@@ -122,34 +128,6 @@ class Dfa:
 
     def __repr__(self):
         return f"<Dfa k={self.k} tracks={self.tracks} states={self.num_states} order={self.order}>"
-
-
-class Nfa:
-    """Nondeterministic acceptor; intermediate form for projection/reversal."""
-
-    __slots__ = ("k", "tracks", "trans", "accept", "initials", "order")
-
-    def __init__(self, k, tracks, trans, accept, initials, order=MSD):
-        self.k = k
-        self.tracks = tracks
-        self.trans = tuple(tuple(frozenset(t) for t in row) for row in trans)
-        self.accept = frozenset(accept)
-        self.initials = frozenset(initials)
-        self.order = order
-        n = len(self.trans)
-        for row in self.trans:
-            for tgt in row:
-                for t in tgt:
-                    if not 0 <= t < n:
-                        raise AutomatonError("transition target out of range")
-
-    @property
-    def num_states(self) -> int:
-        return len(self.trans)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.k**self.tracks
 
 
 class Dfao:
@@ -319,45 +297,6 @@ def complement(a: Dfa) -> Dfa:
     return Dfa(a.k, a.tracks, a.trans, acc, a.initial, a.order)
 
 
-def project(a: Dfa, drop_track: int) -> Nfa:
-    """Erase one track; nondeterminism ranges over the erased digit."""
-    if a.tracks < 2:
-        raise AutomatonError("projection needs at least 2 tracks")
-    if not 0 <= drop_track < a.tracks:
-        raise AutomatonError(f"track {drop_track} out of range")
-    k = a.k
-    syms_full = symbols(k, a.tracks)
-    new_tracks = a.tracks - 1
-    reduced_count = k**new_tracks
-    groups: list[list[int]] = [[] for _ in range(reduced_count)]
-    for idx, sym in enumerate(syms_full):
-        red = sym[:drop_track] + sym[drop_track + 1 :]
-        groups[sym_index(red, k)].append(idx)
-    rows = []
-    for s in range(a.num_states):
-        row_in = a.trans[s]
-        rows.append([frozenset(row_in[idx] for idx in grp) for grp in groups])
-    return Nfa(k, new_tracks, rows, a.accept, {a.initial}, a.order)
-
-
-def zero_saturate(nfa: Nfa) -> Nfa:
-    """Add as initial every state reachable via leading all-zero symbols.
-
-    After erasing a track, a value tuple may only be accepted in paddings
-    longer than its canonical form; saturation restores acceptance of every
-    padding, keeping machines leading-zero-invariant.
-    """
-    closure = set(nfa.initials)
-    queue = deque(closure)
-    while queue:
-        s = queue.popleft()
-        for t in nfa.trans[s][0]:
-            if t not in closure:
-                closure.add(t)
-                queue.append(t)
-    return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure, nfa.order)
-
-
 def _mask(states) -> int:
     return sum(1 << s for s in states)
 
@@ -384,15 +323,6 @@ def _subsets(masks: list[list[int]], start: int, s_count: int):
     return explore(start, step)
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Forward subset construction; the empty subset is the dead sink."""
-    masks = [[_mask(tgt) for tgt in row] for row in nfa.trans]
-    rows, subsets = _subsets(masks, _mask(nfa.initials), nfa.alphabet_size)
-    accept_mask = _mask(nfa.accept)
-    acc = [i for i, m in enumerate(subsets) if m & accept_mask]
-    return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
-
-
 def _reverse_subsets(n: int, s_count: int, arcs, accept, initials):
     """Subset construction of the reversed machine: arcs lists the moves
     (s, c, t) of an n-state machine, the reversal starts from its accepting
@@ -414,19 +344,40 @@ def _dfa_arcs(rows):
     return ((s, c, t) for s, row in enumerate(rows) for c, t in enumerate(row))
 
 
-def determinize_minimal(nfa: Nfa) -> Dfa:
-    """Minimal canonical machine of an NFA's language by double reversal,
-    det(rev(det(rev(nfa)))).
+def _double_reversal(k: int, tracks: int, order: str, n: int, arcs, accept, initials) -> Dfa:
+    """Minimal canonical machine of the language of an n-state
+    nondeterministic machine over (Sigma_k)^tracks, given by its moves
+    (s, c, t), its accepting states and its initial states.
 
-    Equals minimize(determinize(nfa)) field for field.  The first pass
-    determinizes the reversal; the second reverses that accessible machine
-    back, which yields the minimal machine in minimize's numbering.
+    Brzozowski's det(rev(det(rev(N)))): the first pass determinizes the
+    reversal; the second reverses that accessible machine back, which yields
+    the minimal machine in minimize's numbering.
     """
-    s_count = nfa.alphabet_size
-    arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
-    rows, acc = _reverse_subsets(nfa.num_states, s_count, arcs, nfa.accept, nfa.initials)
+    s_count = k**tracks
+    rows, acc = _reverse_subsets(n, s_count, arcs, accept, initials)
     rows, acc = _reverse_subsets(len(rows), s_count, _dfa_arcs(rows), acc, (0,))
-    return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
+    return Dfa(k, tracks, rows, acc, 0, order)
+
+
+def erase(a: Dfa, track: int) -> Dfa:
+    """Minimal canonical machine of a's language with one track erased.
+
+    The erased digit of each move is dropped, and leading all-zero symbols
+    are saturated: a value tuple is accepted in every padding once some
+    padding of it is, which keeps machines leading-zero-invariant.  The
+    saturation is the start set of the double reversal: every state the
+    initial state reaches on symbols that are zero on all kept tracks.
+    """
+    if a.tracks < 2:
+        raise AutomatonError("erasing a track needs at least 2 tracks")
+    if not 0 <= track < a.tracks:
+        raise AutomatonError(f"track {track} out of range")
+    k = a.k
+    reduced = [sym_index(sym[:track] + sym[track + 1 :], k) for sym in symbols(k, a.tracks)]
+    zeros = [c for c, r in enumerate(reduced) if r == 0]
+    start = explore(a.initial, lambda s: [a.trans[s][c] for c in zeros])[1]
+    arcs = ((s, c, t) for s, row in enumerate(a.trans) for c, t in zip(reduced, row))
+    return _double_reversal(k, a.tracks - 1, a.order, a.num_states, arcs, a.accept, start)
 
 
 def _refine(trans, cls: list[int]) -> list[int]:
@@ -466,31 +417,6 @@ def trim_states(a: Dfa) -> set[int]:
     """States both reachable from the initial state and co-accessible."""
     dist = distance_to_accept(a)
     return {s for s in explore(a.initial, a.trans.__getitem__)[1] if dist[s] != float("inf")}
-
-
-def shortest_accepted(a: Dfa) -> DigitWord | None:
-    """Shortest accepted word, lexicographically least among that length."""
-    if a.initial in a.accept:
-        return DigitWord(a.k, a.tracks, (), a.order)
-    syms = symbols(a.k, a.tracks)
-    parent: dict[int, tuple[int, int]] = {a.initial: (-1, -1)}
-    queue = deque([a.initial])
-    while queue:
-        s = queue.popleft()
-        for c, t in enumerate(a.trans[s]):
-            if t not in parent:
-                parent[t] = (s, c)
-                if t in a.accept:
-                    path = []
-                    cur = t
-                    while parent[cur][0] != -1:
-                        p, c0 = parent[cur]
-                        path.append(syms[c0])
-                        cur = p
-                    path.reverse()
-                    return DigitWord(a.k, a.tracks, tuple(path), a.order)
-                queue.append(t)
-    return None
 
 
 def is_empty(a: Dfa) -> bool:
@@ -542,18 +468,11 @@ def zero_closure(a: Dfa) -> Dfa:
     """
     if a.order != MSD:
         raise AutomatonError("zero_closure expects an MSD machine")
-    s_count = a.alphabet_size
+    # state n moves like the initial state and also loops on the all-zero symbol
     n = a.num_states
-    rows: list[list] = []
-    for s in range(n):
-        rows.append([frozenset((t,)) for t in a.trans[s]])
-    pad_row = [frozenset((a.trans[a.initial][c],)) for c in range(s_count)]
-    pad_row[0] = frozenset((n, a.trans[a.initial][0]))
-    rows.append(pad_row)
-    acc = set(a.accept)
-    if a.initial in a.accept:
-        acc.add(n)
-    return determinize_minimal(Nfa(a.k, a.tracks, rows, acc, {n, a.initial}, a.order))
+    pad = [(n, 0, n)] + [(n, c, t) for c, t in enumerate(a.trans[a.initial])]
+    acc = a.accept | {n} if a.initial in a.accept else a.accept
+    return _double_reversal(a.k, a.tracks, a.order, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:
@@ -605,14 +524,6 @@ def enumerate_accepted(a: Dfa, max_len: int):
         yield from rec(a.initial, length, [])
 
 
-def reverse(a: Dfa) -> Dfa:
-    """Minimal machine for the reversed language; the digit-order marker flips."""
-    rows, reach = explore(a.initial, a.trans.__getitem__)
-    acc = [i for i, s in enumerate(reach) if s in a.accept]
-    rows, acc = _reverse_subsets(len(rows), a.alphabet_size, _dfa_arcs(rows), acc, (0,))
-    return Dfa(a.k, a.tracks, rows, acc, 0, LSD if a.order == MSD else MSD)
-
-
 def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:
     """Widen to new_tracks tracks; positions[i] is where a's track i lands.
 
@@ -630,19 +541,3 @@ def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:
         row_in = a.trans[s]
         rows.append([row_in[m] for m in mapping])
     return Dfa(k, new_tracks, rows, a.accept, a.initial, a.order)
-
-
-def permute_tracks(a: Dfa, perm: list[int]) -> Dfa:
-    """Reorder tracks: output track j carries what was input track perm[j]."""
-    if sorted(perm) != list(range(a.tracks)):
-        raise AutomatonError("perm must be a permutation of the tracks")
-    inv = [0] * a.tracks
-    for j, i in enumerate(perm):
-        inv[i] = j
-    return lift_tracks(a, inv, a.tracks)
-
-
-def language_equal(a: Dfa, b: Dfa) -> bool:
-    """Exact language equality via canonical minimal forms."""
-    _require_compatible(a, b)
-    return minimize(a) == minimize(b)

@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 input/parse error, 3 precondition violation,
 
 All numeric output is exact: reduced fractions rendered "num/den", or the
 literal "inf".  CRITEX_MAX_STATES bounds intermediate machines (default
-10**6).
+10**6); a value that is not a positive integer is an input error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import exponents, oracle
 from .autfile import AutFileError, load_automaton, save_automaton
-from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition, StateLimitError
+from .automaton import AutomatonError, Dfa, Dfao, InvariantError, PumpDecomposition, StateLimitError, state_limit
 from .logic import CompilationEnv, FormulaError, compile_formula, free_vars, parse
 from .numeral import DigitWord, NumeralError, RadixContext
 from .quotient import (
@@ -293,6 +293,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     args.raw_argv = ["critex"] + raw
+    try:
+        state_limit()
+    except AutomatonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     started = time.monotonic()
     try:
         report = args.fn(args)

@@ -2,10 +2,11 @@
 
 Formulas support addition terms, the six comparisons, sequence-value atoms
 over a Dfao, the boolean connectives and E/A quantifiers.  Compilation lowers
-terms through the addition relation, turns E into erasing the quantified
-track and determinizing by double reversal, det(rev(det(rev(N)))), which
-yields the minimal machine directly, A into the double complement, and
-minimizes the result of every other construction.  The track order of a
+terms through the addition relation, turns E into one `automaton.erase`
+of the quantified track (a double reversal, det(rev(det(rev(N)))), run
+straight on the machine's moves, which yields the minimal machine
+directly), A into the double complement, and minimizes the result of every
+other construction.  The track order of a
 compiled machine is exactly the declared free-variable order, never inferred
 from the formula.
 
@@ -32,13 +33,11 @@ from .automaton import (
     Dfao,
     InvariantError,
     complement,
-    determinize_minimal,
+    erase,
     is_empty,
     lift_tracks,
     minimize,
     product,
-    project,
-    zero_saturate,
 )
 from .numeral import MSD, RadixContext
 
@@ -408,7 +407,7 @@ class _Compiler:
         if len(mvars) == 1:
             return bool_dfa(self.k, not is_empty(m)), ()
         idx = mvars.index(name)
-        return determinize_minimal(zero_saturate(project(m, idx))), mvars[:idx] + mvars[idx + 1 :]
+        return erase(m, idx), mvars[:idx] + mvars[idx + 1 :]
 
     # -- terms and atoms ----------------------------------------------------
 

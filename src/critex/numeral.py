@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 MSD = "msd"
 LSD = "lsd"
@@ -162,10 +161,3 @@ def ratio(w: DigitWord, ctx: RadixContext | None = None) -> Fraction:
     if den == 0:
         raise ZeroDenominatorError(f"denominator track of {w} is zero")
     return Fraction(w.value(0), den)
-
-
-def all_words(k: int, tracks: int, length: int, order: str = MSD):
-    """Every word of the given exact length, in lexicographic symbol order."""
-    syms = list(iproduct(range(k), repeat=tracks))
-    for combo in iproduct(syms, repeat=length):
-        yield DigitWord(k, tracks, combo, order)

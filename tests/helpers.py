@@ -4,20 +4,21 @@ and an independent minimizer."""
 from __future__ import annotations
 
 import random
+from itertools import product as iproduct
 
 from critex.arith import nonzero_track_dfa
 from critex.automaton import (
     Dfa,
-    Nfa,
     PumpDecomposition,
     canonicalize,
-    determinize,
     is_empty,
     product,
     symbols,
     trim_states,
 )
 from critex.numeral import MSD, DigitWord, RadixContext
+
+from reference import Nfa, determinize
 
 
 def random_dfa(rng: random.Random, k: int = 2, tracks: int = 2, max_states: int = 4) -> Dfa:
@@ -87,9 +88,14 @@ def random_word(rng: random.Random, k: int, tracks: int, max_len: int, order: st
     return DigitWord(k, tracks, tuple(rng.choice(syms) for _ in range(length)), order)
 
 
-def all_words_upto(k: int, tracks: int, max_len: int):
-    from critex.numeral import all_words
+def all_words(k: int, tracks: int, length: int, order: str = MSD):
+    """Every word of the given exact length, in lexicographic symbol order."""
+    syms = list(iproduct(range(k), repeat=tracks))
+    for combo in iproduct(syms, repeat=length):
+        yield DigitWord(k, tracks, combo, order)
 
+
+def all_words_upto(k: int, tracks: int, max_len: int):
     for length in range(max_len + 1):
         yield from all_words(k, tracks, length)
 

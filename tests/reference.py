@@ -1,12 +1,18 @@
-"""Enumeration references for cross-validating the solvers on small machines.
+"""References the tests check the library against.
 
-Every function here enumerates words or pumps explicitly, so its cost is
+The enumeration references list words or pumps explicitly, so their cost is
 exponential in the machine size; the library's exact solvers are checked
-against these results in the tests.
+against their results on small machines.  The forward constructions (an
+explicit `Nfa`, `project`, `zero_saturate` and the forward subset
+construction `determinize`) are what `erase`, `zero_closure` and the
+double-reversal core are checked against, field for field; `reverse`,
+`language_equal`, `permute_tracks` and `shortest_accepted` are small
+constructions only the tests use.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,14 +21,23 @@ from critex.automaton import (
     Dfa,
     InvariantError,
     PumpDecomposition,
+    _dfa_arcs,
+    _double_reversal,
+    _mask,
+    _require_compatible,
+    _reverse_subsets,
+    _subsets,
     enumerate_accepted,
+    explore,
     is_empty,
+    lift_tracks,
     make_pump,
-    shortest_accepted,
+    minimize,
+    sym_index,
     symbols,
     trim_states,
 )
-from critex.numeral import RadixContext, ratio
+from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
     SearchError,
@@ -159,3 +174,136 @@ def is_sup_infinite_reference(L: Dfa, ctx: RadixContext) -> bool:
     """
     thresh = Fraction(ctx.k**L.num_states, 1)
     return not is_empty(compare_language(L, ctx, thresh, ">="))
+
+
+class Nfa:
+    """Nondeterministic acceptor; intermediate form for projection/reversal."""
+
+    __slots__ = ("k", "tracks", "trans", "accept", "initials", "order")
+
+    def __init__(self, k, tracks, trans, accept, initials, order=MSD):
+        self.k = k
+        self.tracks = tracks
+        self.trans = tuple(tuple(frozenset(t) for t in row) for row in trans)
+        self.accept = frozenset(accept)
+        self.initials = frozenset(initials)
+        self.order = order
+        n = len(self.trans)
+        for row in self.trans:
+            for tgt in row:
+                for t in tgt:
+                    if not 0 <= t < n:
+                        raise AutomatonError("transition target out of range")
+
+    @property
+    def num_states(self) -> int:
+        return len(self.trans)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.k**self.tracks
+
+
+def project(a: Dfa, drop_track: int) -> Nfa:
+    """Erase one track; nondeterminism ranges over the erased digit."""
+    if a.tracks < 2:
+        raise AutomatonError("projection needs at least 2 tracks")
+    if not 0 <= drop_track < a.tracks:
+        raise AutomatonError(f"track {drop_track} out of range")
+    k = a.k
+    syms_full = symbols(k, a.tracks)
+    new_tracks = a.tracks - 1
+    reduced_count = k**new_tracks
+    groups: list[list[int]] = [[] for _ in range(reduced_count)]
+    for idx, sym in enumerate(syms_full):
+        red = sym[:drop_track] + sym[drop_track + 1 :]
+        groups[sym_index(red, k)].append(idx)
+    rows = []
+    for s in range(a.num_states):
+        row_in = a.trans[s]
+        rows.append([frozenset(row_in[idx] for idx in grp) for grp in groups])
+    return Nfa(k, new_tracks, rows, a.accept, {a.initial}, a.order)
+
+
+def zero_saturate(nfa: Nfa) -> Nfa:
+    """Add as initial every state reachable via leading all-zero symbols.
+
+    After erasing a track, a value tuple may only be accepted in paddings
+    longer than its canonical form; saturation restores acceptance of every
+    padding, keeping machines leading-zero-invariant.
+    """
+    closure = set(nfa.initials)
+    queue = deque(closure)
+    while queue:
+        s = queue.popleft()
+        for t in nfa.trans[s][0]:
+            if t not in closure:
+                closure.add(t)
+                queue.append(t)
+    return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure, nfa.order)
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Forward subset construction; the empty subset is the dead sink."""
+    masks = [[_mask(tgt) for tgt in row] for row in nfa.trans]
+    rows, subsets = _subsets(masks, _mask(nfa.initials), nfa.alphabet_size)
+    accept_mask = _mask(nfa.accept)
+    acc = [i for i, m in enumerate(subsets) if m & accept_mask]
+    return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
+
+
+def determinize_minimal(nfa: Nfa) -> Dfa:
+    """Minimal canonical machine of an NFA's language: the library's
+    double-reversal core run on the NFA's moves.  Equals
+    minimize(determinize(nfa)) field for field."""
+    arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
+    return _double_reversal(nfa.k, nfa.tracks, nfa.order, nfa.num_states, arcs, nfa.accept, nfa.initials)
+
+
+def shortest_accepted(a: Dfa) -> DigitWord | None:
+    """Shortest accepted word, lexicographically least among that length."""
+    if a.initial in a.accept:
+        return DigitWord(a.k, a.tracks, (), a.order)
+    syms = symbols(a.k, a.tracks)
+    parent: dict[int, tuple[int, int]] = {a.initial: (-1, -1)}
+    queue = deque([a.initial])
+    while queue:
+        s = queue.popleft()
+        for c, t in enumerate(a.trans[s]):
+            if t not in parent:
+                parent[t] = (s, c)
+                if t in a.accept:
+                    path = []
+                    cur = t
+                    while parent[cur][0] != -1:
+                        p, c0 = parent[cur]
+                        path.append(syms[c0])
+                        cur = p
+                    path.reverse()
+                    return DigitWord(a.k, a.tracks, tuple(path), a.order)
+                queue.append(t)
+    return None
+
+
+def reverse(a: Dfa) -> Dfa:
+    """Minimal machine for the reversed language; the digit-order marker flips."""
+    rows, reach = explore(a.initial, a.trans.__getitem__)
+    acc = [i for i, s in enumerate(reach) if s in a.accept]
+    rows, acc = _reverse_subsets(len(rows), a.alphabet_size, _dfa_arcs(rows), acc, (0,))
+    return Dfa(a.k, a.tracks, rows, acc, 0, LSD if a.order == MSD else MSD)
+
+
+def permute_tracks(a: Dfa, perm: list[int]) -> Dfa:
+    """Reorder tracks: output track j carries what was input track perm[j]."""
+    if sorted(perm) != list(range(a.tracks)):
+        raise AutomatonError("perm must be a permutation of the tracks")
+    inv = [0] * a.tracks
+    for j, i in enumerate(perm):
+        inv[i] = j
+    return lift_tracks(a, inv, a.tracks)
+
+
+def language_equal(a: Dfa, b: Dfa) -> bool:
+    """Exact language equality via canonical minimal forms."""
+    _require_compatible(a, b)
+    return minimize(a) == minimize(b)

@@ -9,7 +9,6 @@ from critex.arith import (
     const_eq_rel,
     eq_rel,
     linear_rel,
-    lt_rel,
     nonzero_track_dfa,
     seq_const,
     seq_eq,
@@ -20,7 +19,6 @@ from critex.automaton import (
     StateLimitError,
     complement,
     is_empty,
-    language_equal,
     lift_tracks,
     minimize,
     product,
@@ -29,6 +27,7 @@ from critex.automaton import (
 from critex.numeral import LSD, MSD, DigitWord, RadixContext, digits_of
 
 from helpers import all_words_upto
+from reference import language_equal
 
 
 def encode_tuple(values, k, width=None):
@@ -60,7 +59,7 @@ def test_eq_rel_examples(ctx):
 
 
 def test_lt_rel_examples(ctx):
-    lt = lt_rel(ctx)
+    lt = cmp_rel(ctx, "<")
     assert lt.accepts(encode_tuple((3, 4), 2))
     assert not lt.accepts(encode_tuple((4, 4), 2))
     assert not lt.accepts(encode_tuple((4, 3), 2))
@@ -95,7 +94,7 @@ def test_add_rel_fuzz_10k(ctx):
 
 def test_cmp_fuzz_with_padding(ctx):
     rng = random.Random(2101)
-    eq, lt = eq_rel(ctx), lt_rel(ctx)
+    eq, lt = eq_rel(ctx), cmp_rel(ctx, "<")
     for _ in range(10_000):
         x = rng.randrange(0, 1 << 14)
         y = rng.choice([x, rng.randrange(0, 1 << 14)])
@@ -121,7 +120,7 @@ def test_successor_rel_base3():
 
 def test_relations_base3():
     ctx3 = RadixContext(3)
-    eq, lt, add = eq_rel(ctx3), lt_rel(ctx3), add_rel(ctx3)
+    eq, lt, add = eq_rel(ctx3), cmp_rel(ctx3, "<"), add_rel(ctx3)
     rng = random.Random(2103)
     for _ in range(1500):
         x, y = rng.randrange(0, 3**8), rng.randrange(0, 3**8)
@@ -258,7 +257,7 @@ def test_seq_const_rejects_unknown_symbol(tm):
     "builder,tracks",
     [
         (lambda ctx: eq_rel(ctx), 2),
-        (lambda ctx: lt_rel(ctx), 2),
+        (lambda ctx: cmp_rel(ctx, "<"), 2),
         (lambda ctx: cmp_rel(ctx, ">="), 2),
         (lambda ctx: successor_rel(ctx), 2),
         (lambda ctx: const_eq_rel(ctx, 3), 1),

@@ -1,9 +1,11 @@
 import pytest
 
 from critex.autfile import AutFileError, parse_automaton, serialize_automaton
-from critex.automaton import Dfa, Dfao, language_equal
+from critex.automaton import Dfa, Dfao
 from critex.numeral import DigitWord
 from critex.sequences import pairs_ones_then_01, rudin_shapiro, thue_morse, vtm
+
+from reference import language_equal
 
 
 def test_round_trip_dfao():

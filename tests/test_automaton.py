@@ -5,23 +5,16 @@ import pytest
 from critex.automaton import (
     Dfa,
     IncompatibleError,
-    Nfa,
     StateLimitError,
     canonicalize,
     complement,
-    determinize,
-    determinize_minimal,
     enumerate_accepted,
+    erase,
     is_empty,
     is_infinite,
-    language_equal,
     lift_tracks,
     minimize,
-    permute_tracks,
     product,
-    project,
-    reverse,
-    shortest_accepted,
     zero_closure,
 )
 from critex.numeral import LSD, MSD, DigitWord
@@ -36,7 +29,19 @@ from helpers import (
     random_word,
     verify_pump,
 )
-from reference import accepted_from, pump_decompositions
+from reference import (
+    Nfa,
+    accepted_from,
+    determinize,
+    determinize_minimal,
+    language_equal,
+    permute_tracks,
+    project,
+    pump_decompositions,
+    reverse,
+    shortest_accepted,
+    zero_saturate,
+)
 
 
 def all_words_dfa(k, tracks):
@@ -237,6 +242,40 @@ def test_determinize_minimal_state_cap_in_second_pass(monkeypatch):
     monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
     with pytest.raises(StateLimitError):
         determinize_minimal(nfa)
+
+
+def _random_dfa_any_initial(rng: random.Random) -> Dfa:
+    """k 2-3, 2-3 tracks (at most 9 symbols), a random initial state, and an
+    empty accepting set about one time in six."""
+    k = rng.randint(2, 3)
+    tracks = rng.randint(2, 3 if k == 2 else 2)
+    n = rng.randint(1, 6)
+    rows = [[rng.randrange(n) for _ in range(k**tracks)] for _ in range(n)]
+    accept = [] if rng.random() < 1 / 6 else [s for s in range(n) if rng.random() < 0.4]
+    return Dfa(k, tracks, rows, accept, rng.randrange(n), MSD)
+
+
+def _padded_nfa(a: Dfa) -> Nfa:
+    """a plus a state n that moves like the initial state and also loops on
+    the all-zero symbol; initial states n and a's initial state."""
+    n = a.num_states
+    rows = [[{t} for t in row] for row in a.trans]
+    rows.append([{t} for t in a.trans[a.initial]])
+    rows[n][0].add(n)
+    acc = set(a.accept) | ({n} if a.initial in a.accept else set())
+    return Nfa(a.k, a.tracks, rows, acc, {n, a.initial}, a.order)
+
+
+def test_erase_and_zero_closure_match_forward_path_random():
+    rng = random.Random(21)
+    empties = 0
+    for _ in range(300):
+        a = _random_dfa_any_initial(rng)
+        empties += not a.accept
+        for track in range(a.tracks):
+            assert erase(a, track) == minimize(determinize(zero_saturate(project(a, track))))
+        assert zero_closure(a) == minimize(determinize(_padded_nfa(a)))
+    assert empties > 20
 
 
 # ------------------------------------------------------------- minimize

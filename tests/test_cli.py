@@ -127,7 +127,7 @@ def test_eval_sentence_and_dump(files, capsys, tmp_path):
     assert code == 0 and dump.exists()
     from critex.autfile import load_automaton
     from critex.exponents import period_language
-    from critex.automaton import language_equal
+    from reference import language_equal
 
     dumped = load_automaton(str(dump))
     assert language_equal(dumped, period_language(thue_morse()))
@@ -193,6 +193,14 @@ def test_state_limit_is_internal_error(files, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "exponent", files["tm.dfao"])
     assert code == 4
     assert "states" in err
+
+
+@pytest.mark.parametrize("value", ["500k", "0", "-3"])
+def test_malformed_state_limit_is_input_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("CRITEX_MAX_STATES", value)
+    code, out, err = run_cli(capsys, "exponent", files["tm.dfao"], "--which", "critical")
+    assert code == 2 and out == ""
+    assert "CRITEX_MAX_STATES" in err and repr(value) in err
 
 
 def test_huge_constant_compiles_under_a_small_state_cap(files, capsys, monkeypatch):

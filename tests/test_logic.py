@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from critex.automaton import Dfa, language_equal
+from critex.automaton import Dfa
 from critex.logic import (
     Add,
     And,
@@ -27,6 +27,7 @@ from critex.logic import (
 )
 from critex.numeral import RadixContext
 
+from reference import language_equal
 from test_arith import encode_tuple
 
 
@@ -268,16 +269,17 @@ def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
     # languages; rs is left out because its forward path takes about 20 s
     import critex.logic as logic
     from critex import sequences
-    from critex.automaton import determinize, determinize_minimal, minimize
+    from critex.automaton import erase, minimize
     from critex.exponents import GAP_FORMULA, PERIOD_FORMULA, PREFIX_TAIL_FORMULA
+    from reference import determinize, project, zero_saturate
 
     captured = []
 
-    def capture(nfa):
-        captured.append(nfa)
-        return determinize_minimal(nfa)
+    def capture(m, track):
+        captured.append((m, track))
+        return erase(m, track)
 
-    monkeypatch.setattr(logic, "determinize_minimal", capture)
+    monkeypatch.setattr(logic, "erase", capture)
     seqs = [
         sequences.thue_morse(),
         sequences.vtm(),
@@ -288,9 +290,9 @@ def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
         for text, free in ((PERIOD_FORMULA, ("q", "p")), (GAP_FORMULA, ("n", "l")), (PREFIX_TAIL_FORMULA, ("s", "t"))):
             compile_formula(parse(text), CompilationEnv(free, a, RadixContext(a.k)))
     assert len(captured) == 120
-    for nfa in captured:
-        out = determinize_minimal(nfa)
-        assert out == minimize(determinize(nfa))
+    for m, track in captured:
+        out = erase(m, track)
+        assert out == minimize(determinize(zero_saturate(project(m, track))))
         assert minimize(out) == out
 
 
