@@ -33,7 +33,6 @@ from .quotient import (
     EmptyLanguageError,
     FiniteLanguageError,
     QuotientError,
-    SearchError,
     largest_limit_quotient,
     sup_quo,
 )
@@ -211,6 +210,8 @@ def cmd_oracle(args) -> RunReport:
     report = RunReport(command=_echo(args), digest=_digest(args.file))
     sub = args.oracle_cmd
     if sub == "quo":
+        if args.n is not None and args.n < 0:
+            raise InputError("--n must be nonnegative")
         L = _load_pairs(args.file)
         values = oracle.brute_quo_profile(L, args.n if args.n is not None else 8)
         report.values["count"] = str(len(values))
@@ -301,13 +302,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         report = args.fn(args)
-    except (AutFileError, FormulaError, NumeralError, InputError, OSError) as exc:
+    except (AutFileError, FormulaError, NumeralError, oracle.OracleError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EmptyLanguageError, FiniteLanguageError, exponents.ExponentError, QuotientError) as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (StateLimitError, SearchError, InvariantError) as exc:
+    except (StateLimitError, InvariantError) as exc:
         print(f"internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.time_ms = int((time.monotonic() - started) * 1000)

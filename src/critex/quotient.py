@@ -6,15 +6,15 @@ The supremum solver rests on three exact primitives:
 * an unbounded-pump test: the quotient supremum is infinite exactly when
   some reachable, co-accessible loop pumps the numerator while leaving the
   denominator fixed (its denominator-track increment is zero),
-* a pump-weight maximizer: for a probe fraction P/Q, the maximum of
-  Q*inc1 - P*inc2 over all pumps within first-repeat bounds; its sign
-  compares the largest limit quotient against P/Q exactly,
-* a word-weight maximizer: the same sign oracle for the maximum quotient
-  over accepted words of bounded length.
+* a pump-weight maximizer: for a fraction P/Q, the maximum of
+  Q*inc1 - P*inc2 over all pumps within first-repeat bounds, with the pump
+  that attains it,
+* a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
+  bounded length, with the word that attains it.
 
-Feeding the sign oracles to a Stern-Brocot search yields exact values
-without enumerating words or pumps; the enumeration-based references that
-cross-validate them on small machines live with the tests.
+Dinkelbach's iteration on either maximizer yields the exact largest ratio
+and its witness without enumerating words or pumps; the enumeration-based
+references that cross-validate them on small machines live with the tests.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .automaton import (
     trim_states,
     zero_closure,
 )
-from .numeral import DigitWord, RadixContext
+from .numeral import DigitWord, RadixContext, ratio
 from .rational import INF, Value
 
 
@@ -61,10 +61,6 @@ class FiniteLanguageError(QuotientError):
 
 class UndefinedRatioError(QuotientError):
     """Both value increments of a pump are zero."""
-
-
-class SearchError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -162,18 +158,29 @@ def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = No
     return nxt
 
 
-def _walk(parents: list[dict], s: int, syms) -> list:
-    """Symbols of the recorded walk that ends at s after len(parents) steps."""
+def _heaviest_walk(a: Dfa, trim: set[int], P: int, Q: int, start: int, steps: int, end: int) -> list:
+    """Symbols of the heaviest walk of `steps` symbols from start to end in
+    the trim part, with the weight DPs' tie-breaks: the walk behind an argmax."""
+    k = a.k
+    syms = symbols(k, 2)
+    w = _symbol_weights(k, P, Q)
+    adj = _trim_adjacency(a, trim)
+    cur = {start: 0}
+    parents: list[dict] = []
+    for _ in range(steps):
+        parents.append({})
+        cur = _layer(cur, adj, k, w, parents[-1])
     out = []
     for par in reversed(parents):
-        s, c = par[s]
+        end, c = par[end]
         out.append(syms[c])
     out.reverse()
     return out
 
 
-def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_argmax: bool = False):
-    """Maximum of Q*inc1 - P*inc2 over pumps, or None if no pump exists.
+def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
+    """Maximum of Q*inc1 - P*inc2 over pumps with its argmax (loop state,
+    |u|, |v|), the first strict maximum; or None if no pump exists.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
     state s plus closed walks v (1 <= |v| <= T) at s, with T the trim size.
@@ -198,7 +205,6 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_a
                 xstar[s] = (val, ln)
     pow_k = [k**b for b in range(T + 1)]
     best = None
-    best_combo = None
     for s0 in sorted(xstar):
         x0, xlen = xstar[s0]
         curz = {s0: 0}
@@ -209,135 +215,80 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None, with_a
             yb = curz.get(s0)
             if yb is not None:
                 combo = (pow_k[b] - 1) * x0 + yb
-                if best is None or combo > best:
-                    best = combo
-                    best_combo = (s0, xlen, b)
-    if best is None:
-        return None
-    return (best, best_combo) if with_argmax else best
+                if best is None or combo > best[0]:
+                    best = (combo, (s0, xlen, b))
+    return best
 
 
-def _reconstruct_pump(a: Dfa, P: int, Q: int, trim: set[int], combo) -> PumpDecomposition:
-    """Rebuild the path and cycle behind a max_pump_weight argmax."""
-    s0, xlen, b = combo
-    k = a.k
-    syms = symbols(k, 2)
-    w = _symbol_weights(k, P, Q)
-    adj = _trim_adjacency(a, trim)
-    walks = []
-    for start, steps in ((a.initial, xlen), (s0, b)):
-        cur = {start: 0}
-        parents: list[dict] = []
-        for _ in range(steps):
-            parents.append({})
-            cur = _layer(cur, adj, k, w, parents[-1])
-        walks.append(_walk(parents, s0, syms))
-    return make_pump(k, walks[0], walks[1], s0, a.order)
-
-
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int) -> int | None:
-    """Maximum of Q*p - P*q over accepted words of length <= max_len, or None."""
+def max_word_weight(a: Dfa, P: int, Q: int, max_len: int):
+    """Maximum of Q*p - P*q over accepted words of length <= max_len with its
+    argmax (length, end state), the first strict maximum, shortest first; or
+    None if no such word is accepted."""
     k = a.k
     w = _symbol_weights(k, P, Q)
     co = trim_states(a)
     adj = _trim_adjacency(a, co)
     cur = {a.initial: 0} if a.initial in co else {}
-    best = 0 if a.initial in a.accept else None
-    acc = a.accept
-    for _ in range(max_len):
-        cur = _layer(cur, adj, k, w)
+    best = None
+    for ln in range(max_len + 1):
+        if ln:
+            cur = _layer(cur, adj, k, w)
         if not cur:
             break
         for s, val in cur.items():
-            if s in acc and (best is None or val > best):
-                best = val
+            if s in a.accept and (best is None or val > best[0]):
+                best = (val, (ln, s))
     return best
 
 
-def _reconstruct_word(a: Dfa, P: int, Q: int, max_len: int) -> DigitWord | None:
-    """Shortest accepted word whose quotient weight against P/Q is zero."""
-    k = a.k
-    syms = symbols(k, 2)
-    w = _symbol_weights(k, P, Q)
-    co = trim_states(a)
-    if a.initial not in co:
-        return None
-    adj = _trim_adjacency(a, co)
-    cur = {a.initial: 0}
-    parents: list[dict] = []
-    for ln in range(max_len + 1):
-        for s, val in cur.items():
-            if s in a.accept and val == 0:
-                return DigitWord(k, 2, tuple(_walk(parents, s, syms)), a.order)
-        if ln == max_len:
-            break
-        parents.append({})
-        cur = _layer(cur, adj, k, w, parents[-1])
-    return None
+def _dinkelbach(oracle, rebuild, ratio_of):
+    """Largest ratio over a finite candidate set with a candidate attaining
+    it, or None if the set is empty.
+
+    oracle(P, Q) gives the maximum of Q*num - P*den over the candidates and
+    an argmax, or None; rebuild(P, Q, argmax) gives that candidate and
+    ratio_of(candidate) its exact ratio.  Dinkelbach's Newton step: from
+    0, move to the ratio of the argmax until the maximum is 0.  Each step
+    lands on a candidate's ratio and rises strictly, so the loop ends, at
+    the largest ratio.
+    """
+    lam = Fraction(0)
+    while True:
+        P, Q = lam.numerator, lam.denominator
+        got = oracle(P, Q)
+        if got is None:
+            if lam:
+                raise InvariantError(f"no candidate to weigh at {lam}")
+            return None
+        weight, arg = got
+        if weight < 0:
+            raise InvariantError(f"negative maximum weight {weight} at {lam}")
+        witness = rebuild(P, Q, arg)
+        if weight == 0:
+            return lam, witness
+        nxt = ratio_of(witness)
+        if nxt <= lam:
+            raise InvariantError(f"the argmax at {lam} has ratio {nxt}, which does not rise")
+        lam = nxt
 
 
 def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord | None]:
-    """Exact maximum quotient over accepted words of length <= max_len.
+    """Exact maximum quotient over accepted words of length <= max_len, with
+    a shortest word attaining it; (None, None) if no such word is accepted.
 
     Expects a language whose accepted words all carry a nonzero denominator
-    track.  Runs a Stern-Brocot search over the word-weight sign oracle, so
-    no word enumeration happens; the reference for it is the enumeration in
+    track.  Runs Dinkelbach's iteration on the word-weight maximizer, so no
+    word enumeration happens; the reference for it is the enumeration in
     oracle.brute_quo_profile.
     """
-    if max_word_weight(a, 0, 1, max_len) is None:
-        return None, None
-    val = rational_search(lambda P, Q: _sign(max_word_weight(a, P, Q, max_len)))
-    witness = _reconstruct_word(a, val.numerator, val.denominator, max_len)
-    if witness is None:
-        raise SearchError("no witness at the computed bounded maximum")
-    return val, witness
 
+    def rebuild(P, Q, arg):
+        ln, s = arg
+        walk = _heaviest_walk(a, trim_states(a), P, Q, a.initial, ln, s)
+        return DigitWord(a.k, 2, tuple(walk), a.order)
 
-# ------------------------------------------------------------- rational search
-
-
-def _sign(m: int | None) -> int:
-    """Sign of a weight maximum, as the comparison oracle rational_search reads."""
-    if m is None:
-        raise SearchError("the sign oracle found no word or pump to weigh")
-    return (m > 0) - (m < 0)
-
-
-def rational_search(cmp, max_steps: int = 200000) -> Fraction:
-    """Locate the exact nonnegative rational r from its comparison oracle.
-
-    cmp(P, Q) must return the sign of r - P/Q.  Stern-Brocot descent with
-    galloping along repeated moves; terminates exactly when cmp reports 0.
-    """
-    s = cmp(0, 1)
-    if s == 0:
-        return Fraction(0)
-    if s < 0:
-        raise SearchError("target lies below zero")
-    lo, hi = (0, 1), (1, 0)
-    for _ in range(max_steps):
-        p, q = lo[0] + hi[0], lo[1] + hi[1]
-        s = cmp(p, q)
-        if s == 0:
-            return Fraction(p, q)
-        # The bound on the target's side moves towards the other one, through
-        # (x + t*y) / (z + t*w) for t = 2, 4, 8, ... until a probe lands past
-        # the target, then bisects t between the last two probes.
-        (x, z), (y, w) = (lo, hi) if s > 0 else (hi, lo)
-        t_in, t_out = 1, None
-        while t_out is None or t_out - t_in > 1:
-            t = 2 * t_in if t_out is None else (t_in + t_out) // 2
-            st = cmp(x + t * y, z + t * w)
-            if st == 0:
-                return Fraction(x + t * y, z + t * w)
-            if st == s:
-                t_in = t
-            else:
-                t_out = t
-        moved = (x + t_in * y, z + t_in * w)
-        other = (moved[0] + y, moved[1] + w)
-        lo, hi = (moved, other) if s > 0 else (other, moved)
-    raise SearchError("rational search did not terminate")
+    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len), rebuild, ratio)
+    return (None, None) if got is None else got
 
 
 # ------------------------------------------------------------- unbounded pumps
@@ -518,13 +469,25 @@ def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
 
 def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
     """Largest pump ratio of a prepared infinite machine without an unbounded
-    pump: Stern-Brocot search on the pump-weight sign, then the witness."""
+    pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
+    pump that attains it."""
     trim = trim_states(work)
-    sigma = rational_search(lambda P, Q: _sign(max_pump_weight(work, P, Q, trim)))
-    got = max_pump_weight(work, sigma.numerator, sigma.denominator, trim, with_argmax=True)
-    if got is None or got[0] != 0:
-        raise InvariantError(f"pump weight at the computed limit {sigma} is not zero")
-    return sigma, _reconstruct_pump(work, sigma.numerator, sigma.denominator, trim, got[1])
+
+    def rebuild(P, Q, arg):
+        s0, xlen, b = arg
+        u = _heaviest_walk(work, trim, P, Q, work.initial, xlen, s0)
+        v = _heaviest_walk(work, trim, P, Q, s0, b, s0)
+        return make_pump(work.k, u, v, s0, work.order)
+
+    def ratio_of(pump):
+        if pump.inc2 == 0:
+            raise InvariantError("a weighed pump has a zero denominator increment")
+        return Fraction(pump.inc1, pump.inc2)
+
+    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, trim), rebuild, ratio_of)
+    if got is None:
+        raise InvariantError("an infinite machine has no pump to weigh")
+    return got
 
 
 def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomposition]:

@@ -40,13 +40,16 @@ from critex.automaton import (
 from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
-    SearchError,
     SupResult,
     _prepare,
     compare_language,
     find_unbounded_pump,
 )
 from critex.rational import INF
+
+
+class SearchError(RuntimeError):
+    """A reference search found no answer: its candidate set is incomplete."""
 
 
 def pump_decompositions(a: Dfa):

@@ -154,6 +154,24 @@ def test_oracle_commands(files, capsys):
     assert code == 0 and "count=4" in out and "max=1/1" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "tm.dfao", "--n", "0"),
+        ("scan", "tm.dfao", "--n", "-5"),
+        ("scan", "tm.dfao", "--max-period", "0"),
+        ("ice", "tm.dfao", "--n", "0"),
+        ("recurrence", "tm.dfao", "--max-period", "0"),
+        ("quo", "pairs.dfa", "--n", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_oracle_out_of_range_option_is_input_error(files, capsys, argv):
+    sub, name, *opts = argv
+    code, out, err = run_cli(capsys, "oracle", sub, files[name], *opts)
+    assert code == 2 and err.startswith("error: ") and not out
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "exponent", "/nonexistent/x.dfao")
     assert code == 2
@@ -256,7 +274,7 @@ from critex import cli, quotient
 real = quotient.max_pump_weight
 def off_by_one(*args, **kw):
     got = real(*args, **kw)
-    return (got[0] + 1, got[1]) if kw.get("with_argmax") else got
+    return None if got is None else (got[0] + 1, got[1])
 quotient.max_pump_weight = off_by_one
 sys.exit(cli.main(["special", "pairs.dfa"]))
 """

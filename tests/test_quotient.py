@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from critex import quotient
-from critex.automaton import Dfa, StateLimitError, canonicalize, is_infinite, product
+from critex.automaton import (
+    Dfa,
+    InvariantError,
+    StateLimitError,
+    canonicalize,
+    enumerate_accepted,
+    is_infinite,
+    product,
+)
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
     Comparator,
@@ -20,7 +28,6 @@ from critex.quotient import (
     largest_limit_quotient,
     max_pump_weight,
     pump_ratio,
-    rational_search,
     sup_quo,
     _prepare,
 )
@@ -141,24 +148,6 @@ def test_is_sup_infinite_matches_reference_on_random_machines():
         assert got == want
 
 
-# ------------------------------------------------------------- rational search
-
-
-def test_rational_search_exact():
-    rng = random.Random(4103)
-    for _ in range(300):
-        target = Fraction(rng.randrange(0, 4096), rng.randrange(1, 4096))
-        calls = []
-
-        def cmp(P, Q):
-            calls.append(1)
-            diff = target - Fraction(P, Q)
-            return 0 if diff == 0 else (1 if diff > 0 else -1)
-
-        assert rational_search(cmp) == target
-        assert len(calls) < 400
-
-
 # ------------------------------------------------------------- sup and limits
 
 
@@ -264,7 +253,8 @@ def test_bounded_max_ratio_matches_enumeration():
         else:
             assert got == max(profile)
             assert machine.accepts(witness) and ratio(witness) == got
-            assert len(witness) <= 7
+            # the witness is a shortest word attaining the maximum
+            assert len(witness) == min(len(w) for w in enumerate_accepted(machine, 7) if ratio(w) == got)
 
 
 def test_max_pump_weight_sign_matches_enumerated_pumps():
@@ -278,11 +268,37 @@ def test_max_pump_weight_sign_matches_enumerated_pumps():
         best = max(finite_ratios)
         for _ in range(10):
             P, Q = rng.randrange(0, 8), rng.randrange(1, 8)
-            m = max_pump_weight(machine, P, Q)
+            m = max_pump_weight(machine, P, Q)[0]
             probe = Fraction(P, Q)
             want = 0 if best == probe else (1 if best > probe else -1)
             got = 0 if m == 0 else (1 if m > 0 else -1)
             assert got == want
+
+
+def test_limit_probes_land_on_argmax_ratios(monkeypatch):
+    # each pump DP moves the probe to the exact ratio of the pump it found
+    probes = []
+    real = quotient.max_pump_weight
+
+    def recorded(a, P, Q, *rest):
+        probes.append((P, Q))
+        return real(a, P, Q, *rest)
+
+    monkeypatch.setattr(quotient, "max_pump_weight", recorded)
+    assert largest_limit_quotient(pairs_ones_then_01(), CTX)[0] == Fraction(1, 2)
+    assert probes == [(0, 1), (1, 2)]
+
+
+def test_off_by_one_word_weight_is_an_invariant_error(monkeypatch):
+    real = quotient.max_word_weight
+
+    def off_by_one(*args):
+        got = real(*args)
+        return None if got is None else (got[0] + 1, got[1])
+
+    monkeypatch.setattr(quotient, "max_word_weight", off_by_one)
+    with pytest.raises(InvariantError):
+        bounded_max_ratio(_prepare(pairs_ones_then_01(), CTX), 5)
 
 
 # ------------------------------------------------------------- closure report
@@ -317,72 +333,6 @@ def test_comparator_fuzz_base3():
             p, q = rng.randrange(0, 3**6), rng.randrange(0, 3**6)
             w = encode_pair(p, q, ctx3)
             assert m.accepts(w) == fn(p * t.denominator, q * t.numerator), (p, q, t, rel)
-
-
-# Exact probe lists of the galloping Stern-Brocot descent.  Each probe costs
-# one pump or word DP, so a change to the order is a change in cost.
-_PINNED_PROBES = [
-    (Fraction(0), [(0, 1)]),
-    (Fraction(1), [(0, 1), (1, 1)]),
-    (Fraction(7, 2), [(0, 1), (1, 1), (2, 1), (4, 1), (3, 1), (7, 2)]),
-    (
-        Fraction(355, 113),
-        [
-            (0, 1), (1, 1), (2, 1), (4, 1), (3, 1), (7, 2), (10, 3), (16, 5), (28, 9), (22, 7),
-            (25, 8), (47, 15), (69, 22), (113, 36), (201, 64), (377, 120), (289, 92), (333, 106),
-            (355, 113),
-        ],
-    ),
-    (
-        Fraction(1, 10**6),
-        [
-            (0, 1), (1, 1), (1, 2), (1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 128), (1, 256),
-            (1, 512), (1, 1024), (1, 2048), (1, 4096), (1, 8192), (1, 16384), (1, 32768),
-            (1, 65536), (1, 131072), (1, 262144), (1, 524288), (1, 1048576), (1, 786432),
-            (1, 917504), (1, 983040), (1, 1015808), (1, 999424), (1, 1007616), (1, 1003520),
-            (1, 1001472), (1, 1000448), (1, 999936), (1, 1000192), (1, 1000064), (1, 1000000),
-        ],
-    ),
-    (
-        Fraction(10**9, 7),
-        [
-            (0, 1), (1, 1), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1),
-            (512, 1), (1024, 1), (2048, 1), (4096, 1), (8192, 1), (16384, 1), (32768, 1),
-            (65536, 1), (131072, 1), (262144, 1), (524288, 1), (1048576, 1), (2097152, 1),
-            (4194304, 1), (8388608, 1), (16777216, 1), (33554432, 1), (67108864, 1), (134217728, 1),
-            (268435456, 1), (201326592, 1), (167772160, 1), (150994944, 1), (142606336, 1),
-            (146800640, 1), (144703488, 1), (143654912, 1), (143130624, 1), (142868480, 1),
-            (142737408, 1), (142802944, 1), (142835712, 1), (142852096, 1), (142860288, 1),
-            (142856192, 1), (142858240, 1), (142857216, 1), (142856704, 1), (142856960, 1),
-            (142857088, 1), (142857152, 1), (142857120, 1), (142857136, 1), (142857144, 1),
-            (142857140, 1), (142857142, 1), (142857143, 1), (285714285, 2), (428571428, 3),
-            (714285714, 5), (1285714286, 9), (1000000000, 7),
-        ],
-    ),
-]
-
-
-@pytest.mark.parametrize("target,probes", _PINNED_PROBES, ids=str)
-def test_rational_search_probe_sequence(target, probes):
-    seen = []
-
-    def cmp(P, Q):
-        seen.append((P, Q))
-        d = target - Fraction(P, Q)
-        return 0 if d == 0 else (1 if d > 0 else -1)
-
-    assert rational_search(cmp) == target
-    assert seen == probes
-
-
-def test_rational_search_large_denominators():
-    for target in (Fraction(123457, 654321), Fraction(1, 99991), Fraction(99991, 7)):
-
-        def cmp(P, Q, t=target):
-            d = t - Fraction(P, Q)
-            return 0 if d == 0 else (1 if d > 0 else -1)
-
-        assert rational_search(cmp) == target
 
 
 def test_sup_invariants_on_larger_machines():
