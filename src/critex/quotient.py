@@ -178,15 +178,33 @@ def _heaviest_walk(a: Dfa, trim: set[int], P: int, Q: int, start: int, steps: in
     return out
 
 
+def _cycle_adjacency(adj) -> dict[int, dict[int, list[tuple[int, int]]]]:
+    """For each state on a cycle, the moves of its strongly connected
+    component that stay inside it; states on no cycle are absent."""
+    nodes = sorted(adj)
+    out = {}
+    for comp in _tarjan_sccs(nodes, {s: [t for _, t in adj[s]] for s in nodes}):
+        members = set(comp)
+        sub = {s: [(c, t) for c, t in adj[s] if t in members] for s in comp}
+        if len(comp) > 1 or sub[comp[0]]:
+            for s in comp:
+                out[s] = sub
+    return out
+
+
 def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
     """Maximum of Q*inc1 - P*inc2 over pumps with its argmax (loop state,
     |u|, |v|), the first strict maximum; or None if no pump exists.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
-    state s plus closed walks v (1 <= |v| <= T) at s, with T the trim size.
-    Every such pair is a genuine pump, and the best first-repeated-state
-    pump is inside the bounds, so the sign of the maximum compares the
-    largest limit quotient with P/Q exactly.
+    state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, with T the
+    trim size and SCC(s) the strongly connected component of s in the trim
+    part.  A closed walk at s never leaves SCC(s), so each cycle DP runs on
+    that component alone, and states on no cycle carry no pump.  Every such
+    pair is a genuine pump, and the best first-repeated-state pump (a simple
+    path u, so |u| < T, and a simple cycle v, so |v| <= |SCC(s)|) is inside
+    the bounds, so the sign of the maximum compares the largest limit
+    quotient with P/Q exactly.
     """
     if trim is None:
         trim = trim_states(a)
@@ -203,18 +221,19 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
-    pow_k = [k**b for b in range(T + 1)]
+    cycles = _cycle_adjacency(adj)
     best = None
     for s0 in sorted(xstar):
+        sub = cycles.get(s0)
+        if sub is None:
+            continue
         x0, xlen = xstar[s0]
         curz = {s0: 0}
-        for b in range(1, T + 1):
-            curz = _layer(curz, adj, k, w)
-            if not curz:
-                break
+        for b in range(1, len(sub) + 1):
+            curz = _layer(curz, sub, k, w)
             yb = curz.get(s0)
             if yb is not None:
-                combo = (pow_k[b] - 1) * x0 + yb
+                combo = (k**b - 1) * x0 + yb
                 if best is None or combo > best[0]:
                     best = (combo, (s0, xlen, b))
     return best
@@ -282,9 +301,11 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
     oracle.brute_quo_profile.
     """
 
+    trim = trim_states(a)
+
     def rebuild(P, Q, arg):
         ln, s = arg
-        walk = _heaviest_walk(a, trim_states(a), P, Q, a.initial, ln, s)
+        walk = _heaviest_walk(a, trim, P, Q, a.initial, ln, s)
         return DigitWord(a.k, 2, tuple(walk), a.order)
 
     got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len), rebuild, ratio)
@@ -369,23 +390,7 @@ def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
                 parent[node] = ((s, flag), c)
                 order.append(node)
                 queue.append(node)
-    nodes = sorted(trim)
-    succ = {s: [t for _, t in adj[s]] for s in nodes}
-    sccs = _tarjan_sccs(nodes, succ)
-    scc_of = {}
-    for i, comp in enumerate(sccs):
-        for s in comp:
-            scc_of[s] = i
-    cyclic = set()
-    scc_nonzero = set()
-    for i, comp in enumerate(sccs):
-        members = set(comp)
-        for s in comp:
-            for c, t in adj[s]:
-                if t in members:
-                    cyclic.add(i)
-                    if c in nonzero_num:
-                        scc_nonzero.add(i)
+    cycles = _cycle_adjacency(adj)
 
     def path_to(node) -> list:
         out = []
@@ -397,15 +402,15 @@ def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
         out.reverse()
         return out
 
-    def bfs_path(src: int, dst: int, members: set[int]) -> list | None:
+    def bfs_path(src: int, dst: int, sub) -> list | None:
         if src == dst:
             return []
         par: dict[int, tuple[int, int]] = {src: (-1, -1)}
         queue2 = deque([src])
         while queue2:
             s = queue2.popleft()
-            for c, t in adj[s]:
-                if t in members and t not in par:
+            for c, t in sub[s]:
+                if t not in par:
                     par[t] = (s, c)
                     if t == dst:
                         out = []
@@ -420,25 +425,23 @@ def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
         return None
 
     for s, flag in order:
-        i = scc_of.get(s)
-        if i is None or i not in cyclic:
+        sub = cycles.get(s)
+        if sub is None:
             continue
-        members = set(sccs[i])
         if flag == 1:
             # any cycle at s will do
-            for c, t in adj[s]:
-                if t in members:
-                    rest = bfs_path(t, s, members)
-                    if rest is not None:
-                        u = path_to((s, flag))
-                        return make_pump(k, u, [syms[c]] + rest, s, a.order)
-        elif i in scc_nonzero:
+            for c, t in sub[s]:
+                rest = bfs_path(t, s, sub)
+                if rest is not None:
+                    u = path_to((s, flag))
+                    return make_pump(k, u, [syms[c]] + rest, s, a.order)
+        else:
             # route the cycle through a nonzero-numerator edge
-            for x in sccs[i]:
-                for c, t in adj[x]:
-                    if t in members and c in nonzero_num:
-                        first = bfs_path(s, x, members)
-                        rest = bfs_path(t, s, members)
+            for x, moves in sub.items():
+                for c, t in moves:
+                    if c in nonzero_num:
+                        first = bfs_path(s, x, sub)
+                        rest = bfs_path(t, s, sub)
                         if first is not None and rest is not None:
                             u = path_to((s, flag))
                             return make_pump(k, u, first + [syms[c]] + rest, s, a.order)

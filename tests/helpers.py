@@ -4,6 +4,7 @@ and an independent minimizer."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 from critex.arith import nonzero_track_dfa
@@ -12,11 +13,13 @@ from critex.automaton import (
     PumpDecomposition,
     canonicalize,
     is_empty,
+    is_infinite,
     product,
     symbols,
     trim_states,
 )
 from critex.numeral import MSD, DigitWord, RadixContext
+from critex.quotient import _prepare, compare_language
 
 from reference import Nfa, determinize
 
@@ -56,6 +59,31 @@ def prepared_random_suite(seed: int, count: int, k: int = 2, max_states: int = 4
         work = canonicalize(product(raw, nz, "and"))
         if not is_empty(work):
             out.append(work)
+    return out
+
+
+def comparator_bounded_suite(seed: int, count: int, max_trim: int = 48) -> list[tuple[Dfa, RadixContext]]:
+    """Prepared machines shaped like the benchmark's `pairs` pool, each with
+    its radix context: random k = 2 and 3 acceptors of 3-14 states, a
+    dead state taking about 40 % of the moves, intersected with a comparator
+    p <= (P/Q)*q, so the supremum is finite.  Resamples until `count`
+    machines with an infinite language and at most `max_trim` trim states
+    are collected, alternating k."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = 2 + len(out) % 2
+        n = rng.randint(3, 14)
+        dead = n
+        rows = [[dead if rng.random() < 0.4 else rng.randrange(n) for _ in range(k * k)] for _ in range(n)]
+        rows.append([dead] * (k * k))
+        accept = [s for s in range(n) if rng.random() < 0.3] or [0]
+        Q = rng.randint(1, 4)
+        ctx = RadixContext(k)
+        bounded = compare_language(Dfa(k, 2, rows, accept, 0, MSD), ctx, Fraction(rng.randint(Q, 3 * Q), Q), "<=")
+        work = _prepare(bounded, ctx)
+        if is_infinite(work) and len(trim_states(work)) <= max_trim:
+            out.append((work, ctx))
     return out
 
 

@@ -7,11 +7,13 @@ explicit `Nfa`, `project`, `zero_saturate` and the forward subset
 construction `determinize`) are what `erase`, `zero_closure` and the
 double-reversal core are checked against, field for field; `reverse`,
 `language_equal`, `permute_tracks` and `shortest_accepted` are small
-constructions only the tests use.
+constructions only the tests use.  `max_pump_weight_reference` is the
+whole-trim pump-weight DP the per-component one is pinned against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +43,10 @@ from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
     SupResult,
+    _layer,
     _prepare,
+    _symbol_weights,
+    _trim_adjacency,
     compare_language,
     find_unbounded_pump,
 )
@@ -110,8 +115,13 @@ class CandidateSet:
     unbounded_pumps: tuple  # pumps with inc2 == 0 < inc1
 
     def finite_values(self) -> list[Fraction]:
+        """The candidate values in increasing order.  Sorted by an exact
+        integer key, each value scaled to the common denominator: ordering
+        `Fraction`s by their own comparisons costs two products and a Python
+        call per comparison."""
         vals = set(self.short_values) | {v for v, _ in self.pump_values}
-        return sorted(vals)
+        scale = math.lcm(*(v.denominator for v in vals))
+        return sorted(vals, key=lambda v: v.numerator * (scale // v.denominator))
 
 
 def candidates(L: Dfa) -> CandidateSet:
@@ -167,6 +177,42 @@ def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
         return SupResult(alpha, True, witness)
     pump = next(p for v, p in cand.pump_values if v == alpha)
     return SupResult(alpha, False, pump)
+
+
+def max_pump_weight_reference(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
+    """Whole-trim pump-weight DP: quotient.max_pump_weight without the
+    per-component restriction, with closed walks v of 1 <= |v| <= T at every
+    trim state, T the trim size; O(T^2) layer steps per call."""
+    if trim is None:
+        trim = trim_states(a)
+    if a.initial not in trim:
+        return None
+    k = a.k
+    w = _symbol_weights(k, P, Q)
+    adj = _trim_adjacency(a, trim)
+    T = len(trim)
+    cur = {a.initial: 0}
+    xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
+    for ln in range(1, T):
+        cur = _layer(cur, adj, k, w)
+        for s, val in cur.items():
+            if s not in xstar or val > xstar[s][0]:
+                xstar[s] = (val, ln)
+    pow_k = [k**b for b in range(T + 1)]
+    best = None
+    for s0 in sorted(xstar):
+        x0, xlen = xstar[s0]
+        curz = {s0: 0}
+        for b in range(1, T + 1):
+            curz = _layer(curz, adj, k, w)
+            if not curz:
+                break
+            yb = curz.get(s0)
+            if yb is not None:
+                combo = (pow_k[b] - 1) * x0 + yb
+                if best is None or combo > best[0]:
+                    best = (combo, (s0, xlen, b))
+    return best
 
 
 def is_sup_infinite_reference(L: Dfa, ctx: RadixContext) -> bool:

@@ -12,6 +12,7 @@ from critex.automaton import (
     enumerate_accepted,
     is_infinite,
     product,
+    trim_states,
 )
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
@@ -41,8 +42,14 @@ from critex.sequences import (
     pairs_unbounded,
 )
 
-from helpers import prepared_random_suite, verify_pump
-from reference import candidates, is_sup_infinite_reference, pump_decompositions, sup_quo_reference
+from helpers import comparator_bounded_suite, prepared_random_suite, verify_pump
+from reference import (
+    candidates,
+    is_sup_infinite_reference,
+    max_pump_weight_reference,
+    pump_decompositions,
+    sup_quo_reference,
+)
 
 CTX = RadixContext(2)
 
@@ -273,6 +280,66 @@ def test_max_pump_weight_sign_matches_enumerated_pumps():
             want = 0 if best == probe else (1 if best > probe else -1)
             got = 0 if m == 0 else (1 if m > 0 else -1)
             assert got == want
+
+
+def _sign(m: int) -> int:
+    return (m > 0) - (m < 0)
+
+
+def test_max_pump_weight_sign_matches_whole_trim_reference():
+    # capping |v| at the component size may lower the maximum, but not its
+    # sign at any P/Q; at the limit both DPs return 0 and the same argmax
+    rng = random.Random(5000)
+    for idx, (work, ctx) in enumerate(comparator_bounded_suite(5000, 100)):
+        limit, _pump = largest_limit_quotient(work, ctx)
+        got = max_pump_weight(work, limit.numerator, limit.denominator)
+        assert got[0] == 0 and got == max_pump_weight_reference(work, limit.numerator, limit.denominator), idx
+        probes = [
+            Fraction(0),
+            limit / 2,
+            limit + Fraction(1, rng.randrange(1, 50)),
+            Fraction(rng.randrange(13), rng.randrange(1, 5)),
+        ]
+        if limit > Fraction(1, 97):
+            probes.append(limit - Fraction(1, 97))
+        for beta in probes:
+            P, Q = beta.numerator, beta.denominator
+            want = max_pump_weight_reference(work, P, Q)[0]
+            assert _sign(max_pump_weight(work, P, Q)[0]) == _sign(want), (idx, beta)
+
+
+def test_solvers_match_whole_trim_reference(monkeypatch):
+    suite = comparator_bounded_suite(5100, 100)
+
+    def solve():
+        return [repr((sup_quo(work, ctx), largest_limit_quotient(work, ctx))) for work, ctx in suite]
+
+    got = solve()
+    monkeypatch.setattr(quotient, "max_pump_weight", max_pump_weight_reference)
+    assert solve() == got
+
+
+def test_max_pump_weight_cost_is_per_component(monkeypatch):
+    # a chain of 30 trim states into a 2-state cycle: the whole-trim DP takes
+    # about T^2 layer steps, the per-component one (T - 1) + 2 * 2
+    n = 32
+    rows = [[n] * 4 for _ in range(n + 1)]
+    for i in range(n - 1):
+        rows[i][3] = i + 1  # (1, 1)
+    rows[n - 1][2] = n - 2  # (1, 0) closes the cycle
+    work = _prepare(Dfa(2, 2, rows, {n - 2}, 0), CTX)
+    T = len(trim_states(work))
+    assert T == n
+    calls = []
+    real = quotient._layer
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(quotient, "_layer", counted)
+    assert max_pump_weight(work, 1, 1) is not None
+    assert len(calls) <= (T - 1) + 2 * 2
 
 
 def test_limit_probes_land_on_argmax_ratios(monkeypatch):
