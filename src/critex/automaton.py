@@ -303,22 +303,40 @@ def _mask(states) -> int:
 
 def _subsets(masks: list[list[int]], start: int, s_count: int):
     """Subset construction from the subset `start`; masks[s][c] is the
-    bitmask of the c-successors of state s.  Returns explore's (rows,
-    subsets); the empty subset is the dead sink."""
+    bitmask of the c-successors of state s, one of n = len(masks) states.
+    Returns explore's (rows, subsets); the empty subset is the dead sink.
+
+    Each state's s_count masks are packed side by side into one int, column
+    c at bit offset c*n, so the successors of a subset on every symbol are
+    one OR of its members' packed rows, cut into columns by
+    (big >> c*n) & full.  The ORs are memoized per 8-state chunk: chunk j
+    maps each byte value seen at bits 8j..8j+7 of a subset to the OR of the
+    packed rows of those members, so it holds at most 255 entries of
+    n*s_count bits, and a step ORs at most ceil(n/8) of them.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    shifts = [c * n for c in range(s_count)]
+    packed = [sum(m << sh for m, sh in zip(row, shifts)) for row in masks]
+    memos: list[dict[int, int]] = [{} for _ in range(0, n, 8)]
+    width = len(memos)
 
     def step(cur: int) -> list[int]:
-        member_rows = []
-        while cur:
-            low = cur & -cur
-            cur ^= low
-            member_rows.append(masks[low.bit_length() - 1])
-        row_masks = [0] * s_count
-        for c in range(s_count):
-            m = 0
-            for mrow in member_rows:
-                m |= mrow[c]
-            row_masks[c] = m
-        return row_masks
+        big = 0
+        for j, byte in enumerate(cur.to_bytes(width, "little")):
+            if byte:
+                memo = memos[j]
+                ored = memo.get(byte)
+                if ored is None:
+                    ored = 0
+                    bits = byte
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        ored |= packed[8 * j + low.bit_length() - 1]
+                    memo[byte] = ored
+                big |= ored
+        return [(big >> sh) & full for sh in shifts]
 
     return explore(start, step)
 

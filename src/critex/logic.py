@@ -10,6 +10,16 @@ other construction.  The track order of a
 compiled machine is exactly the declared free-variable order, never inferred
 from the formula.
 
+An atom's auxiliary `_t` variables are quantified early (bucket
+elimination): the atom is conjoined with its lowering parts one at a time,
+greedily taking the part that leaves the fewest tracks, and each `_t`
+variable is erased as soon as no remaining part mentions it.
+`seq[i+j] = seq[i+p+j]` thus never builds a product wider than 4 tracks,
+where conjoining every part first would build one of 6.  The order cannot
+change the compiled machine: every conjunction and every erasure lands on
+the canonical minimal machine of its language, and the language is the
+same in any order.
+
 ASCII grammar (parse):
 
     formula := 'E' var ('<' term)? '.' formula | 'A' var ('<' term)? '.' formula
@@ -434,11 +444,29 @@ class _Compiler:
         return aux
 
     def atom(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tuple[Dfa, tuple[str, ...]]:
-        machine, mvars = self.conjoin([(core, slots)] + parts)
-        for _, pv in parts:
-            for v in pv:
-                if v.startswith("_t"):
-                    machine, mvars = self.exists_out(machine, mvars, v)
+        """Conjoin the core atom with its lowering parts and erase every
+        auxiliary `_t` variable as soon as no remaining part mentions it.
+
+        Each step conjoins the part that leaves the fewest tracks after that
+        erasure, the first such part in `parts` on a tie.  Every step lands
+        on the canonical minimal machine of its language, so the order can
+        change the intermediate machines and the order of the returned
+        tracks, but not the language; the compiled machine, lifted to the
+        declared track order and minimized, is the same.
+        """
+        machine, mvars = core, slots
+        rest = list(parts)
+        while rest:
+
+            def tracks_left(i: int) -> int:
+                live = {v for j, (_, pv) in enumerate(rest) if j != i for v in pv}
+                return sum(1 for v in set(mvars) | set(rest[i][1]) if not v.startswith("_t") or v in live)
+
+            part = rest.pop(min(range(len(rest)), key=tracks_left))
+            machine, mvars = self.conjoin([(machine, mvars), part])
+            live = {v for _, pv in rest for v in pv}
+            for v in [v for v in mvars if v.startswith("_t") and v not in live]:
+                machine, mvars = self.exists_out(machine, mvars, v)
         return machine, mvars
 
     def compile(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
@@ -462,6 +490,8 @@ class _Compiler:
         if isinstance(f, SeqConst):
             if env.dfao is None:
                 raise CompileError("formula uses seq[...] but no sequence was supplied")
+            if f.symbol not in env.dfao.output_alphabet:
+                raise CompileError(f"output symbol {f.symbol!r} not in the sequence alphabet")
             parts = []
             v = self.lower_term(f.term, parts)
             return self.atom(arith.seq_const(env.dfao, f.symbol), (v,), parts)

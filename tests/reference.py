@@ -4,8 +4,10 @@ The enumeration references list words or pumps explicitly, so their cost is
 exponential in the machine size; the library's exact solvers are checked
 against their results on small machines.  The forward constructions (an
 explicit `Nfa`, `project`, `zero_saturate` and the forward subset
-construction `determinize`) are what `erase`, `zero_closure` and the
-double-reversal core are checked against, field for field; `reverse`,
+construction `determinize`, over the member-by-symbol step
+`subsets_reference`) are what `erase`, `zero_closure`, the double-reversal
+core and the packed `_subsets` step are checked against, field for field;
+`atom_conjoin_all` is the compiler's atom without early erasure; `reverse`,
 `language_equal`, `permute_tracks` and `shortest_accepted` are small
 constructions only the tests use.  `max_pump_weight_reference` is the
 whole-trim pump-weight DP the per-component one is pinned against.
@@ -28,7 +30,6 @@ from critex.automaton import (
     _mask,
     _require_compatible,
     _reverse_subsets,
-    _subsets,
     enumerate_accepted,
     explore,
     is_empty,
@@ -292,10 +293,31 @@ def zero_saturate(nfa: Nfa) -> Nfa:
     return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure, nfa.order)
 
 
+def subsets_reference(masks: list[list[int]], start: int, s_count: int):
+    """automaton._subsets with the member-by-symbol step: each step ORs the
+    c-successor masks of every member, column by column."""
+
+    def step(cur: int) -> list[int]:
+        member_rows = []
+        while cur:
+            low = cur & -cur
+            cur ^= low
+            member_rows.append(masks[low.bit_length() - 1])
+        row_masks = [0] * s_count
+        for c in range(s_count):
+            m = 0
+            for mrow in member_rows:
+                m |= mrow[c]
+            row_masks[c] = m
+        return row_masks
+
+    return explore(start, step)
+
+
 def determinize(nfa: Nfa) -> Dfa:
     """Forward subset construction; the empty subset is the dead sink."""
     masks = [[_mask(tgt) for tgt in row] for row in nfa.trans]
-    rows, subsets = _subsets(masks, _mask(nfa.initials), nfa.alphabet_size)
+    rows, subsets = subsets_reference(masks, _mask(nfa.initials), nfa.alphabet_size)
     accept_mask = _mask(nfa.accept)
     acc = [i for i, m in enumerate(subsets) if m & accept_mask]
     return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
@@ -307,6 +329,18 @@ def determinize_minimal(nfa: Nfa) -> Dfa:
     minimize(determinize(nfa)) field for field."""
     arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
     return _double_reversal(nfa.k, nfa.tracks, nfa.order, nfa.num_states, arcs, nfa.accept, nfa.initials)
+
+
+def atom_conjoin_all(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tuple[Dfa, tuple[str, ...]]:
+    """logic._Compiler.atom without early erasure: conjoin the core atom
+    with every lowering part, then erase each `_t` variable in order of
+    mention.  Patch it over `_Compiler.atom` to compile the reference way."""
+    machine, mvars = self.conjoin([(core, slots)] + parts)
+    for _, pv in parts:
+        for v in pv:
+            if v.startswith("_t"):
+                machine, mvars = self.exists_out(machine, mvars, v)
+    return machine, mvars
 
 
 def shortest_accepted(a: Dfa) -> DigitWord | None:

@@ -6,6 +6,7 @@ from critex.automaton import (
     Dfa,
     IncompatibleError,
     StateLimitError,
+    _subsets,
     canonicalize,
     complement,
     enumerate_accepted,
@@ -40,6 +41,7 @@ from reference import (
     pump_decompositions,
     reverse,
     shortest_accepted,
+    subsets_reference,
     zero_saturate,
 )
 
@@ -242,6 +244,24 @@ def test_determinize_minimal_state_cap_in_second_pass(monkeypatch):
     monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
     with pytest.raises(StateLimitError):
         determinize_minimal(nfa)
+
+
+def test_packed_subsets_match_member_by_symbol_step():
+    # n within one chunk of 8 states or across two, a multiple of 8 or not;
+    # a row is empty one time in four, and each start is random and then 0.
+    # Wide alphabets keep n small: 243 symbols on 13 states reach 23k subsets
+    rng = random.Random(22)
+    for s_count in (1, 2, 3, 8, 9, 81, 243):
+        for n in (1, 7, 8, 13, 16) if s_count < 81 else (1, 7, 8, 9):
+            for _ in range(3):
+                masks = [
+                    [0] * s_count
+                    if rng.random() < 0.25
+                    else [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(s_count)]
+                    for _ in range(n)
+                ]
+                for start in (rng.getrandbits(n), 0):
+                    assert _subsets(masks, start, s_count) == subsets_reference(masks, start, s_count)
 
 
 def _random_dfa_any_initial(rng: random.Random) -> Dfa:

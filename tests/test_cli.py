@@ -299,3 +299,10 @@ assert code == 0, code
     assert proc.returncode == 0, proc.stderr
     assert "value=2/1" in proc.stdout
     assert (tmp_path / "out.dfa").exists()
+
+
+@pytest.mark.parametrize("formula, extra", [("seq[x] = 9", ["--vars", "x"]), ("seq[0] = 9", [])])
+def test_unknown_output_symbol_is_input_error(files, capsys, formula, extra):
+    code, _, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", formula, *extra)
+    assert code == 2
+    assert err.strip() == "error: output symbol '9' not in the sequence alphabet"

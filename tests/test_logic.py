@@ -1,13 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from critex import automaton, logic
 from critex.automaton import Dfa
 from critex.logic import (
     Add,
     And,
     CompilationEnv,
     Cmp,
+    CompileError,
     Const,
     Exists,
     Forall,
@@ -27,7 +30,7 @@ from critex.logic import (
 )
 from critex.numeral import RadixContext
 
-from reference import language_equal
+from reference import atom_conjoin_all, language_equal
 from test_arith import encode_tuple
 
 
@@ -208,7 +211,7 @@ def _random_qf_formula(rng, names):
     return formula(2)
 
 
-def test_quantifier_free_soundness_fuzz(tm, ctx):
+def test_quantifier_free_soundness_fuzz(tm, ctx, monkeypatch):
     rng = random.Random(3100)
     names = ["x", "y", "z"]
     seq_value = lambda n: tm.value(n)
@@ -219,6 +222,7 @@ def test_quantifier_free_soundness_fuzz(tm, ctx):
         if not used:
             continue
         m = compile_formula(f, CompilationEnv(used, tm, ctx))
+        assert _compile_reference(monkeypatch, f, CompilationEnv(used, tm, ctx)) == m, f
         for _ in range(40):
             assignment = {v: rng.randrange(0, 64) for v in used}
             word = encode_tuple(tuple(assignment[v] for v in used), 2)
@@ -308,3 +312,61 @@ def test_projection_respects_the_state_cap(tm, ctx, monkeypatch):
     assert "_reverse_subsets" in [e.name for e in info.traceback]
     monkeypatch.setenv("CRITEX_MAX_STATES", "100")
     assert compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l")).num_states == 12
+
+
+# ------------------------------------------------------------- early erasure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _compile_reference(monkeypatch, f, env):
+    """The machine compiled with the reference atom, which conjoins every
+    lowering part before it erases any `_t` variable."""
+    with monkeypatch.context() as patch:
+        patch.setattr(logic._Compiler, "atom", atom_conjoin_all)
+        return compile_formula(f, env)
+
+
+def test_early_erasure_matches_reference_on_exponent_formulas(monkeypatch):
+    from critex import exponents
+    from critex.autfile import load_automaton
+
+    formulas = [
+        (exponents.PERIOD_FORMULA, ("q", "p")),
+        (exponents.RECURRENT_PERIOD_FORMULA, ("q", "p")),
+        (exponents.PREFIX_PERIOD_FORMULA, ("q", "p")),
+        (exponents.PREFIX_TAIL_FORMULA, ("s", "t")),
+        (exponents.GAP_FORMULA, ("n", "l")),
+        (exponents.RECURRENT_SENTENCE, ()),
+    ]
+    paths = sorted(FIXTURES.glob("*.dfao"))
+    assert len(paths) == 7
+    for path in paths:
+        a = load_automaton(str(path))
+        for text, free in formulas:
+            f, env = parse(text), CompilationEnv(free, a, RadixContext(a.k))
+            assert compile_formula(f, env) == _compile_reference(monkeypatch, f, env), (path.name, text)
+
+
+def test_early_erasure_narrows_the_widest_product(tm, ctx, monkeypatch):
+    widths = []
+
+    def product(a, b, mode):
+        widths.append(a.tracks)
+        return automaton.product(a, b, mode)
+
+    monkeypatch.setattr(logic, "product", product)
+    env = env_for(tm, ctx, "i", "j", "p")
+    f = parse("seq[i+j] = seq[i+p+j]")
+    compile_formula(f, env)
+    assert max(widths) <= 5
+    widths.clear()
+    monkeypatch.setattr(logic._Compiler, "atom", atom_conjoin_all)
+    compile_formula(f, env)
+    assert max(widths) == 6
+
+
+@pytest.mark.parametrize("text, names", [("seq[x] = 9", ("x",)), ("seq[0] = 9", ())])
+def test_unknown_output_symbol_is_compile_error(tm, ctx, text, names):
+    with pytest.raises(CompileError, match="output symbol '9' not in the sequence alphabet"):
+        compile_formula(parse(text), env_for(tm, ctx, *names))
