@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
+from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition, state_limit
 from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
 from .numeral import DigitWord, RadixContext
 from .quotient import FiniteLanguageError, largest_limit_quotient, sup_quo
@@ -57,8 +57,10 @@ _PAIR_CACHE: dict[tuple, Dfa] = {}
 
 
 def _compile_pairs(a: Dfao, text: str, free: tuple[str, ...]) -> Dfa:
-    # immutable memo keyed by the sequence automaton's content
-    key = (a.k, a.trans, a.output, a.initial, text, free)
+    # immutable memo keyed by the sequence automaton's content; the cap is
+    # part of the key, so a machine built under a larger cap is never handed
+    # out where a fresh build would raise StateLimitError
+    key = (a.k, a.trans, a.output, a.initial, a.order, text, free, state_limit())
     cached = _PAIR_CACHE.get(key)
     if cached is not None:
         return cached
@@ -127,16 +129,22 @@ def special_exponent(a: Dfao, pairs: Dfa | None = None) -> ExponentResult:
     return ExponentResult("c2", value, None, pump, L)
 
 
+def _initial_critical_exponent(a: Dfao) -> ExponentResult:
+    L = _compile_pairs(a, PREFIX_PERIOD_FORMULA, ("q", "p"))
+    res = sup_quo(L, _ctx(a))
+    return ExponentResult("ice1", res.value, res.attained, res.witness, L)
+
+
+def _initial_limit_exponent(a: Dfao) -> ExponentResult:
+    L = _compile_pairs(a, PREFIX_PERIOD_FORMULA, ("q", "p"))
+    value, pump = largest_limit_quotient(L, _ctx(a))
+    return ExponentResult("ice2", value, None, pump, L)
+
+
 def initial_critical_exponents(a: Dfao) -> tuple[ExponentResult, ExponentResult]:
     """Prefix analogues: supremum over prefixes, and over arbitrarily long
     prefixes, of the prefix exponent."""
-    L = _compile_pairs(a, PREFIX_PERIOD_FORMULA, ("q", "p"))
-    ctx = _ctx(a)
-    res = sup_quo(L, ctx)
-    ice1 = ExponentResult("ice1", res.value, res.attained, res.witness, L)
-    value, pump = largest_limit_quotient(L, ctx)
-    ice2 = ExponentResult("ice2", value, None, pump, L)
-    return ice1, ice2
+    return _initial_critical_exponent(a), _initial_limit_exponent(a)
 
 
 def diophantine_exponent(a: Dfao) -> ExponentResult:
@@ -185,9 +193,9 @@ def compute_measure(a: Dfao, which: str) -> ExponentResult:
     if which == "c2":
         return special_exponent(a)
     if which == "ice1":
-        return initial_critical_exponents(a)[0]
+        return _initial_critical_exponent(a)
     if which == "ice2":
-        return initial_critical_exponents(a)[1]
+        return _initial_limit_exponent(a)
     if which == "dio":
         return diophantine_exponent(a)
     raise ExponentError(f"unknown measure {which!r}")

@@ -8,7 +8,8 @@ The supremum solver rests on three exact primitives:
   denominator fixed (its denominator-track increment is zero),
 * a pump-weight maximizer: for a fraction P/Q, the maximum of
   Q*inc1 - P*inc2 over all pumps within first-repeat bounds, with the pump
-  that attains it,
+  that attains it; a bound per loop state, from one DP per strongly
+  connected component, skips the cycle DPs that cannot beat the best pump,
 * a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
   bounded length, with the word that attains it.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import cmp_rel, linear_rel, nonzero_track_dfa, successor_rel
 from .automaton import (
@@ -158,13 +160,13 @@ def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = No
     return nxt
 
 
-def _heaviest_walk(a: Dfa, trim: set[int], P: int, Q: int, start: int, steps: int, end: int) -> list:
-    """Symbols of the heaviest walk of `steps` symbols from start to end in
-    the trim part, with the weight DPs' tie-breaks: the walk behind an argmax."""
+def _heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:
+    """Symbols of the heaviest walk of `steps` symbols from start to end over
+    the moves `adj`, with the weight DPs' tie-breaks: the walk behind an
+    argmax."""
     k = a.k
     syms = symbols(k, 2)
     w = _symbol_weights(k, P, Q)
-    adj = _trim_adjacency(a, trim)
     cur = {start: 0}
     parents: list[dict] = []
     for _ in range(steps):
@@ -192,9 +194,26 @@ def _cycle_adjacency(adj) -> dict[int, dict[int, list[tuple[int, int]]]]:
     return out
 
 
-def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
+class PumpGraph(NamedTuple):
+    """The trim part of a machine as the pump DPs read it: its states, their
+    moves inside it and `_cycle_adjacency` of those moves.  Only P/Q changes
+    between the steps of one solve, so one graph serves them all."""
+
+    trim: set[int]
+    adj: dict[int, list[tuple[int, int]]]
+    cycles: dict[int, dict[int, list[tuple[int, int]]]]
+
+
+def pump_graph(a: Dfa) -> PumpGraph:
+    trim = trim_states(a)
+    adj = _trim_adjacency(a, trim)
+    return PumpGraph(trim, adj, _cycle_adjacency(adj))
+
+
+def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
     """Maximum of Q*inc1 - P*inc2 over pumps with its argmax (loop state,
-    |u|, |v|), the first strict maximum; or None if no pump exists.
+    |u|, |v|): the largest weight, then the smallest loop state, then the
+    shortest v; or None if no pump exists.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
     state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, with T the
@@ -205,28 +224,50 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
     path u, so |u| < T, and a simple cycle v, so |v| <= |SCC(s)|) is inside
     the bounds, so the sign of the maximum compares the largest limit
     quotient with P/Q exactly.
+
+    The pump with loop state s, the heaviest u to s (weight x(s)) and a
+    closed walk v of b symbols weighs (k^b - 1)*x(s) + y_b(s), y_b(s) the
+    heaviest such v.  One multi-source DP per component, every state
+    starting at 0, gives U_b(s), the heaviest walk of b symbols inside the
+    component that ends at s; it starts anywhere, so U_b(s) >= y_b(s), and
+    bound(s) = max_b (k^b - 1)*x(s) + U_b(s) is at least every pump weight
+    at s.  Loop states are searched by descending bound, and the search
+    stops at the first whose bound cannot beat the best pump found under
+    the order above: every later state then has a smaller bound, or an
+    equal one and a larger number.  The skipped states hold no better pump,
+    so the maximum and its argmax are exactly those of the full search.
     """
-    if trim is None:
-        trim = trim_states(a)
-    if a.initial not in trim:
+    if graph is None:
+        graph = pump_graph(a)
+    if a.initial not in graph.trim:
         return None
     k = a.k
     w = _symbol_weights(k, P, Q)
-    adj = _trim_adjacency(a, trim)
-    T = len(trim)
+    T = len(graph.trim)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
     for ln in range(1, T):
-        cur = _layer(cur, adj, k, w)
+        cur = _layer(cur, graph.adj, k, w)
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
-    cycles = _cycle_adjacency(adj)
-    best = None
-    for s0 in sorted(xstar):
-        sub = cycles.get(s0)
-        if sub is None:
+    bound: dict[int, int] = {}
+    for s, sub in graph.cycles.items():
+        if s in bound:
             continue
+        cur = dict.fromkeys(sub, 0)
+        for b in range(1, len(sub) + 1):
+            cur = _layer(cur, sub, k, w)
+            gain = k**b - 1
+            for t, val in cur.items():
+                val += gain * xstar[t][0]
+                if t not in bound or val > bound[t]:
+                    bound[t] = val
+    best = None
+    for s0 in sorted(bound, key=lambda s: (-bound[s], s)):
+        if best is not None and (bound[s0], -s0) < (best[0], -best[1][0]):
+            break
+        sub = graph.cycles[s0]
         x0, xlen = xstar[s0]
         curz = {s0: 0}
         for b in range(1, len(sub) + 1):
@@ -234,7 +275,7 @@ def max_pump_weight(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
             yb = curz.get(s0)
             if yb is not None:
                 combo = (k**b - 1) * x0 + yb
-                if best is None or combo > best[0]:
+                if best is None or (combo, -s0) > (best[0], -best[1][0]):
                     best = (combo, (s0, xlen, b))
     return best
 
@@ -301,11 +342,11 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
     oracle.brute_quo_profile.
     """
 
-    trim = trim_states(a)
+    adj = _trim_adjacency(a, trim_states(a))
 
     def rebuild(P, Q, arg):
         ln, s = arg
-        walk = _heaviest_walk(a, trim, P, Q, a.initial, ln, s)
+        walk = _heaviest_walk(a, adj, P, Q, a.initial, ln, s)
         return DigitWord(a.k, 2, tuple(walk), a.order)
 
     got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len), rebuild, ratio)
@@ -474,12 +515,14 @@ def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
     """Largest pump ratio of a prepared infinite machine without an unbounded
     pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
     pump that attains it."""
-    trim = trim_states(work)
+    graph = pump_graph(work)
 
     def rebuild(P, Q, arg):
         s0, xlen, b = arg
-        u = _heaviest_walk(work, trim, P, Q, work.initial, xlen, s0)
-        v = _heaviest_walk(work, trim, P, Q, s0, b, s0)
+        u = _heaviest_walk(work, graph.adj, P, Q, work.initial, xlen, s0)
+        # no walk from s0 that leaves its component comes back to it, so the
+        # component's moves give the same parents as the whole trim part
+        v = _heaviest_walk(work, graph.cycles[s0], P, Q, s0, b, s0)
         return make_pump(work.k, u, v, s0, work.order)
 
     def ratio_of(pump):
@@ -487,7 +530,7 @@ def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
             raise InvariantError("a weighed pump has a zero denominator increment")
         return Fraction(pump.inc1, pump.inc2)
 
-    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, trim), rebuild, ratio_of)
+    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), rebuild, ratio_of)
     if got is None:
         raise InvariantError("an infinite machine has no pump to weigh")
     return got

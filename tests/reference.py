@@ -10,7 +10,9 @@ core and the packed `_subsets` step are checked against, field for field;
 `atom_conjoin_all` is the compiler's atom without early erasure; `reverse`,
 `language_equal`, `permute_tracks` and `shortest_accepted` are small
 constructions only the tests use.  `max_pump_weight_reference` is the
-whole-trim pump-weight DP the per-component one is pinned against.
+whole-trim pump-weight DP the per-component one is pinned against, and
+`max_pump_weight_per_component` is the per-component DP without the bound
+pass that prunes its loop states.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from critex.automaton import (
 from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
+    PumpGraph,
     SupResult,
     _layer,
     _prepare,
     _symbol_weights,
-    _trim_adjacency,
     compare_language,
     find_unbounded_pump,
+    pump_graph,
 )
 from critex.rational import INF
 
@@ -180,18 +183,18 @@ def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
     return SupResult(alpha, False, pump)
 
 
-def max_pump_weight_reference(a: Dfa, P: int, Q: int, trim: set[int] | None = None):
+def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
     """Whole-trim pump-weight DP: quotient.max_pump_weight without the
     per-component restriction, with closed walks v of 1 <= |v| <= T at every
     trim state, T the trim size; O(T^2) layer steps per call."""
-    if trim is None:
-        trim = trim_states(a)
-    if a.initial not in trim:
+    if graph is None:
+        graph = pump_graph(a)
+    if a.initial not in graph.trim:
         return None
     k = a.k
     w = _symbol_weights(k, P, Q)
-    adj = _trim_adjacency(a, trim)
-    T = len(trim)
+    adj = graph.adj
+    T = len(graph.trim)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
     for ln in range(1, T):
@@ -211,6 +214,41 @@ def max_pump_weight_reference(a: Dfa, P: int, Q: int, trim: set[int] | None = No
             yb = curz.get(s0)
             if yb is not None:
                 combo = (pow_k[b] - 1) * x0 + yb
+                if best is None or combo > best[0]:
+                    best = (combo, (s0, xlen, b))
+    return best
+
+
+def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
+    """quotient.max_pump_weight without the bound pass: the cycle DP of
+    |SCC(s0)| layers runs at every loop state s0, in ascending order, and
+    the first strict maximum wins."""
+    if graph is None:
+        graph = pump_graph(a)
+    if a.initial not in graph.trim:
+        return None
+    k = a.k
+    w = _symbol_weights(k, P, Q)
+    T = len(graph.trim)
+    cur = {a.initial: 0}
+    xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
+    for ln in range(1, T):
+        cur = _layer(cur, graph.adj, k, w)
+        for s, val in cur.items():
+            if s not in xstar or val > xstar[s][0]:
+                xstar[s] = (val, ln)
+    best = None
+    for s0 in sorted(xstar):
+        sub = graph.cycles.get(s0)
+        if sub is None:
+            continue
+        x0, xlen = xstar[s0]
+        curz = {s0: 0}
+        for b in range(1, len(sub) + 1):
+            curz = _layer(curz, sub, k, w)
+            yb = curz.get(s0)
+            if yb is not None:
+                combo = (k**b - 1) * x0 + yb
                 if best is None or combo > best[0]:
                     best = (combo, (s0, xlen, b))
     return best

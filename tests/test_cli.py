@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -245,11 +246,17 @@ def test_projection_state_cap_exits_4(files, capsys, monkeypatch):
 
 
 def test_console_entry_point_smoke(files):
+    # the child finds critex where this process did, installed or not
+    import critex
+
+    src = str(Path(critex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "critex", "exponent", files["tm.dfao"], "--which", "critical"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "value=2/1" in proc.stdout

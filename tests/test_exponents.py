@@ -1,7 +1,11 @@
 from fractions import Fraction
 
-from critex.automaton import canonicalize, is_empty, product
+import pytest
+
+from critex import exponents
+from critex.automaton import StateLimitError, canonicalize, is_empty, product
 from critex.exponents import (
+    compute_measure,
     critical_exponent,
     diophantine_exponent,
     gap_language,
@@ -82,6 +86,39 @@ def test_initial_critical_exponents(tm, zero, vtm, one_then_zeros):
     assert i2.value == Fraction(5, 3)
     i1, i2 = initial_critical_exponents(one_then_zeros)
     assert (i1.value, i2.value) == (Fraction(1), Fraction(1))
+
+
+def test_compute_measure_runs_only_the_solver_it_reports(tm, monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(exponents, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    for name in ("sup_quo", "largest_limit_quotient"):
+        monkeypatch.setattr(exponents, name, counting(name))
+    ice1, ice2 = initial_critical_exponents(tm)
+    assert calls == ["sup_quo", "largest_limit_quotient"]
+    calls.clear()
+    assert compute_measure(tm, "ice1") == ice1
+    assert calls == ["sup_quo"]
+    calls.clear()
+    assert compute_measure(tm, "ice2") == ice2
+    assert calls == ["largest_limit_quotient"]
+
+
+def test_pair_cache_respects_the_state_cap(rs, monkeypatch):
+    # a pair language built under the default cap is not handed out under a
+    # cap its fresh build exceeds
+    assert critical_exponent(rs).value == 4
+    monkeypatch.setenv("CRITEX_MAX_STATES", "50")
+    with pytest.raises(StateLimitError):
+        critical_exponent(rs)
 
 
 def test_ice_oracle_consistency(tm, rs, vtm):

@@ -46,6 +46,7 @@ from helpers import comparator_bounded_suite, prepared_random_suite, verify_pump
 from reference import (
     candidates,
     is_sup_infinite_reference,
+    max_pump_weight_per_component,
     max_pump_weight_reference,
     pump_decompositions,
     sup_quo_reference,
@@ -340,6 +341,52 @@ def test_max_pump_weight_cost_is_per_component(monkeypatch):
     monkeypatch.setattr(quotient, "_layer", counted)
     assert max_pump_weight(work, 1, 1) is not None
     assert len(calls) <= (T - 1) + 2 * 2
+
+
+def _bounded_suite_limits():
+    return [(work, largest_limit_quotient(work, ctx)[0]) for work, ctx in comparator_bounded_suite(5200, 100)]
+
+
+def test_pruned_pump_weight_matches_per_component_reference():
+    # skipping loop states by their bound changes no maximum and no argmax
+    rng = random.Random(5200)
+    suite = _bounded_suite_limits()
+    for machine in prepared_random_suite(5300, 100):
+        limit = largest_limit_quotient(machine, CTX)[0] if is_infinite(machine) else None
+        suite.append((machine, limit if isinstance(limit, Fraction) else None))
+    for idx, (work, limit) in enumerate(suite):
+        graph = quotient.pump_graph(work)
+        probes = [Fraction(0)] + [Fraction(rng.randrange(20), rng.randrange(1, 8)) for _ in range(3)]
+        if limit is not None:
+            probes.append(limit)
+        for beta in probes:
+            P, Q = beta.numerator, beta.denominator
+            want = max_pump_weight_per_component(work, P, Q, graph)
+            assert max_pump_weight(work, P, Q, graph) == want, (idx, beta)
+            assert max_pump_weight(work, P, Q) == want, (idx, beta)
+
+
+def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
+    # the prefix DP runs over graph.adj in both oracles; every other layer
+    # is a cycle-DP layer, the bound pass included
+    import reference
+
+    suite = _bounded_suite_limits()
+    real = quotient._layer
+    counts = {max_pump_weight: 0, max_pump_weight_per_component: 0}
+    for fn in counts:
+        for work, limit in suite:
+            graph = quotient.pump_graph(work)
+
+            def counted(cur, adj, *rest, fn=fn, graph=graph):
+                counts[fn] += adj is not graph.adj
+                return real(cur, adj, *rest)
+
+            monkeypatch.setattr(quotient, "_layer", counted)
+            monkeypatch.setattr(reference, "_layer", counted)
+            for beta in (Fraction(0), limit):
+                assert fn(work, beta.numerator, beta.denominator, graph)[0] >= 0
+    assert counts[max_pump_weight] < counts[max_pump_weight_per_component]
 
 
 def test_limit_probes_land_on_argmax_ratios(monkeypatch):
