@@ -8,7 +8,7 @@
     critex oracle {prefix|scan|ice|recurrence|quo} <file> [--n N] [--max-period P] [--json]
 
 Exit codes: 0 success, 2 input/parse error, 3 precondition violation,
-4 internal invariant breach or resource limit.
+4 internal invariant breach or resource limit (the state cap, or memory).
 
 All numeric output is exact: reduced fractions rendered "num/den", or the
 literal "inf".  CRITEX_MAX_STATES bounds intermediate machines (default
@@ -310,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except (StateLimitError, InvariantError) as exc:
         print(f"internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
     report.time_ms = int((time.monotonic() - started) * 1000)
     print(report.to_json() if args.json else report.to_text())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition, state_limit
+from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
 from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
 from .numeral import DigitWord, RadixContext
 from .quotient import FiniteLanguageError, largest_limit_quotient, sup_quo
@@ -53,22 +53,10 @@ def _ctx(a: Dfao) -> RadixContext:
     return RadixContext(a.k)
 
 
-_PAIR_CACHE: dict[tuple, Dfa] = {}
-
-
 def _compile_pairs(a: Dfao, text: str, free: tuple[str, ...]) -> Dfa:
-    # immutable memo keyed by the sequence automaton's content; the cap is
-    # part of the key, so a machine built under a larger cap is never handed
-    # out where a fresh build would raise StateLimitError
-    key = (a.k, a.trans, a.output, a.initial, a.order, text, free, state_limit())
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    env = CompilationEnv(free, a, _ctx(a))
-    out = compile_formula(parse(text), env)
+    out = compile_formula(parse(text), CompilationEnv(free, a, _ctx(a)))
     if not isinstance(out, Dfa):
         raise InvariantError(f"pair formula {text!r} compiled to a truth value")
-    _PAIR_CACHE[key] = out
     return out
 
 

@@ -20,6 +20,15 @@ change the compiled machine: every conjunction and every erasure lands on
 the canonical minimal machine of its language, and the language is the
 same in any order.
 
+Quantified subformulas are shared through one memo of every compiled E
+and A node and every whole formula compile_formula returns.  Its key is the
+node's shape with each variable renamed by first occurrence, a digest of
+the sequence Dfao's content, the base and the CRITEX_MAX_STATES cap, plus
+the declared track order for a whole formula.  The compiler reads names only
+to tell variables apart and lands every node on its canonical minimal
+machine, so a hit, its tracks mapped back to the caller's names, is exactly
+what a fresh compile gives.
+
 ASCII grammar (parse):
 
     formula := 'E' var ('<' term)? '.' formula | 'A' var ('<' term)? '.' formula
@@ -34,8 +43,9 @@ Precedence: ~ > & > | > ->; quantifiers extend to the right maximally.
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import arith
 from .automaton import (
@@ -48,6 +58,7 @@ from .automaton import (
     lift_tracks,
     minimize,
     product,
+    state_limit,
 )
 from .numeral import MSD, RadixContext
 
@@ -387,11 +398,40 @@ def bool_dfa(k: int, truth: bool) -> Dfa:
     return Dfa(k, 0, [[0]], {0} if truth else set(), 0, MSD)
 
 
+# ---------------------------------------------------------------- memo
+
+_MEMO: dict[tuple, object] = {}
+_MEMO_LIMIT = 4096
+
+
+def _remember(key: tuple, value):
+    if len(_MEMO) >= _MEMO_LIMIT:
+        _MEMO.clear()
+    _MEMO[key] = value
+    return value
+
+
+def _shape(node, names: dict[str, int]):
+    """The node as nested tuples with every variable replaced by its index
+    in order of first occurrence, which `names` records."""
+    if isinstance(node, Var):
+        return names.setdefault(node.name, len(names))
+    if isinstance(node, (Exists, Forall)):
+        return type(node), names.setdefault(node.var, len(names)), _shape(node.body, names)
+    if isinstance(node, (Const, Add, Cmp, SeqEq, SeqConst, Not, And, Or, Implies)):
+        return (type(node), *(_shape(getattr(node, field.name), names) for field in fields(node)))
+    return node  # a literal: Const.value, Cmp.op or SeqConst.symbol
+
+
 class _Compiler:
     def __init__(self, env: CompilationEnv):
         self.env = env
         self.k = env.ctx.k
         self.counter = 0
+        a = env.dfao
+        seq = b"" if a is None else repr((a.k, a.tracks, a.trans, a.output, a.initial, a.order)).encode()
+        # the memo key parts shared by every node of one compilation
+        self.context = (self.k, hashlib.sha256(seq).digest(), state_limit())
 
     def fresh(self) -> str:
         self.counter += 1
@@ -470,6 +510,20 @@ class _Compiler:
         return machine, mvars
 
     def compile(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
+        """The machine of f with its track names; E and A nodes through the memo."""
+        if not isinstance(f, (Exists, Forall)):
+            return self.build(f)
+        names: dict[str, int] = {}
+        key = (_shape(f, names), self.context)
+        hit = _MEMO.get(key)
+        if hit is None:
+            m, mvars = self.build(f)
+            hit = _remember(key, (m, tuple(names[v] for v in mvars)))
+        m, slots = hit
+        order = list(names)
+        return m, tuple(order[i] for i in slots)
+
+    def build(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
         env = self.env
         if isinstance(f, Cmp):
             parts: list = []
@@ -532,15 +586,20 @@ def compile_formula(f: Formula, env: CompilationEnv) -> Dfa | bool:
             f"free variables {sorted(fv)} do not match the declared list {list(env.free_vars)}"
         )
     comp = _Compiler(env)
+    names: dict[str, int] = {}
+    key = (_shape(f, names), comp.context, tuple(names[v] for v in env.free_vars))
+    hit = _MEMO.get(key)
+    if hit is not None:
+        return hit
     m, mvars = comp.compile(f)
     if not env.free_vars:
         if mvars:
             raise CompileError("closed formula left open tracks")
-        return not is_empty(m)
+        return _remember(key, not is_empty(m))
     if set(mvars) != set(env.free_vars):
         raise CompileError(f"compiled tracks {mvars} do not cover {env.free_vars}")
     m = comp.lift(m, mvars, env.free_vars) if mvars != env.free_vars else m
-    return minimize(m)
+    return _remember(key, minimize(m))
 
 
 def evaluate_sentence(f: Formula, env: CompilationEnv) -> bool:
@@ -550,57 +609,3 @@ def evaluate_sentence(f: Formula, env: CompilationEnv) -> bool:
     if not isinstance(out, bool):
         raise InvariantError("a sentence compiled to a machine")
     return out
-
-
-# ---------------------------------------------------------------- direct evaluation (test oracle)
-
-
-def eval_term(t: Term, assignment: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        return assignment[t.name]
-    if isinstance(t, Const):
-        return t.value
-    return eval_term(t.left, assignment) + eval_term(t.right, assignment)
-
-
-_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def interpret(f: Formula, assignment: dict[str, int], seq_value, box: int | None = None) -> bool:
-    """Direct recursive evaluation; quantifiers range over 0..box-1.
-
-    With box=None, quantified formulas are rejected, making this an exact
-    oracle for quantifier-free bodies.
-    """
-    if isinstance(f, Cmp):
-        return _OPS[f.op](eval_term(f.left, assignment), eval_term(f.right, assignment))
-    if isinstance(f, SeqEq):
-        return seq_value(eval_term(f.left, assignment)) == seq_value(eval_term(f.right, assignment))
-    if isinstance(f, SeqConst):
-        return seq_value(eval_term(f.term, assignment)) == f.symbol
-    if isinstance(f, Not):
-        return not interpret(f.body, assignment, seq_value, box)
-    if isinstance(f, And):
-        return interpret(f.left, assignment, seq_value, box) and interpret(f.right, assignment, seq_value, box)
-    if isinstance(f, Or):
-        return interpret(f.left, assignment, seq_value, box) or interpret(f.right, assignment, seq_value, box)
-    if isinstance(f, Implies):
-        return (not interpret(f.left, assignment, seq_value, box)) or interpret(
-            f.right, assignment, seq_value, box
-        )
-    if isinstance(f, Exists):
-        if box is None:
-            raise FormulaError("direct evaluation of quantifiers needs a box")
-        return any(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
-    if isinstance(f, Forall):
-        if box is None:
-            raise FormulaError("direct evaluation of quantifiers needs a box")
-        return all(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
-    raise FormulaError(f"unknown formula node {f!r}")

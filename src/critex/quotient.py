@@ -280,15 +280,17 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
     return best
 
 
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int):
+def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict | None = None):
     """Maximum of Q*p - P*q over accepted words of length <= max_len with its
     argmax (length, end state), the first strict maximum, shortest first; or
-    None if no such word is accepted."""
+    None if no such word is accepted.  `adj` is `_trim_adjacency` of a's trim
+    part, built here when not given; only P/Q changes between the steps of
+    one solve, so a caller may build it once."""
+    if adj is None:
+        adj = _trim_adjacency(a, trim_states(a))
     k = a.k
     w = _symbol_weights(k, P, Q)
-    co = trim_states(a)
-    adj = _trim_adjacency(a, co)
-    cur = {a.initial: 0} if a.initial in co else {}
+    cur = {a.initial: 0} if a.initial in adj else {}
     best = None
     for ln in range(max_len + 1):
         if ln:
@@ -349,7 +351,7 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
         walk = _heaviest_walk(a, adj, P, Q, a.initial, ln, s)
         return DigitWord(a.k, 2, tuple(walk), a.order)
 
-    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len), rebuild, ratio)
+    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len, adj), rebuild, ratio)
     return (None, None) if got is None else got
 
 

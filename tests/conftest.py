@@ -1,7 +1,14 @@
 import pytest
 
 from critex.numeral import RadixContext
-from critex import sequences
+from critex import logic, sequences
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_memo():
+    """Every test starts with an empty compile memo, so what one test
+    checks never rests on machines an earlier test compiled."""
+    logic._MEMO.clear()
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ explicit `Nfa`, `project`, `zero_saturate` and the forward subset
 construction `determinize`, over the member-by-symbol step
 `subsets_reference`) are what `erase`, `zero_closure`, the double-reversal
 core and the packed `_subsets` step are checked against, field for field;
-`atom_conjoin_all` is the compiler's atom without early erasure; `reverse`,
-`language_equal`, `permute_tracks` and `shortest_accepted` are small
-constructions only the tests use.  `max_pump_weight_reference` is the
+`atom_conjoin_all` is the compiler's atom without early erasure;
+`interpret` evaluates a formula directly, over a box for quantifiers;
+`reverse`, `language_equal`, `permute_tracks` and `shortest_accepted` are
+small constructions only the tests use.  `max_pump_weight_reference` is the
 whole-trim pump-weight DP the per-component one is pinned against, and
 `max_pump_weight_per_component` is the per-component DP without the bound
 pass that prunes its loop states.
@@ -41,6 +42,22 @@ from critex.automaton import (
     sym_index,
     symbols,
     trim_states,
+)
+from critex.logic import (
+    And,
+    Cmp,
+    Const,
+    Exists,
+    Forall,
+    Formula,
+    FormulaError,
+    Implies,
+    Not,
+    Or,
+    SeqConst,
+    SeqEq,
+    Term,
+    Var,
 )
 from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
@@ -379,6 +396,57 @@ def atom_conjoin_all(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tu
             if v.startswith("_t"):
                 machine, mvars = self.exists_out(machine, mvars, v)
     return machine, mvars
+
+
+def eval_term(t: Term, assignment: dict[str, int]) -> int:
+    if isinstance(t, Var):
+        return assignment[t.name]
+    if isinstance(t, Const):
+        return t.value
+    return eval_term(t.left, assignment) + eval_term(t.right, assignment)
+
+
+_OPS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def interpret(f: Formula, assignment: dict[str, int], seq_value, box: int | None = None) -> bool:
+    """Direct recursive evaluation; quantifiers range over 0..box-1.
+
+    With box=None, quantified formulas are rejected, making this an exact
+    oracle for quantifier-free bodies.
+    """
+    if isinstance(f, Cmp):
+        return _OPS[f.op](eval_term(f.left, assignment), eval_term(f.right, assignment))
+    if isinstance(f, SeqEq):
+        return seq_value(eval_term(f.left, assignment)) == seq_value(eval_term(f.right, assignment))
+    if isinstance(f, SeqConst):
+        return seq_value(eval_term(f.term, assignment)) == f.symbol
+    if isinstance(f, Not):
+        return not interpret(f.body, assignment, seq_value, box)
+    if isinstance(f, And):
+        return interpret(f.left, assignment, seq_value, box) and interpret(f.right, assignment, seq_value, box)
+    if isinstance(f, Or):
+        return interpret(f.left, assignment, seq_value, box) or interpret(f.right, assignment, seq_value, box)
+    if isinstance(f, Implies):
+        return (not interpret(f.left, assignment, seq_value, box)) or interpret(
+            f.right, assignment, seq_value, box
+        )
+    if isinstance(f, Exists):
+        if box is None:
+            raise FormulaError("direct evaluation of quantifiers needs a box")
+        return any(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
+    if isinstance(f, Forall):
+        if box is None:
+            raise FormulaError("direct evaluation of quantifiers needs a box")
+        return all(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
+    raise FormulaError(f"unknown formula node {f!r}")
 
 
 def shortest_accepted(a: Dfa) -> DigitWord | None:

@@ -229,6 +229,18 @@ def test_huge_constant_compiles_under_a_small_state_cap(files, capsys, monkeypat
     assert "sentence=true" in out
 
 
+def test_out_of_memory_exits_4_without_a_traceback(files, capsys, monkeypatch):
+    from critex import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_recurrence", exhausted)
+    code, out, err = run_cli(capsys, "recurrence", files["tm.dfao"])
+    assert code == 4 and out == ""
+    assert err == "internal: out of memory\n"
+
+
 def test_projection_state_cap_exits_4(files, capsys, monkeypatch):
     # the first reversed pass of one projection in the tm gap language needs
     # 100 subsets, more than any other construction of that compile

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from critex import automaton, logic
+from critex import automaton, exponents, logic
+from critex.autfile import load_automaton
 from critex.automaton import Dfa
 from critex.logic import (
     Add,
@@ -25,12 +26,11 @@ from critex.logic import (
     compile_formula,
     evaluate_sentence,
     free_vars,
-    interpret,
     parse,
 )
 from critex.numeral import RadixContext
 
-from reference import atom_conjoin_all, language_equal
+from reference import atom_conjoin_all, interpret, language_equal
 from test_arith import encode_tuple
 
 
@@ -268,22 +268,27 @@ def _paperfolding_value(n: int) -> int:
     return int(n % 4 == 1)
 
 
+def _erase_calls(monkeypatch) -> list:
+    """Patch the compiler's erase to record each (machine, track) it is given."""
+    calls = []
+
+    def recorded(m, track):
+        calls.append((m, track))
+        return automaton.erase(m, track)
+
+    monkeypatch.setattr(logic, "erase", recorded)
+    return calls
+
+
 def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
     # every E projection met while compiling the period, gap and prefix-tail
     # languages; rs is left out because its forward path takes about 20 s
-    import critex.logic as logic
     from critex import sequences
     from critex.automaton import erase, minimize
     from critex.exponents import GAP_FORMULA, PERIOD_FORMULA, PREFIX_TAIL_FORMULA
     from reference import determinize, project, zero_saturate
 
-    captured = []
-
-    def capture(m, track):
-        captured.append((m, track))
-        return erase(m, track)
-
-    monkeypatch.setattr(logic, "erase", capture)
+    captured = _erase_calls(monkeypatch)
     seqs = [
         sequences.thue_morse(),
         sequences.vtm(),
@@ -293,8 +298,12 @@ def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
     for a in seqs:
         for text, free in ((PERIOD_FORMULA, ("q", "p")), (GAP_FORMULA, ("n", "l")), (PREFIX_TAIL_FORMULA, ("s", "t"))):
             compile_formula(parse(text), CompilationEnv(free, a, RadixContext(a.k)))
-    assert len(captured) == 120
-    for m, track in captured:
+    # 48 distinct (machine, track) inputs; the memo skips 20 repeat erases
+    # of the 120 a compile without it runs, and every input is still checked
+    assert len(captured) == 100
+    distinct = set(captured)
+    assert len(distinct) == 48
+    for m, track in distinct:
         out = erase(m, track)
         assert out == minimize(determinize(zero_saturate(project(m, track))))
         assert minimize(out) == out
@@ -312,6 +321,11 @@ def test_projection_respects_the_state_cap(tm, ctx, monkeypatch):
     assert "_reverse_subsets" in [e.name for e in info.traceback]
     monkeypatch.setenv("CRITEX_MAX_STATES", "100")
     assert compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l")).num_states == 12
+    # the cap is part of the memo key: what was built under 100 is not
+    # handed out under 99, where a fresh build trips the cap again
+    monkeypatch.setenv("CRITEX_MAX_STATES", "99")
+    with pytest.raises(StateLimitError):
+        compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l"))
 
 
 # ------------------------------------------------------------- early erasure
@@ -321,31 +335,44 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def _compile_reference(monkeypatch, f, env):
     """The machine compiled with the reference atom, which conjoins every
-    lowering part before it erases any `_t` variable."""
+    lowering part before it erases any `_t` variable.  The compile memo is
+    emptied before and after, so the reference compile runs in full and
+    hands none of its machines to a later compile."""
+    logic._MEMO.clear()
     with monkeypatch.context() as patch:
         patch.setattr(logic._Compiler, "atom", atom_conjoin_all)
-        return compile_formula(f, env)
+        try:
+            return compile_formula(f, env)
+        finally:
+            logic._MEMO.clear()
+
+
+EXPONENT_FORMULAS = [
+    (exponents.PERIOD_FORMULA, ("q", "p")),
+    (exponents.RECURRENT_PERIOD_FORMULA, ("q", "p")),
+    (exponents.PREFIX_PERIOD_FORMULA, ("q", "p")),
+    (exponents.PREFIX_TAIL_FORMULA, ("s", "t")),
+    (exponents.GAP_FORMULA, ("n", "l")),
+    (exponents.RECURRENT_SENTENCE, ()),
+]
+
+
+def _exponent_compiles():
+    """(fixture name, formula, env) for every exponent formula on each of the
+    seven fixture sequences."""
+    paths = sorted(FIXTURES.glob("*.dfao"))
+    assert len(paths) == 7
+    out = []
+    for path in paths:
+        a = load_automaton(str(path))
+        for text, free in EXPONENT_FORMULAS:
+            out.append((path.name, parse(text), CompilationEnv(free, a, RadixContext(a.k))))
+    return out
 
 
 def test_early_erasure_matches_reference_on_exponent_formulas(monkeypatch):
-    from critex import exponents
-    from critex.autfile import load_automaton
-
-    formulas = [
-        (exponents.PERIOD_FORMULA, ("q", "p")),
-        (exponents.RECURRENT_PERIOD_FORMULA, ("q", "p")),
-        (exponents.PREFIX_PERIOD_FORMULA, ("q", "p")),
-        (exponents.PREFIX_TAIL_FORMULA, ("s", "t")),
-        (exponents.GAP_FORMULA, ("n", "l")),
-        (exponents.RECURRENT_SENTENCE, ()),
-    ]
-    paths = sorted(FIXTURES.glob("*.dfao"))
-    assert len(paths) == 7
-    for path in paths:
-        a = load_automaton(str(path))
-        for text, free in formulas:
-            f, env = parse(text), CompilationEnv(free, a, RadixContext(a.k))
-            assert compile_formula(f, env) == _compile_reference(monkeypatch, f, env), (path.name, text)
+    for name, f, env in _exponent_compiles():
+        assert compile_formula(f, env) == _compile_reference(monkeypatch, f, env), (name, f)
 
 
 def test_early_erasure_narrows_the_widest_product(tm, ctx, monkeypatch):
@@ -361,6 +388,7 @@ def test_early_erasure_narrows_the_widest_product(tm, ctx, monkeypatch):
     compile_formula(f, env)
     assert max(widths) <= 5
     widths.clear()
+    logic._MEMO.clear()
     monkeypatch.setattr(logic._Compiler, "atom", atom_conjoin_all)
     compile_formula(f, env)
     assert max(widths) == 6
@@ -370,3 +398,50 @@ def test_early_erasure_narrows_the_widest_product(tm, ctx, monkeypatch):
 def test_unknown_output_symbol_is_compile_error(tm, ctx, text, names):
     with pytest.raises(CompileError, match="output symbol '9' not in the sequence alphabet"):
         compile_formula(parse(text), env_for(tm, ctx, *names))
+
+
+# ------------------------------------------------------------- compile memo
+
+
+def _compile_unshared(monkeypatch, f, env):
+    """The machine compiled without the memo: every node is built, and
+    nothing is stored or looked up."""
+    with monkeypatch.context() as patch:
+        patch.setattr(logic._Compiler, "compile", logic._Compiler.build)
+        patch.setattr(logic, "_remember", lambda key, value: value)
+        return compile_formula(f, env)
+
+
+def test_warm_memo_compiles_the_exponent_formulas_as_an_unshared_compile(monkeypatch):
+    jobs = [(name, f, env, _compile_unshared(monkeypatch, f, env)) for name, f, env in _exponent_compiles()]
+    # the first pass shares quantified subformulas across the formulas of a
+    # sequence, the second finds every whole formula in the memo
+    for _ in range(2):
+        for name, f, env, expected in jobs:
+            assert compile_formula(f, env) == expected, (name, f)
+
+
+def test_renamed_formula_is_a_memo_hit(tm, ctx, monkeypatch):
+    renamed = "b >= 1 & (E x . A y . y + b < a -> seq[x+y] = seq[x+b+y])"
+    expected = _compile_unshared(monkeypatch, parse(renamed), env_for(tm, ctx, "a", "b"))
+    assert expected == compile_formula(parse(exponents.PERIOD_FORMULA), env_for(tm, ctx, "q", "p"))
+    calls = _erase_calls(monkeypatch)
+    assert compile_formula(parse(renamed), env_for(tm, ctx, "a", "b")) == expected
+    assert calls == []
+    # the declared track order is part of the key
+    swapped = compile_formula(parse(renamed), env_for(tm, ctx, "b", "a"))
+    assert swapped != expected
+    assert exponents.period_language(tm) == expected
+
+
+def test_sequences_differing_only_in_outputs_share_no_entry(tm, ctx, monkeypatch):
+    f = parse(exponents.PERIOD_FORMULA)
+    compile_formula(f, env_for(tm, ctx, "q", "p"))
+    calls = _erase_calls(monkeypatch)
+    for output in (("1", "0"), ("0", "0")):
+        other = automaton.Dfao(tm.k, tm.tracks, tm.trans, output, tm.initial, tm.order)
+        expected = _compile_unshared(monkeypatch, f, env_for(other, ctx, "q", "p"))
+        calls.clear()
+        assert compile_formula(f, env_for(other, ctx, "q", "p")) == expected
+        assert calls, output
+
