@@ -29,7 +29,6 @@ from .quotient import (
     check_pair_closure,
     is_sup_infinite,
     largest_limit_quotient,
-    pump_ratio,
     sup_quo,
 )
 from .rational import INF, Infinity, Value, fmt_value
@@ -53,7 +52,6 @@ __all__ = [
     "Comparator",
     "SupResult",
     "comparator_dfa",
-    "pump_ratio",
     "is_sup_infinite",
     "sup_quo",
     "largest_limit_quotient",

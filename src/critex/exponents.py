@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
 from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
@@ -53,8 +54,12 @@ def _ctx(a: Dfao) -> RadixContext:
     return RadixContext(a.k)
 
 
+# one frozen parse tree per text, made on first use through this module's `parse`
+_parse = cache(lambda text: parse(text))
+
+
 def _compile_pairs(a: Dfao, text: str, free: tuple[str, ...]) -> Dfa:
-    out = compile_formula(parse(text), CompilationEnv(free, a, _ctx(a)))
+    out = compile_formula(_parse(text), CompilationEnv(free, a, _ctx(a)))
     if not isinstance(out, Dfa):
         raise InvariantError(f"pair formula {text!r} compiled to a truth value")
     return out
@@ -150,7 +155,7 @@ def diophantine_exponent(a: Dfao) -> ExponentResult:
 def is_recurrent(a: Dfao) -> bool:
     """Every factor that occurs, occurs infinitely often."""
     env = CompilationEnv((), a, _ctx(a))
-    return evaluate_sentence(parse(RECURRENT_SENTENCE), env)
+    return evaluate_sentence(_parse(RECURRENT_SENTENCE), env)
 
 
 def gap_language(a: Dfao) -> Dfa:

@@ -16,6 +16,11 @@ The supremum solver rests on three exact primitives:
 Dinkelbach's iteration on either maximizer yields the exact largest ratio
 and its witness without enumerating words or pumps; the enumeration-based
 references that cross-validate them on small machines live with the tests.
+
+Both solvers share one memo of `_solve` (`_prepare`, the unbounded-pump
+test, `_limit`), keyed on the language, base and state cap and emptied at
+4096 entries; `_prepare` is canonical and the solve deterministic, so a hit
+equals a fresh solve.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .automaton import (
     lift_tracks,
     make_pump,
     product,
-    pump_increments,
     state_limit,
     symbols,
     trim_states,
@@ -59,10 +63,6 @@ class EmptyLanguageError(QuotientError):
 
 class FiniteLanguageError(QuotientError):
     """A finite language has no limit value."""
-
-
-class UndefinedRatioError(QuotientError):
-    """Both value increments of a pump are zero."""
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,6 @@ class SupResult:
     value: Value
     attained: bool
     witness: DigitWord | PumpDecomposition
-
-
-def pump_ratio(u: DigitWord, v: DigitWord) -> Value:
-    """Increment ratio of one pump of v after prefix u; the limit of the
-    pair quotient of u v^i w as i grows."""
-    if len(v) < 1:
-        raise QuotientError("the pumped block must be nonempty")
-    a1, a2 = pump_increments(u, v)
-    if a2 == 0:
-        if a1 == 0:
-            raise UndefinedRatioError("pump over an all-zero block has no ratio")
-        return INF
-    return Fraction(a1, a2)
 
 
 # ------------------------------------------------------------- comparators
@@ -498,11 +485,9 @@ def is_sup_infinite(L: Dfa) -> tuple[bool, PumpDecomposition | None]:
     denominator track values.
     """
     pump = find_unbounded_pump(L)
-    if pump is not None:
-        if not (pump.inc2 == 0 and pump.inc1 > 0):
-            raise InvariantError("unbounded pump with a nonzero denominator increment")
-        return True, pump
-    return False, None
+    if pump is not None and not (pump.inc2 == 0 and pump.inc1 > 0):
+        raise InvariantError("unbounded pump with a nonzero denominator increment")
+    return pump is not None, pump
 
 
 # ------------------------------------------------------------- solvers
@@ -538,6 +523,23 @@ def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
     return got
 
 
+_SOLVED: dict[tuple, tuple] = {}
+
+
+def _solve(L: Dfa, ctx: RadixContext) -> tuple:
+    """(prepared machine, unbounded pump or None, `_limit` result or None
+    when the machine is finite or has an unbounded pump), memoized."""
+    key = (L, ctx.k, state_limit())
+    if key not in _SOLVED:
+        work = _prepare(L, ctx)
+        pump = is_sup_infinite(work)[1]
+        limit = _limit(work) if pump is None and is_infinite(work) else None
+        if len(_SOLVED) >= 4096:
+            _SOLVED.clear()
+        _SOLVED[key] = (work, pump, limit)
+    return _SOLVED[key]
+
+
 def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomposition]:
     """Largest value arising as the limit of the quotient over infinitely many
     distinct accepted words; rational or infinite, with a pump witness.
@@ -546,13 +548,12 @@ def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomp
     limit, and any such limit is realized by a pump within first-repeat
     bounds.
     """
-    work = _prepare(L, ctx)
-    if not is_infinite(work):
-        raise FiniteLanguageError("a finite language has no limit value")
-    infinite, pump = is_sup_infinite(work)
-    if infinite:
+    _, pump, limit = _solve(L, ctx)
+    if pump is not None:
         return INF, pump
-    return _limit(work)
+    if limit is None:
+        raise FiniteLanguageError("a finite language has no limit value")
+    return limit
 
 
 def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
@@ -564,21 +565,17 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     by the usual pumping exchange).  Attained iff the short-word maximum
     wins, in which case the witness is a shortest attaining word.
     """
-    work = _prepare(L, ctx)
+    work, pump, limit = _solve(L, ctx)
     if is_empty(work):
         raise EmptyLanguageError("the supremum of an empty language is undefined")
-    infinite, pump = is_sup_infinite(work)
-    if infinite:
+    if pump is not None:
         return SupResult(INF, False, pump)
-    sigma = sigma_pump = None
-    if is_infinite(work):
-        sigma, sigma_pump = _limit(work)
     m_short, m_witness = bounded_max_ratio(work, work.num_states - 1)
     if m_short is None:
         raise EmptyLanguageError("no accepted word carries a nonzero denominator")
-    if sigma is None or m_short >= sigma:
+    if limit is None or m_short >= limit[0]:
         return SupResult(m_short, True, m_witness)
-    return SupResult(sigma, False, sigma_pump)
+    return SupResult(limit[0], False, limit[1])
 
 
 # ------------------------------------------------------------- closure report

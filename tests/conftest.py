@@ -1,14 +1,15 @@
 import pytest
 
 from critex.numeral import RadixContext
-from critex import logic, sequences
+from critex import logic, quotient, sequences
 
 
 @pytest.fixture(autouse=True)
-def cold_compile_memo():
-    """Every test starts with an empty compile memo, so what one test
-    checks never rests on machines an earlier test compiled."""
+def cold_memos():
+    """Every test starts with empty compile and solve memos, so what one
+    test checks never rests on machines an earlier test compiled or solved."""
     logic._MEMO.clear()
+    quotient._SOLVED.clear()
 
 
 @pytest.fixture(scope="session")

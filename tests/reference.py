@@ -10,8 +10,10 @@ core and the packed `_subsets` step are checked against, field for field;
 `atom_conjoin_all` is the compiler's atom without early erasure;
 `interpret` evaluates a formula directly, over a box for quantifiers;
 `reverse`, `language_equal`, `permute_tracks` and `shortest_accepted` are
-small constructions only the tests use.  `max_pump_weight_reference` is the
-whole-trim pump-weight DP the per-component one is pinned against, and
+small constructions only the tests use, and `pump_ratio` recomputes from
+its two words the ratio `PumpDecomposition.ratio()` reads off a pump's
+stored increments.  `max_pump_weight_reference` is the whole-trim
+pump-weight DP the per-component one is pinned against, and
 `max_pump_weight_per_component` is the per-component DP without the bound
 pass that prunes its loop states.
 """
@@ -39,6 +41,7 @@ from critex.automaton import (
     lift_tracks,
     make_pump,
     minimize,
+    pump_increments,
     sym_index,
     symbols,
     trim_states,
@@ -63,6 +66,7 @@ from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
     PumpGraph,
+    QuotientError,
     SupResult,
     _layer,
     _prepare,
@@ -71,11 +75,28 @@ from critex.quotient import (
     find_unbounded_pump,
     pump_graph,
 )
-from critex.rational import INF
+from critex.rational import INF, Value
 
 
 class SearchError(RuntimeError):
     """A reference search found no answer: its candidate set is incomplete."""
+
+
+class UndefinedRatioError(QuotientError):
+    """Both value increments of a pump are zero."""
+
+
+def pump_ratio(u: DigitWord, v: DigitWord) -> Value:
+    """Increment ratio of one pump of v after prefix u; the limit of the
+    pair quotient of u v^i w as i grows."""
+    if len(v) < 1:
+        raise QuotientError("the pumped block must be nonempty")
+    a1, a2 = pump_increments(u, v)
+    if a2 == 0:
+        if a1 == 0:
+            raise UndefinedRatioError("pump over an all-zero block has no ratio")
+        return INF
+    return Fraction(a1, a2)
 
 
 def pump_decompositions(a: Dfa):

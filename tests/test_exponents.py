@@ -18,10 +18,11 @@ from critex.exponents import (
 )
 from critex.numeral import RadixContext, encode_pair, ratio
 from critex.oracle import scan_ice, scan_max_exponent, scan_recurrence, sequence_prefix
-from critex.quotient import Comparator, check_pair_closure, comparator_dfa, pump_ratio
+from critex.quotient import Comparator, check_pair_closure, comparator_dfa
 from critex.rational import INF
 
 from helpers import verify_pump
+from reference import pump_ratio
 
 CTX = RadixContext(2)
 
@@ -110,6 +111,16 @@ def test_compute_measure_runs_only_the_solver_it_reports(tm, monkeypatch):
     calls.clear()
     assert compute_measure(tm, "ice2") == ice2
     assert calls == ["largest_limit_quotient"]
+
+
+def test_critical_then_c2_parses_the_period_formula_once(tm, monkeypatch):
+    exponents._parse.cache_clear()
+    texts = []
+    real = exponents.parse
+    monkeypatch.setattr(exponents, "parse", lambda text: texts.append(text) or real(text))
+    assert critical_exponent(tm).value == Fraction(2)
+    assert special_exponent(tm).value == Fraction(2)
+    assert texts == [exponents.PERIOD_FORMULA]
 
 
 def test_pair_cache_respects_the_state_cap(rs, monkeypatch):

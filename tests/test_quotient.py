@@ -20,7 +20,6 @@ from critex.quotient import (
     EmptyLanguageError,
     FiniteLanguageError,
     QuotientError,
-    UndefinedRatioError,
     bounded_max_ratio,
     check_pair_closure,
     comparator_dfa,
@@ -28,7 +27,6 @@ from critex.quotient import (
     is_sup_infinite,
     largest_limit_quotient,
     max_pump_weight,
-    pump_ratio,
     sup_quo,
     _prepare,
 )
@@ -44,11 +42,13 @@ from critex.sequences import (
 
 from helpers import comparator_bounded_suite, prepared_random_suite, verify_pump
 from reference import (
+    UndefinedRatioError,
     candidates,
     is_sup_infinite_reference,
     max_pump_weight_per_component,
     max_pump_weight_reference,
     pump_decompositions,
+    pump_ratio,
     sup_quo_reference,
 )
 
@@ -180,6 +180,77 @@ def test_sup_runs_the_unbounded_pump_test_once(monkeypatch):
     monkeypatch.setattr(quotient, "find_unbounded_pump", counted)
     assert sup_quo(pairs_ones_then_01(), CTX).value == Fraction(1)
     assert len(calls) == 1
+
+
+def _outcome(solver, L, ctx):
+    try:
+        return repr(solver(L, ctx))
+    except QuotientError as exc:
+        return type(exc).__name__
+
+
+def test_solve_memo_hits_equal_cold_solves():
+    # the three fixed machines add an unbounded pump, a finite and an empty language
+    fixed = [pairs_unbounded(), pairs_single(), dfa_for_words(2, 2, [])]
+    suite = comparator_bounded_suite(5400, 30) + [(m, CTX) for m in prepared_random_suite(5500, 60) + fixed]
+    solvers = (sup_quo, largest_limit_quotient)
+
+    def run(order):
+        out = []
+        for L, ctx in suite:
+            got = {solver: _outcome(solver, L, ctx) for solver in order}
+            out.append([got[solver] for solver in solvers])
+        return out
+
+    cold = []
+    for L, ctx in suite:
+        row = []
+        for solver in solvers:
+            quotient._SOLVED.clear()
+            row.append(_outcome(solver, L, ctx))
+        cold.append(row)
+    assert cold[-2][1] == "FiniteLanguageError" and cold[-1][0] == "EmptyLanguageError"
+    for order in (solvers, solvers[::-1]):
+        quotient._SOLVED.clear()
+        assert run(order) == cold
+
+
+def test_sup_and_limit_share_one_solve(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(quotient, name)
+        return lambda a: calls.append(name) or real(a)
+
+    for name in ("_limit", "find_unbounded_pump"):
+        monkeypatch.setattr(quotient, name, counting(name))
+    L = pairs_ones_then_01()
+    assert sup_quo(L, CTX).value == Fraction(1)
+    assert largest_limit_quotient(L, CTX)[0] == Fraction(1, 2)
+    assert sorted(calls) == ["_limit", "find_unbounded_pump"]
+
+
+def test_solve_memo_respects_the_state_cap(tm_period_language, monkeypatch):
+    # a machine solved under the default cap is not handed out under a cap
+    # its fresh preparation exceeds
+    ctx = RadixContext(2)
+    assert sup_quo(tm_period_language, ctx).value == Fraction(2)
+    monkeypatch.setenv("CRITEX_MAX_STATES", "20")
+    with pytest.raises(StateLimitError):
+        _prepare(tm_period_language, ctx)
+    for solver in (sup_quo, largest_limit_quotient):
+        with pytest.raises(StateLimitError):
+            solver(tm_period_language, ctx)
+
+
+def test_solver_errors_repeat_on_every_call():
+    empty, single = dfa_for_words(2, 2, []), pairs_single()
+    for _ in range(3):
+        with pytest.raises(EmptyLanguageError):
+            sup_quo(empty, CTX)
+        with pytest.raises(FiniteLanguageError):
+            largest_limit_quotient(single, CTX)
+        assert sup_quo(single, CTX).value == Fraction(2)
 
 
 def test_prepare_is_idempotent():
@@ -317,6 +388,7 @@ def test_solvers_match_whole_trim_reference(monkeypatch):
 
     got = solve()
     monkeypatch.setattr(quotient, "max_pump_weight", max_pump_weight_reference)
+    quotient._SOLVED.clear()
     assert solve() == got
 
 
