@@ -4,7 +4,7 @@
     base: <k>
     tracks: <d>
     kind: dfa|dfao
-    order: msd|lsd
+    order: msd                      (the only digit order)
     states: <N>
     initial: <q>
     accepting: <q> <q> ...          (dfa)
@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 
 from .automaton import Dfa, Dfao, sym_index, symbols
-from .numeral import LSD, MSD
 
 MAGIC = "critex-automaton v1"
 
@@ -81,8 +80,8 @@ def parse_automaton(text: str) -> Dfa | Dfao:
     if kind not in ("dfa", "dfao"):
         raise AutFileError(f"kind must be dfa or dfao, got {kind!r}")
     order = need("order")
-    if order not in (MSD, LSD):
-        raise AutFileError(f"order must be msd or lsd, got {order!r}")
+    if order != "msd":
+        raise AutFileError(f"order must be msd (digits most significant first), got {order!r}")
     n = need_int("states", 1)
     initial = need_int("initial", 0)
     if initial >= n:
@@ -131,7 +130,7 @@ def parse_automaton(text: str) -> Dfa | Dfao:
                 if q >= n:
                     raise AutFileError(f"accepting state {q} out of range")
                 accepting.add(q)
-        return Dfa(k, tracks, rows, accepting, initial, order)
+        return Dfa(k, tracks, rows, accepting, initial)
 
     out_raw = need("output")
     outputs: dict[int, str] = {}
@@ -145,13 +144,15 @@ def parse_automaton(text: str) -> Dfa | Dfao:
             raise AutFileError(f"bad output state {qs!r}") from None
         if q >= n:
             raise AutFileError(f"output state {q} out of range")
+        if q in outputs:
+            raise AutFileError(f"output state {q} listed twice")
         outputs[q] = sym
     if set(outputs) != set(range(n)):
         missing = sorted(set(range(n)) - set(outputs))
         raise AutFileError(f"output map not total; missing states {missing}")
     if not complete:
         raise AutFileError("a dfao needs a total transition table (no implicit dead state)")
-    return Dfao(k, tracks, rows, [outputs[q] for q in range(n)], initial, order)
+    return Dfao(k, tracks, rows, [outputs[q] for q in range(n)], initial)
 
 
 def serialize_automaton(m: Dfa | Dfao) -> str:

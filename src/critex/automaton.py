@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as iproduct
 
-from .numeral import MSD, DigitWord
+from .numeral import DigitWord, digits_of
 from .rational import INF, Value
 
 
@@ -68,17 +68,18 @@ def state_limit() -> int:
 
 
 class Dfa:
-    """Complete deterministic acceptor over (Sigma_k)^tracks."""
+    """Complete deterministic acceptor over (Sigma_k)^tracks, reading
+    digits most significant first."""
 
-    __slots__ = ("k", "tracks", "trans", "accept", "initial", "order")
+    __slots__ = ("k", "tracks", "trans", "accept", "initial")
+    order = "msd"  # the only digit order, read by serialize_automaton and machine digests
 
-    def __init__(self, k, tracks, trans, accept, initial, order=MSD):
+    def __init__(self, k, tracks, trans, accept, initial):
         self.k = k
         self.tracks = tracks
         self.trans = tuple(tuple(row) for row in trans)
         self.accept = frozenset(accept)
         self.initial = initial
-        self.order = order
         n = len(self.trans)
         s_count = k**tracks
         if not 0 <= initial < n:
@@ -103,8 +104,6 @@ class Dfa:
     def run(self, word: DigitWord) -> int:
         if word.k != self.k or word.tracks != self.tracks:
             raise IncompatibleError("word alphabet does not match machine alphabet")
-        if word.order != self.order:
-            raise IncompatibleError(f"word order {word.order} does not match machine order {self.order}")
         s = self.initial
         k = self.k
         for sym in word.symbols:
@@ -117,31 +116,32 @@ class Dfa:
     def __eq__(self, other):
         return (
             isinstance(other, Dfa)
-            and (self.k, self.tracks, self.order) == (other.k, other.tracks, other.order)
+            and (self.k, self.tracks) == (other.k, other.tracks)
             and self.initial == other.initial
             and self.trans == other.trans
             and self.accept == other.accept
         )
 
     def __hash__(self):
-        return hash((self.k, self.tracks, self.order, self.initial, self.trans, self.accept))
+        return hash((self.k, self.tracks, self.initial, self.trans, self.accept))
 
     def __repr__(self):
-        return f"<Dfa k={self.k} tracks={self.tracks} states={self.num_states} order={self.order}>"
+        return f"<Dfa k={self.k} tracks={self.tracks} states={self.num_states}>"
 
 
 class Dfao:
-    """Deterministic automaton with an output symbol attached to every state."""
+    """Deterministic automaton with an output symbol attached to every state,
+    reading digits most significant first."""
 
-    __slots__ = ("k", "tracks", "trans", "output", "initial", "order")
+    __slots__ = ("k", "tracks", "trans", "output", "initial")
+    order = "msd"
 
-    def __init__(self, k, tracks, trans, output, initial, order=MSD):
+    def __init__(self, k, tracks, trans, output, initial):
         self.k = k
         self.tracks = tracks
         self.trans = tuple(tuple(row) for row in trans)
         self.output = tuple(str(o) for o in output)
         self.initial = initial
-        self.order = order
         n = len(self.trans)
         if len(self.output) != n:
             raise AutomatonError("output map is not total")
@@ -165,30 +165,10 @@ class Dfao:
     def output_alphabet(self) -> frozenset:
         return frozenset(self.output)
 
-    def run(self, word: DigitWord) -> int:
-        if word.k != self.k or word.tracks != self.tracks:
-            raise IncompatibleError("word alphabet does not match machine alphabet")
-        if word.order != self.order:
-            raise IncompatibleError("word order does not match machine order")
-        s = self.initial
-        k = self.k
-        for sym in word.symbols:
-            s = self.trans[s][sym_index(sym, k)]
-        return s
-
     def value(self, n: int) -> str:
-        """Output on the canonical base-k encoding of n, fed in the machine's
-        declared digit order."""
+        """Output on the canonical base-k encoding of n."""
         s = self.initial
-        k = self.k
-        digits = []
-        m = n
-        while m:
-            digits.append(m % k)
-            m //= k
-        if self.order == MSD:
-            digits.reverse()
-        for d in digits:
+        for d in digits_of(n, self.k):
             s = self.trans[s][d]
         return self.output[s]
 
@@ -234,18 +214,16 @@ def pump_increments(u: DigitWord, v: DigitWord) -> tuple[int, int]:
     return (uv.value(0) - u.value(0), uv.value(1) - u.value(1))
 
 
-def make_pump(k: int, u_syms, v_syms, loop_state: int, order=MSD) -> PumpDecomposition:
-    u = DigitWord(k, 2, tuple(u_syms), order)
-    v = DigitWord(k, 2, tuple(v_syms), order)
+def make_pump(k: int, u_syms, v_syms, loop_state: int) -> PumpDecomposition:
+    u = DigitWord(k, 2, tuple(u_syms))
+    v = DigitWord(k, 2, tuple(v_syms))
     a1, a2 = pump_increments(u, v)
     return PumpDecomposition(u, v, loop_state, a1, a2)
 
 
 def _require_compatible(a: Dfa, b: Dfa) -> None:
-    if (a.k, a.tracks, a.order) != (b.k, b.tracks, b.order):
-        raise IncompatibleError(
-            f"incompatible machines: ({a.k},{a.tracks},{a.order}) vs ({b.k},{b.tracks},{b.order})"
-        )
+    if (a.k, a.tracks) != (b.k, b.tracks):
+        raise IncompatibleError(f"incompatible machines: ({a.k},{a.tracks}) vs ({b.k},{b.tracks})")
 
 
 def explore(start, step):
@@ -288,13 +266,13 @@ def product(a: Dfa, b: Dfa, mode: str = "and") -> Dfa:
         acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept and sb in b.accept]
     else:
         acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept or sb in b.accept]
-    return Dfa(a.k, a.tracks, rows, acc, 0, a.order)
+    return Dfa(a.k, a.tracks, rows, acc, 0)
 
 
 def complement(a: Dfa) -> Dfa:
     """Flip acceptance; sound because every machine here is complete."""
     acc = set(range(a.num_states)) - a.accept
-    return Dfa(a.k, a.tracks, a.trans, acc, a.initial, a.order)
+    return Dfa(a.k, a.tracks, a.trans, acc, a.initial)
 
 
 def _mask(states) -> int:
@@ -362,7 +340,7 @@ def _dfa_arcs(rows):
     return ((s, c, t) for s, row in enumerate(rows) for c, t in enumerate(row))
 
 
-def _double_reversal(k: int, tracks: int, order: str, n: int, arcs, accept, initials) -> Dfa:
+def _double_reversal(k: int, tracks: int, n: int, arcs, accept, initials) -> Dfa:
     """Minimal canonical machine of the language of an n-state
     nondeterministic machine over (Sigma_k)^tracks, given by its moves
     (s, c, t), its accepting states and its initial states.
@@ -374,7 +352,7 @@ def _double_reversal(k: int, tracks: int, order: str, n: int, arcs, accept, init
     s_count = k**tracks
     rows, acc = _reverse_subsets(n, s_count, arcs, accept, initials)
     rows, acc = _reverse_subsets(len(rows), s_count, _dfa_arcs(rows), acc, (0,))
-    return Dfa(k, tracks, rows, acc, 0, order)
+    return Dfa(k, tracks, rows, acc, 0)
 
 
 def erase(a: Dfa, track: int) -> Dfa:
@@ -395,7 +373,7 @@ def erase(a: Dfa, track: int) -> Dfa:
     zeros = [c for c, r in enumerate(reduced) if r == 0]
     start = explore(a.initial, lambda s: [a.trans[s][c] for c in zeros])[1]
     arcs = ((s, c, t) for s, row in enumerate(a.trans) for c, t in zip(reduced, row))
-    return _double_reversal(k, a.tracks - 1, a.order, a.num_states, arcs, a.accept, start)
+    return _double_reversal(k, a.tracks - 1, a.num_states, arcs, a.accept, start)
 
 
 def _refine(trans, cls: list[int]) -> list[int]:
@@ -428,7 +406,7 @@ def minimize(a: Dfa) -> Dfa:
             rows[c] = [cls[t] for t in trans[s]]
             if reach[s] in a.accept:
                 acc.add(c)
-    return Dfa(a.k, a.tracks, rows, acc, 0, a.order)
+    return Dfa(a.k, a.tracks, rows, acc, 0)
 
 
 def trim_states(a: Dfa) -> set[int]:
@@ -464,17 +442,15 @@ def is_infinite(a: Dfa) -> bool:
     return removed < len(trim)
 
 
-def leading_zero_filter(k: int, tracks: int, order=MSD) -> Dfa:
+def leading_zero_filter(k: int, tracks: int) -> Dfa:
     """Accepts the empty word and every word not starting with the all-zero symbol."""
     s_count = k**tracks
     rows = [[2] + [1] * (s_count - 1), [1] * s_count, [2] * s_count]
-    return Dfa(k, tracks, rows, {0, 1}, 0, order)
+    return Dfa(k, tracks, rows, {0, 1}, 0)
 
 
 def canonicalize(a: Dfa) -> Dfa:
     """Drop words starting with the all-zero symbol, then minimize."""
-    if a.order != MSD:
-        raise AutomatonError("canonicalize expects an MSD machine")
     return minimize(product(a, leading_zero_filter(a.k, a.tracks), "and"))
 
 
@@ -484,13 +460,11 @@ def zero_closure(a: Dfa) -> Dfa:
     Accepts 0^m w for every accepted w and every m >= 0; applied to canonical
     machines before they participate in relation products.
     """
-    if a.order != MSD:
-        raise AutomatonError("zero_closure expects an MSD machine")
     # state n moves like the initial state and also loops on the all-zero symbol
     n = a.num_states
     pad = [(n, 0, n)] + [(n, c, t) for c, t in enumerate(a.trans[a.initial])]
     acc = a.accept | {n} if a.initial in a.accept else a.accept
-    return _double_reversal(a.k, a.tracks, a.order, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
+    return _double_reversal(a.k, a.tracks, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:
@@ -528,7 +502,7 @@ def enumerate_accepted(a: Dfa, max_len: int):
     def rec(state: int, remaining: int, prefix: list):
         if remaining == 0:
             if state in accept:
-                yield DigitWord(a.k, a.tracks, tuple(prefix), a.order)
+                yield DigitWord(a.k, a.tracks, tuple(prefix))
             return
         row = trans[state]
         for c in range(s_count):
@@ -558,4 +532,4 @@ def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:
     for s in range(a.num_states):
         row_in = a.trans[s]
         rows.append([row_in[m] for m in mapping])
-    return Dfa(k, new_tracks, rows, a.accept, a.initial, a.order)
+    return Dfa(k, new_tracks, rows, a.accept, a.initial)

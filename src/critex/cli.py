@@ -107,8 +107,6 @@ def _load_dfao(path: str) -> Dfao:
     m = load_automaton(path)
     if not isinstance(m, Dfao):
         raise InputError(f"{path} holds a dfa; a sequence automaton (dfao) is required")
-    if m.order != "msd":
-        raise InputError(f"{path}: sequence automata must be msd-first")
     if not m.is_zero_invariant():
         raise InputError(
             f"{path}: sequence automaton is not leading-zero invariant; "
@@ -123,8 +121,6 @@ def _load_pairs(path: str) -> Dfa:
         raise InputError(f"{path} holds a dfao; a 2-track acceptor is required")
     if m.tracks != 2:
         raise InputError(f"{path}: expected 2 tracks, found {m.tracks}")
-    if m.order != "msd":
-        raise InputError(f"{path}: pair acceptors must be msd-first")
     return m
 
 

@@ -60,7 +60,7 @@ from .automaton import (
     product,
     state_limit,
 )
-from .numeral import MSD, RadixContext
+from .numeral import RadixContext
 
 
 class FormulaError(ValueError):
@@ -395,7 +395,7 @@ class CompilationEnv:
 
 def bool_dfa(k: int, truth: bool) -> Dfa:
     """0-track machine standing for a closed subformula's truth value."""
-    return Dfa(k, 0, [[0]], {0} if truth else set(), 0, MSD)
+    return Dfa(k, 0, [[0]], {0} if truth else set(), 0)
 
 
 # ---------------------------------------------------------------- memo
@@ -429,7 +429,7 @@ class _Compiler:
         self.k = env.ctx.k
         self.counter = 0
         a = env.dfao
-        seq = b"" if a is None else repr((a.k, a.tracks, a.trans, a.output, a.initial, a.order)).encode()
+        seq = b"" if a is None else repr((a.k, a.tracks, a.trans, a.output, a.initial)).encode()
         # the memo key parts shared by every node of one compilation
         self.context = (self.k, hashlib.sha256(seq).digest(), state_limit())
 

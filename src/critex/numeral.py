@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
 
-* a digit word carries its base, its track count and an explicit digit-order
-  marker (``msd`` or ``lsd``); operations that mix both orders are rejected
-  instead of silently coerced,
+* digits are read most significant first, the one order every machine and
+  automaton file uses,
+* a digit word carries its base and its track count; operations that mix
+  bases or track counts are rejected instead of silently coerced,
 * the canonical encoding of 0 is the empty word, and the canonical encoding
   of a pair is zero-padded to equal track length and never starts with the
   all-zero symbol.
@@ -14,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-MSD = "msd"
-LSD = "lsd"
 
 
 class NumeralError(ValueError):
@@ -28,10 +26,6 @@ class InvalidDigitError(NumeralError):
 
 
 class ZeroDenominatorError(NumeralError):
-    pass
-
-
-class OrderMismatchError(NumeralError):
     pass
 
 
@@ -48,20 +42,18 @@ class RadixContext:
 
 @dataclass(frozen=True)
 class DigitWord:
-    """Finite word over (digit tuples)^tracks in a fixed base and order."""
+    """Finite word over (digit tuples)^tracks in a fixed base, most
+    significant digit first."""
 
     k: int
     tracks: int
     symbols: tuple[tuple[int, ...], ...]
-    order: str = MSD
 
     def __post_init__(self):
         if self.k < 2:
             raise NumeralError(f"base must be >= 2, got {self.k}")
         if self.tracks < 1:
             raise NumeralError(f"track count must be >= 1, got {self.tracks}")
-        if self.order not in (MSD, LSD):
-            raise NumeralError(f"unknown digit order {self.order!r}")
         for sym in self.symbols:
             if len(sym) != self.tracks:
                 raise NumeralError(f"symbol {sym} has wrong arity")
@@ -79,25 +71,19 @@ class DigitWord:
         """Projection onto track i (0-based) as a 1-track word."""
         if not 0 <= i < self.tracks:
             raise NumeralError(f"track {i} out of range")
-        return DigitWord(self.k, 1, tuple((s[i],) for s in self.symbols), self.order)
+        return DigitWord(self.k, 1, tuple((s[i],) for s in self.symbols))
 
     def value(self, track: int = 0) -> int:
-        """Integer value of one track in the word's declared order."""
-        digits = [s[track] for s in self.symbols]
-        if self.order == LSD:
-            digits.reverse()
+        """Integer value of one track."""
         v = 0
-        for d in digits:
-            v = v * self.k + d
+        for s in self.symbols:
+            v = v * self.k + s[track]
         return v
 
-    def reversed_(self) -> "DigitWord":
-        return DigitWord(self.k, self.tracks, tuple(reversed(self.symbols)), LSD if self.order == MSD else MSD)
-
     def concat(self, other: "DigitWord") -> "DigitWord":
-        if (self.k, self.tracks, self.order) != (other.k, other.tracks, other.order):
-            raise OrderMismatchError("cannot concatenate words of different base/arity/order")
-        return DigitWord(self.k, self.tracks, self.symbols + other.symbols, self.order)
+        if (self.k, self.tracks) != (other.k, other.tracks):
+            raise NumeralError("cannot concatenate words of different base/arity")
+        return DigitWord(self.k, self.tracks, self.symbols + other.symbols)
 
     def __str__(self) -> str:
         if not self.symbols:
@@ -107,12 +93,12 @@ class DigitWord:
         return "".join("[" + ",".join(str(d) for d in s) + "]" for s in self.symbols)
 
     @staticmethod
-    def from_digits(digits: str, k: int, order: str = MSD) -> "DigitWord":
-        return DigitWord(k, 1, tuple((int(ch),) for ch in digits), order)
+    def from_digits(digits: str, k: int) -> "DigitWord":
+        return DigitWord(k, 1, tuple((int(ch),) for ch in digits))
 
     @staticmethod
-    def from_pairs(pairs, k: int, order: str = MSD) -> "DigitWord":
-        return DigitWord(k, 2, tuple(tuple(p) for p in pairs), order)
+    def from_pairs(pairs, k: int) -> "DigitWord":
+        return DigitWord(k, 2, tuple(tuple(p) for p in pairs))
 
 
 def digits_of(n: int, k: int) -> list[int]:
@@ -128,12 +114,12 @@ def digits_of(n: int, k: int) -> list[int]:
 
 
 def encode(n: int, ctx: RadixContext) -> DigitWord:
-    """Canonical MSD-first encoding of a natural; 0 encodes as the empty word."""
-    return DigitWord(ctx.k, 1, tuple((d,) for d in digits_of(n, ctx.k)), MSD)
+    """Canonical encoding of a natural; 0 encodes as the empty word."""
+    return DigitWord(ctx.k, 1, tuple((d,) for d in digits_of(n, ctx.k)))
 
 
 def decode(w: DigitWord, ctx: RadixContext | None = None) -> int:
-    """Value of a 1-track word in its declared order."""
+    """Value of a 1-track word."""
     if w.tracks != 1:
         raise NumeralError("decode expects a 1-track word")
     if ctx is not None and ctx.k != w.k:
@@ -148,7 +134,7 @@ def encode_pair(m: int, n: int, ctx: RadixContext) -> DigitWord:
     width = max(len(dm), len(dn))
     dm = [0] * (width - len(dm)) + dm
     dn = [0] * (width - len(dn)) + dn
-    return DigitWord(ctx.k, 2, tuple(zip(dm, dn)), MSD)
+    return DigitWord(ctx.k, 2, tuple(zip(dm, dn)))
 
 
 def ratio(w: DigitWord, ctx: RadixContext | None = None) -> Fraction:

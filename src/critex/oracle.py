@@ -36,8 +36,6 @@ def sequence_prefix(a: Dfao, n: int) -> PrefixSample:
     """Exact first n outputs; state(i) extends state(i // k) by one digit."""
     if n < 0:
         raise OracleError("prefix length must be nonnegative")
-    if a.order != "msd":
-        raise OracleError("prefix generation expects an msd-first sequence automaton")
     states = [0] * max(n, 1)
     states[0] = a.initial
     out = []

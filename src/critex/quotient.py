@@ -336,7 +336,7 @@ def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord 
     def rebuild(P, Q, arg):
         ln, s = arg
         walk = _heaviest_walk(a, adj, P, Q, a.initial, ln, s)
-        return DigitWord(a.k, 2, tuple(walk), a.order)
+        return DigitWord(a.k, 2, tuple(walk))
 
     got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len, adj), rebuild, ratio)
     return (None, None) if got is None else got
@@ -464,7 +464,7 @@ def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
                 rest = bfs_path(t, s, sub)
                 if rest is not None:
                     u = path_to((s, flag))
-                    return make_pump(k, u, [syms[c]] + rest, s, a.order)
+                    return make_pump(k, u, [syms[c]] + rest, s)
         else:
             # route the cycle through a nonzero-numerator edge
             for x, moves in sub.items():
@@ -474,7 +474,7 @@ def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
                         rest = bfs_path(t, s, sub)
                         if first is not None and rest is not None:
                             u = path_to((s, flag))
-                            return make_pump(k, u, first + [syms[c]] + rest, s, a.order)
+                            return make_pump(k, u, first + [syms[c]] + rest, s)
     return None
 
 
@@ -510,7 +510,7 @@ def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
         # no walk from s0 that leaves its component comes back to it, so the
         # component's moves give the same parents as the whole trim part
         v = _heaviest_walk(work, graph.cycles[s0], P, Q, s0, b, s0)
-        return make_pump(work.k, u, v, s0, work.order)
+        return make_pump(work.k, u, v, s0)
 
     def ratio_of(pump):
         if pump.inc2 == 0:

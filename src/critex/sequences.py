@@ -9,7 +9,6 @@ verified symbol-by-symbol on a long prefix.
 from __future__ import annotations
 
 from .automaton import Dfa, Dfao
-from .numeral import MSD
 
 
 class FixtureError(RuntimeError):
@@ -161,7 +160,7 @@ def dfa_for_words(k: int, tracks: int, words: list[tuple[tuple[int, ...], ...]])
     dead = len(children)
     rows = [[row.get(c, dead) for c in range(s_count)] for row in children]
     rows.append([dead] * s_count)
-    return Dfa(k, tracks, rows, accept, 0, MSD)
+    return Dfa(k, tracks, rows, accept, 0)
 
 
 def pairs_ones_then_01() -> Dfa:
@@ -173,7 +172,7 @@ def pairs_ones_then_01() -> Dfa:
         [dead, 1, dead, dead],
         [dead, dead, dead, dead],
     ]
-    return Dfa(2, 2, rows, {1}, 0, MSD)
+    return Dfa(2, 2, rows, {1}, 0)
 
 
 def pairs_ones_repeat() -> Dfa:
@@ -184,7 +183,7 @@ def pairs_ones_repeat() -> Dfa:
         [dead, dead, dead, 1],
         [dead, dead, dead, dead],
     ]
-    return Dfa(2, 2, rows, {1}, 0, MSD)
+    return Dfa(2, 2, rows, {1}, 0)
 
 
 def pairs_unbounded() -> Dfa:
@@ -196,7 +195,7 @@ def pairs_unbounded() -> Dfa:
         [dead, dead, dead, dead],
         [dead, dead, dead, dead],
     ]
-    return Dfa(2, 2, rows, {2}, 0, MSD)
+    return Dfa(2, 2, rows, {2}, 0)
 
 
 def pairs_single() -> Dfa:

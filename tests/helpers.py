@@ -18,7 +18,7 @@ from critex.automaton import (
     symbols,
     trim_states,
 )
-from critex.numeral import MSD, DigitWord, RadixContext
+from critex.numeral import DigitWord, RadixContext
 from critex.quotient import _prepare, compare_language
 
 from reference import Nfa, determinize
@@ -31,7 +31,7 @@ def random_dfa(rng: random.Random, k: int = 2, tracks: int = 2, max_states: int 
     accept = [s for s in range(n) if rng.random() < 0.5]
     if not accept:
         accept = [rng.randrange(n)]
-    return Dfa(k, tracks, rows, accept, 0, MSD)
+    return Dfa(k, tracks, rows, accept, 0)
 
 
 def random_nfa(rng: random.Random) -> Nfa:
@@ -44,7 +44,7 @@ def random_nfa(rng: random.Random) -> Nfa:
     rows = [[{t for t in range(n) if rng.random() < density} for _ in range(k**tracks)] for _ in range(n)]
     accept = [] if rng.random() < 1 / 6 else [s for s in range(n) if rng.random() < 0.4]
     initials = [s for s in range(n) if rng.random() < 0.3] or [rng.randrange(n)]
-    return Nfa(k, tracks, rows, accept, initials, MSD)
+    return Nfa(k, tracks, rows, accept, initials)
 
 
 def prepared_random_suite(seed: int, count: int, k: int = 2, max_states: int = 4) -> list[Dfa]:
@@ -80,7 +80,7 @@ def comparator_bounded_suite(seed: int, count: int, max_trim: int = 48) -> list[
         accept = [s for s in range(n) if rng.random() < 0.3] or [0]
         Q = rng.randint(1, 4)
         ctx = RadixContext(k)
-        bounded = compare_language(Dfa(k, 2, rows, accept, 0, MSD), ctx, Fraction(rng.randint(Q, 3 * Q), Q), "<=")
+        bounded = compare_language(Dfa(k, 2, rows, accept, 0), ctx, Fraction(rng.randint(Q, 3 * Q), Q), "<=")
         work = _prepare(bounded, ctx)
         if is_infinite(work) and len(trim_states(work)) <= max_trim:
             out.append((work, ctx))
@@ -96,7 +96,7 @@ def brzozowski_minimize(a: Dfa) -> Dfa:
         for s, row in enumerate(m.trans):
             for c, t in enumerate(row):
                 rows[t][c].add(s)
-        return Nfa(m.k, m.tracks, rows, {m.initial}, m.accept, m.order)
+        return Nfa(m.k, m.tracks, rows, {m.initial}, m.accept)
 
     d = determinize(rev(determinize(rev(a))))
     pos = {d.initial: 0}
@@ -107,20 +107,20 @@ def brzozowski_minimize(a: Dfa) -> Dfa:
                 pos[t] = len(bfs)
                 bfs.append(t)
     rows = [[pos[t] for t in d.trans[s]] for s in bfs]
-    return Dfa(a.k, a.tracks, rows, {pos[s] for s in d.accept}, 0, a.order)
+    return Dfa(a.k, a.tracks, rows, {pos[s] for s in d.accept}, 0)
 
 
-def random_word(rng: random.Random, k: int, tracks: int, max_len: int, order: str = MSD) -> DigitWord:
+def random_word(rng: random.Random, k: int, tracks: int, max_len: int) -> DigitWord:
     syms = symbols(k, tracks)
     length = rng.randint(0, max_len)
-    return DigitWord(k, tracks, tuple(rng.choice(syms) for _ in range(length)), order)
+    return DigitWord(k, tracks, tuple(rng.choice(syms) for _ in range(length)))
 
 
-def all_words(k: int, tracks: int, length: int, order: str = MSD):
+def all_words(k: int, tracks: int, length: int):
     """Every word of the given exact length, in lexicographic symbol order."""
     syms = list(iproduct(range(k), repeat=tracks))
     for combo in iproduct(syms, repeat=length):
-        yield DigitWord(k, tracks, combo, order)
+        yield DigitWord(k, tracks, combo)
 
 
 def all_words_upto(k: int, tracks: int, max_len: int):
@@ -133,7 +133,7 @@ def verify_pump(machine: Dfa, pump: PumpDecomposition) -> bool:
     s = machine.run(pump.u)
     if s != pump.loop_state:
         return False
-    view = Dfa(machine.k, machine.tracks, machine.trans, machine.accept, s, machine.order)
+    view = Dfa(machine.k, machine.tracks, machine.trans, machine.accept, s)
     if view.run(pump.v) != s:
         return False
     if s not in trim_states(machine):

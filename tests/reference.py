@@ -62,7 +62,7 @@ from critex.logic import (
     Term,
     Var,
 )
-from critex.numeral import LSD, MSD, DigitWord, RadixContext, ratio
+from critex.numeral import DigitWord, RadixContext, ratio
 from critex.quotient import (
     EmptyLanguageError,
     PumpGraph,
@@ -121,7 +121,7 @@ def pump_decompositions(a: Dfa):
             if t not in trim:
                 continue
             if t == start:
-                yield make_pump(a.k, u_syms, v_syms + (syms[c],), start, a.order)
+                yield make_pump(a.k, u_syms, v_syms + (syms[c],), start)
             elif t not in blocked:
                 yield from cycles_from(t, start, blocked | {t}, u_syms, v_syms + (syms[c],))
 
@@ -137,7 +137,7 @@ def pump_decompositions(a: Dfa):
 
 def accepted_from(a: Dfa, state: int, limit: int, max_len: int | None = None):
     """Up to `limit` words leading from `state` to acceptance, shortest first."""
-    view = Dfa(a.k, a.tracks, a.trans, a.accept, state, a.order)
+    view = Dfa(a.k, a.tracks, a.trans, a.accept, state)
     if max_len is None:
         max_len = a.num_states + 4
     count = 0
@@ -305,15 +305,14 @@ def is_sup_infinite_reference(L: Dfa, ctx: RadixContext) -> bool:
 class Nfa:
     """Nondeterministic acceptor; intermediate form for projection/reversal."""
 
-    __slots__ = ("k", "tracks", "trans", "accept", "initials", "order")
+    __slots__ = ("k", "tracks", "trans", "accept", "initials")
 
-    def __init__(self, k, tracks, trans, accept, initials, order=MSD):
+    def __init__(self, k, tracks, trans, accept, initials):
         self.k = k
         self.tracks = tracks
         self.trans = tuple(tuple(frozenset(t) for t in row) for row in trans)
         self.accept = frozenset(accept)
         self.initials = frozenset(initials)
-        self.order = order
         n = len(self.trans)
         for row in self.trans:
             for tgt in row:
@@ -348,7 +347,7 @@ def project(a: Dfa, drop_track: int) -> Nfa:
     for s in range(a.num_states):
         row_in = a.trans[s]
         rows.append([frozenset(row_in[idx] for idx in grp) for grp in groups])
-    return Nfa(k, new_tracks, rows, a.accept, {a.initial}, a.order)
+    return Nfa(k, new_tracks, rows, a.accept, {a.initial})
 
 
 def zero_saturate(nfa: Nfa) -> Nfa:
@@ -366,7 +365,7 @@ def zero_saturate(nfa: Nfa) -> Nfa:
             if t not in closure:
                 closure.add(t)
                 queue.append(t)
-    return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure, nfa.order)
+    return Nfa(nfa.k, nfa.tracks, nfa.trans, nfa.accept, closure)
 
 
 def subsets_reference(masks: list[list[int]], start: int, s_count: int):
@@ -396,7 +395,7 @@ def determinize(nfa: Nfa) -> Dfa:
     rows, subsets = subsets_reference(masks, _mask(nfa.initials), nfa.alphabet_size)
     accept_mask = _mask(nfa.accept)
     acc = [i for i, m in enumerate(subsets) if m & accept_mask]
-    return Dfa(nfa.k, nfa.tracks, rows, acc, 0, nfa.order)
+    return Dfa(nfa.k, nfa.tracks, rows, acc, 0)
 
 
 def determinize_minimal(nfa: Nfa) -> Dfa:
@@ -404,7 +403,7 @@ def determinize_minimal(nfa: Nfa) -> Dfa:
     double-reversal core run on the NFA's moves.  Equals
     minimize(determinize(nfa)) field for field."""
     arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
-    return _double_reversal(nfa.k, nfa.tracks, nfa.order, nfa.num_states, arcs, nfa.accept, nfa.initials)
+    return _double_reversal(nfa.k, nfa.tracks, nfa.num_states, arcs, nfa.accept, nfa.initials)
 
 
 def atom_conjoin_all(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tuple[Dfa, tuple[str, ...]]:
@@ -473,7 +472,7 @@ def interpret(f: Formula, assignment: dict[str, int], seq_value, box: int | None
 def shortest_accepted(a: Dfa) -> DigitWord | None:
     """Shortest accepted word, lexicographically least among that length."""
     if a.initial in a.accept:
-        return DigitWord(a.k, a.tracks, (), a.order)
+        return DigitWord(a.k, a.tracks, ())
     syms = symbols(a.k, a.tracks)
     parent: dict[int, tuple[int, int]] = {a.initial: (-1, -1)}
     queue = deque([a.initial])
@@ -490,17 +489,18 @@ def shortest_accepted(a: Dfa) -> DigitWord | None:
                         path.append(syms[c0])
                         cur = p
                     path.reverse()
-                    return DigitWord(a.k, a.tracks, tuple(path), a.order)
+                    return DigitWord(a.k, a.tracks, tuple(path))
                 queue.append(t)
     return None
 
 
 def reverse(a: Dfa) -> Dfa:
-    """Minimal machine for the reversed language; the digit-order marker flips."""
+    """Minimal machine for the reversed language: it accepts w exactly when
+    a accepts w read backwards."""
     rows, reach = explore(a.initial, a.trans.__getitem__)
     acc = [i for i, s in enumerate(reach) if s in a.accept]
     rows, acc = _reverse_subsets(len(rows), a.alphabet_size, _dfa_arcs(rows), acc, (0,))
-    return Dfa(a.k, a.tracks, rows, acc, 0, LSD if a.order == MSD else MSD)
+    return Dfa(a.k, a.tracks, rows, acc, 0)
 
 
 def permute_tracks(a: Dfa, perm: list[int]) -> Dfa:

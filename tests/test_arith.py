@@ -24,7 +24,7 @@ from critex.automaton import (
     product,
     symbols,
 )
-from critex.numeral import LSD, MSD, DigitWord, RadixContext, digits_of
+from critex.numeral import DigitWord, RadixContext, digits_of
 
 from helpers import all_words_upto
 from reference import language_equal
@@ -43,7 +43,7 @@ def encode_tuple(values, k, width=None):
     syms = []
     for i in range(n):
         syms.append(tuple(d[i - (n - len(d))] if i >= n - len(d) else 0 for d in digits))
-    return DigitWord(k, len(values), tuple(syms), MSD)
+    return DigitWord(k, len(values), tuple(syms))
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +71,6 @@ def test_add_rel_examples(ctx):
     for n in range(40):
         assert add.accepts(encode_tuple((0, n, n), 2))
     assert not add.accepts(encode_tuple((1, 1, 3), 2))
-
-
-def test_add_rel_lsd_reading_is_rejected(ctx):
-    add = add_rel(ctx)
-    with pytest.raises(Exception):
-        add.accepts(DigitWord(2, 3, ((1, 1, 0), (0, 0, 1)), LSD))
 
 
 def test_add_rel_fuzz_10k(ctx):

@@ -71,6 +71,8 @@ trans: 0 [1,1] -> 0
         (lambda t: t.replace("kind: dfa", "kind: moore"), "kind"),
         (lambda t: t + "trans: 0 [1] -> 5\n", "range"),
         (lambda t: t.replace("accepting: 1", "accepting: 7"), "range"),
+        (lambda t: t.replace("order: msd", "order: lsd"), "order"),
+        (lambda t: t.replace("order: msd", "order: xyz"), "order"),
     ],
 )
 def test_parse_errors(mutate, needle):
@@ -106,6 +108,25 @@ trans: 1 [1] -> 1
     with pytest.raises(AutFileError) as err:
         parse_automaton(text)
     assert "total" in str(err.value)
+
+
+def test_dfao_rejects_duplicate_output_state():
+    text = """critex-automaton v1
+base: 2
+tracks: 1
+kind: dfao
+order: msd
+states: 2
+initial: 0
+output: 0:0 1:1 0:1
+trans: 0 [0] -> 0
+trans: 0 [1] -> 1
+trans: 1 [0] -> 1
+trans: 1 [1] -> 0
+"""
+    with pytest.raises(AutFileError) as err:
+        parse_automaton(text)
+    assert "output state 0" in str(err.value)
 
 
 def test_dfao_requires_complete_transitions():

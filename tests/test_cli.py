@@ -185,6 +185,22 @@ def test_bad_automaton_file_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,name,old,new,needle",
+    [
+        ("exponent", "tm.dfao", "order: msd", "order: lsd", "order"),
+        ("sup", "pairs.dfa", "order: msd", "order: lsd", "order"),
+        ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1 0:1", "output state 0"),
+    ],
+)
+def test_refused_automaton_file_is_input_error(files, tmp_path, capsys, command, name, old, new, needle):
+    p = tmp_path / name
+    p.write_text(Path(files[name]).read_text().replace(old, new))
+    code, out, err = run_cli(capsys, command, str(p))
+    assert code == 2
+    assert needle in err and "value=" not in out
+
+
 def test_non_zero_invariant_dfao_rejected(tmp_path, capsys):
     # output flips when a leading zero is read: depends on padding
     text = """critex-automaton v1

@@ -439,7 +439,7 @@ def test_sequences_differing_only_in_outputs_share_no_entry(tm, ctx, monkeypatch
     compile_formula(f, env_for(tm, ctx, "q", "p"))
     calls = _erase_calls(monkeypatch)
     for output in (("1", "0"), ("0", "0")):
-        other = automaton.Dfao(tm.k, tm.tracks, tm.trans, output, tm.initial, tm.order)
+        other = automaton.Dfao(tm.k, tm.tracks, tm.trans, output, tm.initial)
         expected = _compile_unshared(monkeypatch, f, env_for(other, ctx, "q", "p"))
         calls.clear()
         assert compile_formula(f, env_for(other, ctx, "q", "p")) == expected
