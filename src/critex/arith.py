@@ -78,7 +78,7 @@ def nonzero_track_dfa(ctx: RadixContext, tracks: int, track: int) -> Dfa:
     return linear_rel(ctx.k, tuple(unit), ">")
 
 
-def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
+def seq_eq(a: Dfao) -> Dfa:
     """2-track machine accepting (x, y) iff the sequence agrees at x and y.
 
     Runs the Dfao on both tracks in lockstep; requires a leading-zero
@@ -92,7 +92,7 @@ def seq_eq(a: Dfao, ctx: RadixContext | None = None) -> Dfa:
     return minimize(Dfa(a.k, 2, rows, acc, 0))
 
 
-def seq_const(a: Dfao, symbol: str, ctx: RadixContext | None = None) -> Dfa:
+def seq_const(a: Dfao, symbol: str) -> Dfa:
     """1-track machine accepting x iff the sequence value at x is `symbol`."""
     symbol = str(symbol)
     if symbol not in a.output_alphabet:

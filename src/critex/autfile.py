@@ -22,6 +22,7 @@ import re
 from .automaton import Dfa, Dfao, sym_index, symbols
 
 MAGIC = "critex-automaton v1"
+HEADER_KEYS = frozenset({"base", "tracks", "kind", "order", "states", "initial", "accepting", "output"})
 
 
 class AutFileError(ValueError):
@@ -53,6 +54,8 @@ def parse_automaton(text: str) -> Dfa | Dfao:
             raise AutFileError(f"unrecognized line {line!r}", lineno)
         key, value = line.split(":", 1)
         key = key.strip()
+        if key not in HEADER_KEYS:
+            raise AutFileError(f"unknown key {key!r}", lineno)
         if key in header:
             raise AutFileError(f"duplicate key {key!r}", lineno)
         header[key] = value.strip()

@@ -143,6 +143,8 @@ class Dfao:
         self.output = tuple(str(o) for o in output)
         self.initial = initial
         n = len(self.trans)
+        if not 0 <= initial < n:
+            raise AutomatonError(f"initial state {initial} out of range")
         if len(self.output) != n:
             raise AutomatonError("output map is not total")
         s_count = k**tracks

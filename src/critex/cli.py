@@ -107,6 +107,8 @@ def _load_dfao(path: str) -> Dfao:
     m = load_automaton(path)
     if not isinstance(m, Dfao):
         raise InputError(f"{path} holds a dfa; a sequence automaton (dfao) is required")
+    if m.tracks != 1:
+        raise InputError(f"{path}: a sequence automaton reads 1 track, found {m.tracks}")
     if not m.is_zero_invariant():
         raise InputError(
             f"{path}: sequence automaton is not leading-zero invariant; "

@@ -1,9 +1,13 @@
 """End-to-end pipelines from a sequence Dfao to each repetition measure.
 
-Each pipeline compiles a pair language over tracks (length-like, period-like)
-so that the pair quotient equals the measured exponent, then hands it to the
-quotient solvers.  Period conditions are written additively (j + p < q in
-place of j < q - p), so the compiler never needs subtraction.
+Every measure is one of two functionals of one pair language: the
+supremum of the pair quotient (`sup_quo`) or its largest limit value
+(`largest_limit_quotient`).  `PIPELINES` maps each measure to its formula,
+the formula's track order (length-like, period-like), chosen so that the
+pair quotient equals the measured exponent, and its functional;
+`compute_measure` reads the table and the named measure functions call it.
+Period conditions are written additively (j + p < q in place of j < q - p),
+so the compiler never needs subtraction.
 
 Pairs with a vacuous period condition (length <= period) are deliberately
 left in the compiled languages: they contribute quotients <= 1 only and can
@@ -19,10 +23,8 @@ from functools import cache
 from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
 from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
 from .numeral import DigitWord, RadixContext
-from .quotient import FiniteLanguageError, largest_limit_quotient, sup_quo
+from .quotient import largest_limit_quotient, sup_quo
 from .rational import Value
-
-MEASURES = ("critical", "c1", "c2", "ice1", "ice2", "dio")
 
 
 class ExponentError(ValueError):
@@ -88,6 +90,33 @@ GAP_FORMULA = (
 )
 
 
+# measure -> (pair formula, its track order, "sup" or "limit")
+PIPELINES = {
+    "critical": (PERIOD_FORMULA, ("q", "p"), "sup"),
+    "c1": (RECURRENT_PERIOD_FORMULA, ("q", "p"), "sup"),
+    "c2": (PERIOD_FORMULA, ("q", "p"), "limit"),
+    "ice1": (PREFIX_PERIOD_FORMULA, ("q", "p"), "sup"),
+    "ice2": (PREFIX_PERIOD_FORMULA, ("q", "p"), "limit"),
+    "dio": (PREFIX_TAIL_FORMULA, ("s", "t"), "limit"),
+}
+MEASURES = tuple(PIPELINES)
+
+
+def compute_measure(a: Dfao, which: str) -> ExponentResult:
+    """Compile the measure's pair language and run its one solver.  A limit
+    measure of a finite language raises FiniteLanguageError; none of the
+    languages above is finite, as each holds every pair (p, p) with p >= 1."""
+    if which not in PIPELINES:
+        raise ExponentError(f"unknown measure {which!r}")
+    text, free, functional = PIPELINES[which]
+    L = _compile_pairs(a, text, free)
+    if functional == "sup":
+        res = sup_quo(L, _ctx(a))
+        return ExponentResult(which, res.value, res.attained, res.witness, L)
+    value, pump = largest_limit_quotient(L, _ctx(a))
+    return ExponentResult(which, value, None, pump, L)
+
+
 def period_language(a: Dfao) -> Dfa:
     """Pairs (q, p): some factor of length q has period p >= 1.
 
@@ -96,60 +125,32 @@ def period_language(a: Dfao) -> Dfa:
     return _compile_pairs(a, PERIOD_FORMULA, ("q", "p"))
 
 
-def critical_exponent(a: Dfao, pairs: Dfa | None = None) -> ExponentResult:
+def critical_exponent(a: Dfao) -> ExponentResult:
     """Supremum of factor exponents; rational or infinite, with witness."""
-    L = pairs if pairs is not None else period_language(a)
-    res = sup_quo(L, _ctx(a))
-    return ExponentResult("critical", res.value, res.attained, res.witness, L)
+    return compute_measure(a, "critical")
 
 
 def recurrent_critical_exponent(a: Dfao) -> ExponentResult:
     """Same supremum restricted to factors occurring infinitely often."""
-    L = _compile_pairs(a, RECURRENT_PERIOD_FORMULA, ("q", "p"))
-    res = sup_quo(L, _ctx(a))
-    return ExponentResult("c1", res.value, res.attained, res.witness, L)
+    return compute_measure(a, "c1")
 
 
-def special_exponent(a: Dfao, pairs: Dfa | None = None) -> ExponentResult:
+def special_exponent(a: Dfao) -> ExponentResult:
     """Largest exponent realized by arbitrarily long factors: the largest
     limit value of the period-language quotient."""
-    L = pairs if pairs is not None else period_language(a)
-    ctx = _ctx(a)
-    try:
-        value, pump = largest_limit_quotient(L, ctx)
-    except FiniteLanguageError as exc:
-        raise ExponentError("the period language is finite; no limit exponent") from exc
-    return ExponentResult("c2", value, None, pump, L)
-
-
-def _initial_critical_exponent(a: Dfao) -> ExponentResult:
-    L = _compile_pairs(a, PREFIX_PERIOD_FORMULA, ("q", "p"))
-    res = sup_quo(L, _ctx(a))
-    return ExponentResult("ice1", res.value, res.attained, res.witness, L)
-
-
-def _initial_limit_exponent(a: Dfao) -> ExponentResult:
-    L = _compile_pairs(a, PREFIX_PERIOD_FORMULA, ("q", "p"))
-    value, pump = largest_limit_quotient(L, _ctx(a))
-    return ExponentResult("ice2", value, None, pump, L)
+    return compute_measure(a, "c2")
 
 
 def initial_critical_exponents(a: Dfao) -> tuple[ExponentResult, ExponentResult]:
     """Prefix analogues: supremum over prefixes, and over arbitrarily long
     prefixes, of the prefix exponent."""
-    return _initial_critical_exponent(a), _initial_limit_exponent(a)
+    return compute_measure(a, "ice1"), compute_measure(a, "ice2")
 
 
 def diophantine_exponent(a: Dfao) -> ExponentResult:
     """Largest limit of |u v^tau| / |uv| over arbitrarily long periodic-tail
     prefixes u v^tau; tracks are (i + l, i + p)."""
-    L = _compile_pairs(a, PREFIX_TAIL_FORMULA, ("s", "t"))
-    ctx = _ctx(a)
-    try:
-        value, pump = largest_limit_quotient(L, ctx)
-    except FiniteLanguageError as exc:
-        raise ExponentError("the periodic-tail language is finite") from exc
-    return ExponentResult("dio", value, None, pump, L)
+    return compute_measure(a, "dio")
 
 
 def is_recurrent(a: Dfao) -> bool:
@@ -176,19 +177,3 @@ def linear_recurrence(a: Dfao) -> RecurrenceReport:
     if not isinstance(res.value, Fraction):
         return RecurrenceReport(False, "gap-ratio-unbounded", res.value, res.attained, res.witness, L)
     return RecurrenceReport(True, None, res.value, res.attained, res.witness, L)
-
-
-def compute_measure(a: Dfao, which: str) -> ExponentResult:
-    if which == "critical":
-        return critical_exponent(a)
-    if which == "c1":
-        return recurrent_critical_exponent(a)
-    if which == "c2":
-        return special_exponent(a)
-    if which == "ice1":
-        return _initial_critical_exponent(a)
-    if which == "ice2":
-        return _initial_limit_exponent(a)
-    if which == "dio":
-        return diophantine_exponent(a)
-    raise ExponentError(f"unknown measure {which!r}")

@@ -391,6 +391,8 @@ class CompilationEnv:
             raise CompileError("duplicate names in the free-variable list")
         if self.dfao is not None and self.dfao.k != self.ctx.k:
             raise CompileError("sequence base does not match the context base")
+        if self.dfao is not None and self.dfao.tracks != 1:
+            raise CompileError(f"a sequence automaton reads 1 track, got {self.dfao.tracks}")
 
 
 def bool_dfa(k: int, truth: bool) -> Dfa:

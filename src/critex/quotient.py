@@ -17,10 +17,12 @@ Dinkelbach's iteration on either maximizer yields the exact largest ratio
 and its witness without enumerating words or pumps; the enumeration-based
 references that cross-validate them on small machines live with the tests.
 
-Both solvers share one memo of `_solve` (`_prepare`, the unbounded-pump
-test, `_limit`), keyed on the language, base and state cap and emptied at
-4096 entries; `_prepare` is canonical and the solve deterministic, so a hit
-equals a fresh solve.
+Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
+unbounded-pump test, `_limit`), keyed on the language, base and state cap
+and emptied at 4096 entries; `_prepare` is canonical and the solve
+deterministic, so a hit equals a fresh solve.  The trim part is computed
+once per solve: every later step (emptiness, finiteness, both maximizers,
+the unbounded-pump test) reads that one `PumpGraph`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .automaton import (
     complement,
     erase,
     is_empty,
-    is_infinite,
     leading_zero_filter,
     lift_tracks,
     make_pump,
@@ -321,17 +322,17 @@ def _dinkelbach(oracle, rebuild, ratio_of):
         lam = nxt
 
 
-def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord | None]:
+def bounded_max_ratio(a: Dfa, max_len: int, adj: dict | None = None) -> tuple[Fraction | None, DigitWord | None]:
     """Exact maximum quotient over accepted words of length <= max_len, with
     a shortest word attaining it; (None, None) if no such word is accepted.
 
     Expects a language whose accepted words all carry a nonzero denominator
     track.  Runs Dinkelbach's iteration on the word-weight maximizer, so no
     word enumeration happens; the reference for it is the enumeration in
-    oracle.brute_quo_profile.
+    oracle.brute_quo_profile.  `adj` is as in `max_word_weight`.
     """
-
-    adj = _trim_adjacency(a, trim_states(a))
+    if adj is None:
+        adj = _trim_adjacency(a, trim_states(a))
 
     def rebuild(P, Q, arg):
         ln, s = arg
@@ -392,99 +393,78 @@ def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]
     return sccs
 
 
-def find_unbounded_pump(a: Dfa) -> PumpDecomposition | None:
+def _bfs_parents(start, step) -> dict:
+    """Breadth-first tree from start: each node reached maps to (previous
+    node, symbol index) and start to None; insertion order is BFS order."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for c, nxt in step(node):
+            if nxt not in parent:
+                parent[nxt] = (node, c)
+                queue.append(nxt)
+    return parent
+
+
+def _backtrack(parent: dict, node, syms) -> list:
+    """Symbols of the tree path from the root of `parent` to node."""
+    out = []
+    while parent[node] is not None:
+        node, c = parent[node]
+        out.append(syms[c])
+    out.reverse()
+    return out
+
+
+def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposition | None:
     """A pump with zero denominator increment and positive numerator increment.
 
     Exists iff the quotient supremum is infinite: pumping it fixes the
     denominator while the numerator grows without bound.  Searches the
     subgraph of trim states linked by symbols whose denominator digit is 0.
+    `graph` is `pump_graph(a)`, built here when not given.
     """
-    trim = trim_states(a)
-    if a.initial not in trim:
+    if graph is None:
+        graph = pump_graph(a)
+    if a.initial not in graph.trim:
         return None
-    k = a.k
-    syms = symbols(k, 2)
-    zero_den = [c for c, (c1, c2) in enumerate(syms) if c2 == 0]
-    nonzero_num = {c for c in zero_den if syms[c][0] != 0}
-    adj = {s: [(c, a.trans[s][c]) for c in zero_den if a.trans[s][c] in trim] for s in trim}
-    # reach each (state, saw-nonzero-numerator flag) from the initial state
-    start = (a.initial, 0)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    order: list[tuple[int, int]] = [start]
-    queue = deque([start])
-    while queue:
-        s, flag = queue.popleft()
-        for c, t in adj[s]:
-            node = (t, flag | (1 if c in nonzero_num else 0))
-            if node not in parent:
-                parent[node] = ((s, flag), c)
-                order.append(node)
-                queue.append(node)
+    syms = symbols(a.k, 2)
+    adj = {s: [(c, t) for c, t in moves if syms[c][1] == 0] for s, moves in graph.adj.items()}
     cycles = _cycle_adjacency(adj)
+    # reach each (state, saw-nonzero-numerator flag) from the initial state
+    parent = _bfs_parents(
+        (a.initial, 0), lambda node: [(c, (t, node[1] | (syms[c][0] != 0))) for c, t in adj[node[0]]]
+    )
 
-    def path_to(node) -> list:
-        out = []
-        cur = node
-        while parent[cur] is not None:
-            prev, c = parent[cur]
-            out.append(syms[c])
-            cur = prev
-        out.reverse()
-        return out
+    def path(src: int, dst: int, sub) -> list:
+        # src and dst share a strongly connected component, so dst is reached
+        return _backtrack(_bfs_parents(src, sub.__getitem__), dst, syms)
 
-    def bfs_path(src: int, dst: int, sub) -> list | None:
-        if src == dst:
-            return []
-        par: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        queue2 = deque([src])
-        while queue2:
-            s = queue2.popleft()
-            for c, t in sub[s]:
-                if t not in par:
-                    par[t] = (s, c)
-                    if t == dst:
-                        out = []
-                        cur = t
-                        while par[cur][0] != -1:
-                            p, c0 = par[cur]
-                            out.append(syms[c0])
-                            cur = p
-                        out.reverse()
-                        return out
-                    queue2.append(t)
-        return None
-
-    for s, flag in order:
+    for s, flag in parent:
         sub = cycles.get(s)
         if sub is None:
             continue
-        if flag == 1:
+        if flag:
             # any cycle at s will do
-            for c, t in sub[s]:
-                rest = bfs_path(t, s, sub)
-                if rest is not None:
-                    u = path_to((s, flag))
-                    return make_pump(k, u, [syms[c]] + rest, s)
-        else:
-            # route the cycle through a nonzero-numerator edge
-            for x, moves in sub.items():
-                for c, t in moves:
-                    if c in nonzero_num:
-                        first = bfs_path(s, x, sub)
-                        rest = bfs_path(t, s, sub)
-                        if first is not None and rest is not None:
-                            u = path_to((s, flag))
-                            return make_pump(k, u, first + [syms[c]] + rest, s)
+            c, t = sub[s][0]
+            return make_pump(a.k, _backtrack(parent, (s, flag), syms), [syms[c]] + path(t, s, sub), s)
+        # route the cycle through a nonzero-numerator edge
+        for x, moves in sub.items():
+            for c, t in moves:
+                if syms[c][0] != 0:
+                    v = path(s, x, sub) + [syms[c]] + path(t, s, sub)
+                    return make_pump(a.k, _backtrack(parent, (s, flag), syms), v, s)
     return None
 
 
-def is_sup_infinite(L: Dfa) -> tuple[bool, PumpDecomposition | None]:
+def is_sup_infinite(L: Dfa, graph: PumpGraph | None = None) -> tuple[bool, PumpDecomposition | None]:
     """Whether the quotient supremum is infinite, with the pump witness.
 
     Expects a canonical machine whose accepted words have nonzero
-    denominator track values.
+    denominator track values; `graph` is as in `find_unbounded_pump`.
     """
-    pump = find_unbounded_pump(L)
+    pump = find_unbounded_pump(L, graph)
     if pump is not None and not (pump.inc2 == 0 and pump.inc1 > 0):
         raise InvariantError("unbounded pump with a nonzero denominator increment")
     return pump is not None, pump
@@ -498,11 +478,10 @@ def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
     return canonicalize(product(L, nonzero_track_dfa(ctx, 2, 1), "and"))
 
 
-def _limit(work: Dfa) -> tuple[Fraction, PumpDecomposition]:
+def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:
     """Largest pump ratio of a prepared infinite machine without an unbounded
     pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
-    pump that attains it."""
-    graph = pump_graph(work)
+    pump that attains it; `graph` is `pump_graph(work)`."""
 
     def rebuild(P, Q, arg):
         s0, xlen, b = arg
@@ -527,16 +506,18 @@ _SOLVED: dict[tuple, tuple] = {}
 
 
 def _solve(L: Dfa, ctx: RadixContext) -> tuple:
-    """(prepared machine, unbounded pump or None, `_limit` result or None
-    when the machine is finite or has an unbounded pump), memoized."""
+    """(prepared machine, its `pump_graph`, unbounded pump or None, `_limit`
+    result or None when the machine is finite or has an unbounded pump),
+    memoized.  The language is infinite iff its trim part has a cycle."""
     key = (L, ctx.k, state_limit())
     if key not in _SOLVED:
         work = _prepare(L, ctx)
-        pump = is_sup_infinite(work)[1]
-        limit = _limit(work) if pump is None and is_infinite(work) else None
+        graph = pump_graph(work)
+        pump = is_sup_infinite(work, graph)[1]
+        limit = _limit(work, graph) if pump is None and graph.cycles else None
         if len(_SOLVED) >= 4096:
             _SOLVED.clear()
-        _SOLVED[key] = (work, pump, limit)
+        _SOLVED[key] = (work, graph, pump, limit)
     return _SOLVED[key]
 
 
@@ -548,7 +529,7 @@ def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomp
     limit, and any such limit is realized by a pump within first-repeat
     bounds.
     """
-    _, pump, limit = _solve(L, ctx)
+    _, _, pump, limit = _solve(L, ctx)
     if pump is not None:
         return INF, pump
     if limit is None:
@@ -565,12 +546,12 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     by the usual pumping exchange).  Attained iff the short-word maximum
     wins, in which case the witness is a shortest attaining word.
     """
-    work, pump, limit = _solve(L, ctx)
-    if is_empty(work):
+    work, graph, pump, limit = _solve(L, ctx)
+    if not graph.trim:
         raise EmptyLanguageError("the supremum of an empty language is undefined")
     if pump is not None:
         return SupResult(INF, False, pump)
-    m_short, m_witness = bounded_max_ratio(work, work.num_states - 1)
+    m_short, m_witness = bounded_max_ratio(work, work.num_states - 1, graph.adj)
     if m_short is None:
         raise EmptyLanguageError("no accepted word carries a nonzero denominator")
     if limit is None or m_short >= limit[0]:

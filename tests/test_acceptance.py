@@ -97,7 +97,7 @@ def test_criterion_4_ternary_squarefree_word(vtm):
         res = critical_exponent(vtm)
         assert res.value == Fraction(2)
         assert res.attained is False
-        res2 = special_exponent(vtm, pairs=res.pair_dfa)
+        res2 = special_exponent(vtm)
         assert res2.value == Fraction(2)
 
 
@@ -196,7 +196,7 @@ def test_criterion_7_ordering_chains(tm, rs, vtm, zero, one_then_zeros, alternat
     with criterion(7, "ordering chains 1 <= c2 <= c and ice2 <= ice1 <= c"):
         for a in (tm, rs, vtm, zero, one_then_zeros, alternating):
             c = critical_exponent(a)
-            c2 = special_exponent(a, pairs=c.pair_dfa)
+            c2 = special_exponent(a)
             ice1, ice2 = initial_critical_exponents(a)
             assert Fraction(1) <= c2.value
             assert c2.value <= c.value

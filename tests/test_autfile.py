@@ -73,6 +73,7 @@ trans: 0 [1,1] -> 0
         (lambda t: t.replace("accepting: 1", "accepting: 7"), "range"),
         (lambda t: t.replace("order: msd", "order: lsd"), "order"),
         (lambda t: t.replace("order: msd", "order: xyz"), "order"),
+        (lambda t: t.replace("accepting: 1", "acepting: 1"), "unknown key 'acepting'"),
     ],
 )
 def test_parse_errors(mutate, needle):

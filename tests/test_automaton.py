@@ -3,7 +3,9 @@ import random
 import pytest
 
 from critex.automaton import (
+    AutomatonError,
     Dfa,
+    Dfao,
     IncompatibleError,
     StateLimitError,
     _subsets,
@@ -52,6 +54,15 @@ def all_words_dfa(k, tracks):
 
 def empty_dfa(k, tracks):
     return Dfa(k, tracks, [[0] * (k**tracks)], set(), 0)
+
+
+@pytest.mark.parametrize("initial", [5, 1, -1])
+def test_constructors_refuse_an_initial_state_out_of_range(initial):
+    # -1 would otherwise index the last state
+    with pytest.raises(AutomatonError, match="initial state"):
+        Dfao(2, 1, [[0, 0]], ["a"], initial)
+    with pytest.raises(AutomatonError, match="initial state"):
+        Dfa(2, 1, [[0, 0]], {0}, initial)
 
 
 # ------------------------------------------------------------- product

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from critex.autfile import save_automaton
+from critex.automaton import Dfao
 from critex.cli import main
 from critex.sequences import (
     constant_zero,
@@ -191,6 +192,7 @@ def test_bad_automaton_file_is_input_error(tmp_path, capsys):
         ("exponent", "tm.dfao", "order: msd", "order: lsd", "order"),
         ("sup", "pairs.dfa", "order: msd", "order: lsd", "order"),
         ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1 0:1", "output state 0"),
+        ("sup", "finite.dfa", "accepting:", "acepting:", "unknown key 'acepting'"),
     ],
 )
 def test_refused_automaton_file_is_input_error(files, tmp_path, capsys, command, name, old, new, needle):
@@ -199,6 +201,15 @@ def test_refused_automaton_file_is_input_error(files, tmp_path, capsys, command,
     code, out, err = run_cli(capsys, command, str(p))
     assert code == 2
     assert needle in err and "value=" not in out
+
+
+@pytest.mark.parametrize("argv", [["exponent"], ["eval", "--formula", "E i . seq[i] = seq[i+1]"]])
+def test_multi_track_dfao_is_input_error(tmp_path, capsys, argv):
+    p = tmp_path / "two_track.dfao"
+    save_automaton(str(p), Dfao(2, 2, [[0, 0, 0, 0]], ["a"], 0))
+    code, _, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2
+    assert "reads 1 track, found 2" in err and "Traceback" not in err
 
 
 def test_non_zero_invariant_dfao_rejected(tmp_path, capsys):

@@ -246,7 +246,7 @@ def test_gap_language_zero(zero):
 def test_ordering_chains(tm, rs, vtm, zero, one_then_zeros, alternating):
     for a in (tm, rs, vtm, zero, one_then_zeros, alternating):
         c = critical_exponent(a)
-        c2 = special_exponent(a, pairs=c.pair_dfa)
+        c2 = special_exponent(a)
         i1, i2 = initial_critical_exponents(a)
         assert Fraction(1) <= c2.value <= c.value
         assert Fraction(1) <= i2.value <= i1.value <= c.value
@@ -294,7 +294,7 @@ def test_period_doubling_measures():
     assert sequence_prefix(pd, 16).text() == "0100010101000100"
     r = critical_exponent(pd)
     assert (r.value, r.attained) == (Fraction(4), False)
-    assert special_exponent(pd, pairs=r.pair_dfa).value == Fraction(4)
+    assert special_exponent(pd).value == Fraction(4)
     scanned, _ = scan_max_exponent(sequence_prefix(pd, 1 << 14), 64)
     assert Fraction(3) < scanned < Fraction(4)
     i1, i2 = initial_critical_exponents(pd)
@@ -313,7 +313,7 @@ def test_base3_digit_sum_sequence_consistency():
     t3 = Dfao(3, 1, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["0", "1", "2"], 0)
     assert t3.is_zero_invariant()
     r = critical_exponent(t3)
-    c2 = special_exponent(t3, pairs=r.pair_dfa)
+    c2 = special_exponent(t3)
     assert Fraction(1) <= c2.value <= r.value
     sample = sequence_prefix(t3, 3**8)
     scanned, _ = scan_max_exponent(sample, 40)

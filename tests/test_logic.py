@@ -5,7 +5,7 @@ import pytest
 
 from critex import automaton, exponents, logic
 from critex.autfile import load_automaton
-from critex.automaton import Dfa
+from critex.automaton import Dfa, Dfao
 from critex.logic import (
     Add,
     And,
@@ -398,6 +398,12 @@ def test_early_erasure_narrows_the_widest_product(tm, ctx, monkeypatch):
 def test_unknown_output_symbol_is_compile_error(tm, ctx, text, names):
     with pytest.raises(CompileError, match="output symbol '9' not in the sequence alphabet"):
         compile_formula(parse(text), env_for(tm, ctx, *names))
+
+
+def test_multi_track_sequence_is_compile_error(ctx):
+    two_track = Dfao(2, 2, [[0, 0, 0, 0]], ["a"], 0)
+    with pytest.raises(CompileError, match="reads 1 track, got 2"):
+        CompilationEnv(("i",), two_track, ctx)
 
 
 # ------------------------------------------------------------- compile memo

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from critex import quotient
+from critex import automaton, cli, quotient
 from critex.automaton import (
     Dfa,
     InvariantError,
@@ -148,6 +149,16 @@ def test_is_sup_infinite_examples():
     assert find_unbounded_pump(_prepare(dfa_for_words(2, 2, []), CTX)) is None
 
 
+def test_unbounded_pump_witnesses_are_pinned():
+    # the digest of the rendered witnesses over 500 small machines, 499 of
+    # which have an unbounded pump; any change in the search order shows here
+    suite = [m for s in range(10) for m in prepared_random_suite(9000 + s, 50, max_states=5)]
+    pumps = [find_unbounded_pump(m) for m in suite]
+    assert sum(p is not None for p in pumps) == 499
+    got = hashlib.sha256("\n".join(str(cli.render_witness(p)) for p in pumps).encode()).hexdigest()
+    assert got == "23523b2b0563d65689eae60e67fcd1a5234cadd21f1933ac15012a16d90d98ce"
+
+
 def test_is_sup_infinite_matches_reference_on_random_machines():
     for machine in prepared_random_suite(4200, 30, max_states=3):
         got, _ = is_sup_infinite(machine)
@@ -172,9 +183,9 @@ def test_sup_runs_the_unbounded_pump_test_once(monkeypatch):
     calls = []
     real = quotient.find_unbounded_pump
 
-    def counted(a):
-        calls.append(a)
-        return real(a)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(quotient, "find_unbounded_pump", counted)
     assert sup_quo(pairs_ones_then_01(), CTX).value == Fraction(1)
@@ -219,7 +230,7 @@ def test_sup_and_limit_share_one_solve(monkeypatch):
 
     def counting(name):
         real = getattr(quotient, name)
-        return lambda a: calls.append(name) or real(a)
+        return lambda *args: calls.append(name) or real(*args)
 
     for name in ("_limit", "find_unbounded_pump"):
         monkeypatch.setattr(quotient, name, counting(name))
@@ -227,6 +238,23 @@ def test_sup_and_limit_share_one_solve(monkeypatch):
     assert sup_quo(L, CTX).value == Fraction(1)
     assert largest_limit_quotient(L, CTX)[0] == Fraction(1, 2)
     assert sorted(calls) == ["_limit", "find_unbounded_pump"]
+
+
+def test_sup_and_limit_compute_the_trim_part_once(monkeypatch):
+    calls = []
+    real = automaton.trim_states
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (automaton, quotient):
+        monkeypatch.setattr(module, "trim_states", counted)
+    quotient._SOLVED.clear()
+    L = pairs_ones_then_01()
+    assert sup_quo(L, CTX).value == Fraction(1)
+    assert largest_limit_quotient(L, CTX)[0] == Fraction(1, 2)
+    assert len(calls) == 1
 
 
 def test_solve_memo_respects_the_state_cap(tm_period_language, monkeypatch):
