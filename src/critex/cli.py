@@ -18,6 +18,7 @@ literal "inf".  CRITEX_MAX_STATES bounds intermediate machines (default
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -242,7 +243,9 @@ def _echo(args) -> str:
     return " ".join(args.raw_argv)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `main` dispatches on its `command`."""
     p = argparse.ArgumentParser(prog="critex", description="Exact repetition measures of automatic sequences.")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -253,33 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exponent", help="repetition measures of a sequence automaton")
     common(sp)
     sp.add_argument("--which", default="critical", choices=list(exponents.MEASURES))
-    sp.set_defaults(fn=cmd_exponent)
 
     sp = sub.add_parser("recurrence", help="linear recurrence and its optimal constant")
     common(sp)
-    sp.set_defaults(fn=cmd_recurrence)
 
     sp = sub.add_parser("sup", help="supremum of the pair quotient of a 2-track acceptor")
     common(sp)
-    sp.set_defaults(fn=cmd_sup)
 
     sp = sub.add_parser("special", help="largest limit value of the pair quotient")
     common(sp)
-    sp.set_defaults(fn=cmd_special)
 
     sp = sub.add_parser("eval", help="evaluate or compile a predicate over a sequence")
     common(sp)
     sp.add_argument("--formula", required=True)
     sp.add_argument("--vars", default="", help="comma list fixing the track order of free variables")
     sp.add_argument("--dump", default="", help="write the compiled acceptor here")
-    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("oracle", help="brute-force scans for cross-checking")
     sp.add_argument("oracle_cmd", choices=["prefix", "scan", "ice", "recurrence", "quo"])
     common(sp)
     sp.add_argument("--n", type=int, default=None, help="prefix length (or word length bound for quo)")
     sp.add_argument("--max-period", type=int, default=None, help="scan window: max period / factor length")
-    sp.set_defaults(fn=cmd_oracle)
 
     return p
 
@@ -299,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     started = time.monotonic()
     try:
-        report = args.fn(args)
+        report = globals()[f"cmd_{args.command}"](args)
     except (AutFileError, FormulaError, NumeralError, oracle.OracleError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

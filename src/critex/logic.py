@@ -2,13 +2,14 @@
 
 Formulas support addition terms, the six comparisons, sequence-value atoms
 over a Dfao, the boolean connectives and E/A quantifiers.  Compilation lowers
-terms through the addition relation, turns E into one `automaton.erase`
-of the quantified track (a double reversal, det(rev(det(rev(N)))), run
-straight on the machine's moves, which yields the minimal machine
-directly), A into the double complement, and minimizes the result of every
-other construction.  The track order of a
-compiled machine is exactly the declared free-variable order, never inferred
-from the formula.
+terms through the addition relation, each distinct subterm of an atom once
+(`seq[i+j] = seq[i+j+p]` builds one adder for `i+j`), turns E into one
+`automaton.erase` of the quantified track (a double reversal,
+det(rev(det(rev(N)))), run straight on the machine's moves, which yields the
+minimal machine directly), A into the double complement, and minimizes the
+result of every other construction.  The track order of a compiled machine
+is exactly the declared free-variable order, never inferred from the
+formula.
 
 An atom's auxiliary `_t` variables are quantified early (bucket
 elimination): the atom is conjoined with its lowering parts one at a time,
@@ -20,14 +21,14 @@ change the compiled machine: every conjunction and every erasure lands on
 the canonical minimal machine of its language, and the language is the
 same in any order.
 
-Quantified subformulas are shared through one memo of every compiled E
-and A node and every whole formula compile_formula returns.  Its key is the
-node's shape with each variable renamed by first occurrence, a digest of
-the sequence Dfao's content, the base and the CRITEX_MAX_STATES cap, plus
-the declared track order for a whole formula.  The compiler reads names only
-to tell variables apart and lands every node on its canonical minimal
-machine, so a hit, its tracks mapped back to the caller's names, is exactly
-what a fresh compile gives.
+Atoms and quantified subformulas are shared through one memo of every
+compiled atom (Cmp, SeqEq, SeqConst), E and A node and every whole formula
+compile_formula returns.  Its key is the node's shape with each variable
+renamed by first occurrence, a digest of the sequence Dfao's content, the
+base and the CRITEX_MAX_STATES cap, plus the declared track order for a
+whole formula.  The compiler reads names only to tell variables apart and
+lands every node on its canonical minimal machine, so a hit, its tracks
+mapped back to the caller's names, is exactly what a fresh compile gives.
 
 ASCII grammar (parse):
 
@@ -463,22 +464,28 @@ class _Compiler:
 
     # -- terms and atoms ----------------------------------------------------
 
-    def lower_term(self, t: Term, parts: list) -> str:
+    def lower_term(self, t: Term, parts: list, lowered: dict) -> str:
+        """The track holding t's value; `lowered` maps each subterm of the
+        atom lowered so far to its track, so each is lowered once."""
         if isinstance(t, Var):
             return t.name
-        if isinstance(t, Const):
+        if t not in lowered:
             aux = self.fresh()
-            parts.append((arith.const_eq_rel(self.env.ctx, t.value), (aux,)))
-            return aux
-        if isinstance(t, Add):
-            v1 = self.lower_term(t.left, parts)
-            v2 = self.lower_term(t.right, parts)
-            if v2 == v1:
-                v2 = self.alias(v1, parts)
-            aux = self.fresh()
-            parts.append((arith.add_rel(self.env.ctx), (v1, v2, aux)))
-            return aux
-        raise CompileError(f"unknown term {t!r}")
+            if isinstance(t, Const):
+                parts.append((arith.const_eq_rel(self.env.ctx, t.value), (aux,)))
+            elif isinstance(t, Add):
+                v1, v2 = self.lower_pair(t.left, t.right, parts, lowered)
+                parts.append((arith.add_rel(self.env.ctx), (v1, v2, aux)))
+            else:
+                raise CompileError(f"unknown term {t!r}")
+            lowered[t] = aux
+        return lowered[t]
+
+    def lower_pair(self, left: Term, right: Term, parts: list, lowered: dict) -> tuple[str, str]:
+        """The tracks of two terms, an alias of the first when both are one."""
+        v1 = self.lower_term(left, parts, lowered)
+        v2 = self.lower_term(right, parts, lowered)
+        return v1, self.alias(v1, parts) if v2 == v1 else v2
 
     def alias(self, name: str, parts: list) -> str:
         aux = self.fresh()
@@ -512,8 +519,11 @@ class _Compiler:
         return machine, mvars
 
     def compile(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
-        """The machine of f with its track names; E and A nodes through the memo."""
-        if not isinstance(f, (Exists, Forall)):
+        """The machine of f with its track names.  Atoms and E and A nodes go
+        through the memo, so an atom met again, in this compile or an
+        earlier one and under any variable names, is built once; the
+        connectives are built from their operands each time."""
+        if isinstance(f, (Not, And, Or, Implies)):
             return self.build(f)
         names: dict[str, int] = {}
         key = (_shape(f, names), self.context)
@@ -527,29 +537,19 @@ class _Compiler:
 
     def build(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
         env = self.env
+        parts: list = []
         if isinstance(f, Cmp):
-            parts: list = []
-            v1 = self.lower_term(f.left, parts)
-            v2 = self.lower_term(f.right, parts)
-            if v2 == v1:
-                v2 = self.alias(v1, parts)
-            return self.atom(arith.cmp_rel(env.ctx, f.op), (v1, v2), parts)
+            return self.atom(arith.cmp_rel(env.ctx, f.op), self.lower_pair(f.left, f.right, parts, {}), parts)
         if isinstance(f, SeqEq):
             if env.dfao is None:
                 raise CompileError("formula uses seq[...] but no sequence was supplied")
-            parts = []
-            v1 = self.lower_term(f.left, parts)
-            v2 = self.lower_term(f.right, parts)
-            if v2 == v1:
-                v2 = self.alias(v1, parts)
-            return self.atom(arith.seq_eq(env.dfao), (v1, v2), parts)
+            return self.atom(arith.seq_eq(env.dfao), self.lower_pair(f.left, f.right, parts, {}), parts)
         if isinstance(f, SeqConst):
             if env.dfao is None:
                 raise CompileError("formula uses seq[...] but no sequence was supplied")
             if f.symbol not in env.dfao.output_alphabet:
                 raise CompileError(f"output symbol {f.symbol!r} not in the sequence alphabet")
-            parts = []
-            v = self.lower_term(f.term, parts)
+            v = self.lower_term(f.term, parts, {})
             return self.atom(arith.seq_const(env.dfao, f.symbol), (v,), parts)
         if isinstance(f, Not):
             m, mv = self.compile(f.body)

@@ -423,14 +423,15 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
     Exists iff the quotient supremum is infinite: pumping it fixes the
     denominator while the numerator grows without bound.  Searches the
     subgraph of trim states linked by symbols whose denominator digit is 0.
-    `graph` is `pump_graph(a)`, built here when not given.
+    `graph` is `pump_graph(a)`; without it only the trim part and its moves
+    are built, the part of the graph read here.
     """
-    if graph is None:
-        graph = pump_graph(a)
-    if a.initial not in graph.trim:
+    trim = trim_states(a) if graph is None else graph.trim
+    if a.initial not in trim:
         return None
     syms = symbols(a.k, 2)
-    adj = {s: [(c, t) for c, t in moves if syms[c][1] == 0] for s, moves in graph.adj.items()}
+    moves_of = _trim_adjacency(a, trim) if graph is None else graph.adj
+    adj = {s: [(c, t) for c, t in moves if syms[c][1] == 0] for s, moves in moves_of.items()}
     cycles = _cycle_adjacency(adj)
     # reach each (state, saw-nonzero-numerator flag) from the initial state
     parent = _bfs_parents(

@@ -135,6 +135,28 @@ def test_eval_sentence_and_dump(files, capsys, tmp_path):
     assert language_equal(dumped, period_language(thue_morse()))
 
 
+def test_reused_parser_carries_nothing_between_calls(files, capsys, tmp_path):
+    from critex import cli
+
+    cli.build_parser.cache_clear()
+    dump = tmp_path / "n.dfa"
+    argv = ("eval", files["tm.dfao"], "--formula", "seq[n] = 1", "--vars", "n")
+    code, out, _ = run_cli(capsys, *argv, "--dump", str(dump))
+    assert code == 0 and f"dumped={dump}" in out
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "dumped=(no --dump file given; machine discarded)" in out
+    code, out, _ = run_cli(capsys, "exponent", files["tm.dfao"], "--which", "c1")
+    assert code == 0 and "measure=c1" in out
+    code, out, _ = run_cli(capsys, "exponent", files["tm.dfao"])
+    assert code == 0 and "measure=critical" in out
+    code, _, err = run_cli(capsys, "exponent", files["tm.dfao"], "--which", "nope")
+    assert code == 2 and "invalid choice" in err
+    code, out, _ = run_cli(capsys, "sup", files["pairs.dfa"])
+    assert code == 0 and "value=1/1" in out
+    # six calls, one parser
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_eval_open_formula_needs_vars(files, capsys):
     code, _, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", "seq[x] = 1")
     assert code == 2 and "--vars" in err

@@ -1,9 +1,10 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from critex import automaton, exponents, logic
+from critex import arith, automaton, exponents, logic
 from critex.autfile import load_automaton
 from critex.automaton import Dfa, Dfao
 from critex.logic import (
@@ -298,9 +299,10 @@ def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
     for a in seqs:
         for text, free in ((PERIOD_FORMULA, ("q", "p")), (GAP_FORMULA, ("n", "l")), (PREFIX_TAIL_FORMULA, ("s", "t"))):
             compile_formula(parse(text), CompilationEnv(free, a, RadixContext(a.k)))
-    # 48 distinct (machine, track) inputs; the memo skips 20 repeat erases
-    # of the 120 a compile without it runs, and every input is still checked
-    assert len(captured) == 100
+    # 48 distinct (machine, track) inputs; the memo, atoms included, skips
+    # 56 repeat erases of the 120 a compile without it runs, and every input
+    # is still checked
+    assert len(captured) == 64
     distinct = set(captured)
     assert len(distinct) == 48
     for m, track in distinct:
@@ -451,3 +453,40 @@ def test_sequences_differing_only_in_outputs_share_no_entry(tm, ctx, monkeypatch
         assert compile_formula(f, env_for(other, ctx, "q", "p")) == expected
         assert calls, output
 
+
+
+def test_an_atom_met_again_under_other_names_is_a_memo_hit(tm, ctx, monkeypatch):
+    compile_formula(parse("seq[i+j] = seq[i+j+p]"), env_for(tm, ctx, "i", "j", "p"))
+    calls = _erase_calls(monkeypatch)
+    # another track order misses the whole-formula entry, so the machine
+    # comes from the atom's entry, lifted to the new order
+    f, env = parse("seq[a+b] = seq[a+b+c]"), env_for(tm, ctx, "c", "b", "a")
+    got = compile_formula(f, env)
+    assert calls == []
+    assert got == _compile_unshared(monkeypatch, f, env)
+
+
+# ------------------------------------------------------------- shared subterms
+
+
+@pytest.mark.parametrize(
+    "text, names, built",
+    [
+        ("seq[i+j] = seq[i+j+p]", ("i", "j", "p"), ["add_rel", "add_rel"]),
+        ("x + y = x + y", ("x", "y"), ["add_rel"]),
+        ("seq[n+n] = seq[n+n+1]", ("n",), ["add_rel", "add_rel", "const_eq_rel"]),
+        ("i + 3 = j + 3", ("i", "j"), ["add_rel", "add_rel", "const_eq_rel"]),
+    ],
+)
+def test_repeated_subterms_are_lowered_once(tm, ctx, monkeypatch, text, names, built):
+    calls = []
+    for name in ("add_rel", "const_eq_rel"):
+        real = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    f = parse(text)
+    m = compile_formula(f, env_for(tm, ctx, *names))
+    assert sorted(calls) == built
+    seq_value = lambda n: tm.value(n)
+    for values in itertools.product(range(12), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        assert m.accepts(encode_tuple(values, 2)) == interpret(f, assignment, seq_value), (text, assignment)

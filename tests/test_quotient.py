@@ -159,6 +159,18 @@ def test_unbounded_pump_witnesses_are_pinned():
     assert got == "23523b2b0563d65689eae60e67fcd1a5234cadd21f1933ac15012a16d90d98ce"
 
 
+def test_standalone_unbounded_pump_search_builds_no_full_pump_graph(monkeypatch):
+    # without a graph the search builds the trim part and its moves only, so
+    # its one component pass is over the zero-denominator moves
+    work = _prepare(pairs_unbounded(), CTX)
+    expected = find_unbounded_pump(work, quotient.pump_graph(work))
+    calls = []
+    real = quotient._cycle_adjacency
+    monkeypatch.setattr(quotient, "_cycle_adjacency", lambda adj: calls.append(adj) or real(adj))
+    assert expected is not None and find_unbounded_pump(work) == expected
+    assert len(calls) == 1
+
+
 def test_is_sup_infinite_matches_reference_on_random_machines():
     for machine in prepared_random_suite(4200, 30, max_states=3):
         got, _ = is_sup_infinite(machine)
