@@ -14,8 +14,10 @@ The supremum solver rests on three exact primitives:
   bounded length, with the word that attains it.
 
 Dinkelbach's iteration on either maximizer yields the exact largest ratio
-and its witness without enumerating words or pumps; the enumeration-based
-references that cross-validate them on small machines live with the tests.
+and its witness, read back from the maximizer's own DP parent records,
+without enumerating words or pumps; `sup_quo` starts the word search at the
+largest limit value.  The enumeration-based references and the re-run
+witness rebuild that cross-validate them live with the tests.
 
 Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
 unbounded-pump test, `_limit`), keyed on the language, base and state cap
@@ -133,7 +135,7 @@ def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = No
     """One max-plus step: the best weight of each state one symbol further.
 
     Ties keep the first move found; with `par`, records each winner's
-    (predecessor, symbol index).
+    predecessor and symbol index as one small int, pred * len(w) + index.
     """
     nxt: dict[int, int] = {}
     for s, val in cur.items():
@@ -144,25 +146,18 @@ def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = No
             if old is None or nv > old:
                 nxt[t] = nv
                 if par is not None:
-                    par[t] = (s, c)
+                    par[t] = s * len(w) + c
     return nxt
 
 
-def _heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:
-    """Symbols of the heaviest walk of `steps` symbols from start to end over
-    the moves `adj`, with the weight DPs' tie-breaks: the walk behind an
-    argmax."""
-    k = a.k
+def _read_walk(layers: list[dict], steps: int, end: int, k: int) -> list:
+    """Symbols of the walk of `steps` symbols to `end` held in one DP's
+    `_layer` parent records, a dict per layer from its start: the walk
+    behind the DP's argmax, with the DP's own tie-breaks."""
     syms = symbols(k, 2)
-    w = _symbol_weights(k, P, Q)
-    cur = {start: 0}
-    parents: list[dict] = []
-    for _ in range(steps):
-        parents.append({})
-        cur = _layer(cur, adj, k, w, parents[-1])
     out = []
-    for par in reversed(parents):
-        end, c = par[end]
+    for par in reversed(layers[:steps]):
+        end, c = divmod(par[end], len(syms))
         out.append(syms[c])
     out.reverse()
     return out
@@ -198,10 +193,11 @@ def pump_graph(a: Dfa) -> PumpGraph:
     return PumpGraph(trim, adj, _cycle_adjacency(adj))
 
 
-def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
+def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
     """Maximum of Q*inc1 - P*inc2 over pumps with its argmax (loop state,
     |u|, |v|): the largest weight, then the smallest loop state, then the
-    shortest v; or None if no pump exists.
+    shortest v; or None if no pump exists.  `par`, a list, receives the
+    parent records (`_read_walk`) of the prefix DP and the argmax's cycle DP.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
     state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, with T the
@@ -234,8 +230,9 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
     T = len(graph.trim)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
-    for ln in range(1, T):
-        cur = _layer(cur, graph.adj, k, w)
+    upar: list[dict] = [{} for _ in range(1, T)]
+    for ln, lpar in enumerate(upar, 1):
+        cur = _layer(cur, graph.adj, k, w, lpar)
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
@@ -258,62 +255,73 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
         sub = graph.cycles[s0]
         x0, xlen = xstar[s0]
         curz = {s0: 0}
-        for b in range(1, len(sub) + 1):
-            curz = _layer(curz, sub, k, w)
+        vpar: list[dict] = [{} for _ in sub]
+        for b, lpar in enumerate(vpar, 1):
+            curz = _layer(curz, sub, k, w, lpar)
             yb = curz.get(s0)
             if yb is not None:
                 combo = (k**b - 1) * x0 + yb
                 if best is None or (combo, -s0) > (best[0], -best[1][0]):
-                    best = (combo, (s0, xlen, b))
+                    best, best_vpar = (combo, (s0, xlen, b)), vpar
+    if par is not None and best is not None:
+        par += (upar, best_vpar)
     return best
 
 
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict | None = None):
+def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict | None = None, par: list | None = None):
     """Maximum of Q*p - P*q over accepted words of length <= max_len with its
     argmax (length, end state), the first strict maximum, shortest first; or
     None if no such word is accepted.  `adj` is `_trim_adjacency` of a's trim
     part, built here when not given; only P/Q changes between the steps of
-    one solve, so a caller may build it once."""
+    one solve, so a caller may build it once.  `par`, a list, receives the
+    DP's parent records (`_read_walk`)."""
     if adj is None:
         adj = _trim_adjacency(a, trim_states(a))
     k = a.k
     w = _symbol_weights(k, P, Q)
     cur = {a.initial: 0} if a.initial in adj else {}
+    layers: list[dict] = [{} for _ in range(max_len)]
     best = None
     for ln in range(max_len + 1):
         if ln:
-            cur = _layer(cur, adj, k, w)
+            cur = _layer(cur, adj, k, w, layers[ln - 1])
         if not cur:
             break
         for s, val in cur.items():
             if s in a.accept and (best is None or val > best[0]):
                 best = (val, (ln, s))
+    if par is not None:
+        par.append(layers)
     return best
 
 
-def _dinkelbach(oracle, rebuild, ratio_of):
+def _dinkelbach(oracle, rebuild, ratio_of, start: Fraction = Fraction(0)):
     """Largest ratio over a finite candidate set with a candidate attaining
-    it, or None if the set is empty.
+    it, None if the set is empty, or (start, None) if start > 0 and every
+    candidate's ratio lies below start.
 
-    oracle(P, Q) gives the maximum of Q*num - P*den over the candidates and
-    an argmax, or None; rebuild(P, Q, argmax) gives that candidate and
-    ratio_of(candidate) its exact ratio.  Dinkelbach's Newton step: from
-    0, move to the ratio of the argmax until the maximum is 0.  Each step
-    lands on a candidate's ratio and rises strictly, so the loop ends, at
-    the largest ratio.
+    oracle(P, Q, par) gives the maximum of Q*num - P*den over the
+    candidates and an argmax, or None, and leaves its DP's parent records
+    in the list par; rebuild(argmax, par) reads that candidate back from
+    them and ratio_of(candidate) gives its exact ratio.  Dinkelbach's Newton
+    step: from start, move to the ratio of the argmax until the maximum is
+    0.  Each step lands on a candidate's ratio and rises strictly, so the
+    loop ends, at the largest ratio, whose argmax does not depend on start.
     """
-    lam = Fraction(0)
+    lam = start
     while True:
-        P, Q = lam.numerator, lam.denominator
-        got = oracle(P, Q)
+        par: list = []
+        got = oracle(lam.numerator, lam.denominator, par)
         if got is None:
-            if lam:
+            if lam != start:
                 raise InvariantError(f"no candidate to weigh at {lam}")
             return None
         weight, arg = got
         if weight < 0:
-            raise InvariantError(f"negative maximum weight {weight} at {lam}")
-        witness = rebuild(P, Q, arg)
+            if lam != start or not start:
+                raise InvariantError(f"negative maximum weight {weight} at {lam}")
+            return start, None
+        witness = rebuild(arg, par)
         if weight == 0:
             return lam, witness
         nxt = ratio_of(witness)
@@ -322,24 +330,27 @@ def _dinkelbach(oracle, rebuild, ratio_of):
         lam = nxt
 
 
-def bounded_max_ratio(a: Dfa, max_len: int, adj: dict | None = None) -> tuple[Fraction | None, DigitWord | None]:
+def bounded_max_ratio(
+    a: Dfa, max_len: int, adj: dict | None = None, start: Fraction = Fraction(0)
+) -> tuple[Fraction | None, DigitWord | None]:
     """Exact maximum quotient over accepted words of length <= max_len, with
-    a shortest word attaining it; (None, None) if no such word is accepted.
+    a shortest word attaining it; (None, None) if no such word is accepted,
+    or (start, None) if start > 0 and every such quotient is below start.
 
     Expects a language whose accepted words all carry a nonzero denominator
-    track.  Runs Dinkelbach's iteration on the word-weight maximizer, so no
-    word enumeration happens; the reference for it is the enumeration in
+    track.  Runs Dinkelbach's iteration on the word-weight maximizer from
+    start and reads each step's word back from its DP's parent records, so
+    no word enumeration happens; the reference for it is the enumeration in
     oracle.brute_quo_profile.  `adj` is as in `max_word_weight`.
     """
     if adj is None:
         adj = _trim_adjacency(a, trim_states(a))
 
-    def rebuild(P, Q, arg):
+    def rebuild(arg, par):
         ln, s = arg
-        walk = _heaviest_walk(a, adj, P, Q, a.initial, ln, s)
-        return DigitWord(a.k, 2, tuple(walk))
+        return DigitWord(a.k, 2, tuple(_read_walk(par[0], ln, s, a.k)))
 
-    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len, adj), rebuild, ratio)
+    got = _dinkelbach(lambda P, Q, par: max_word_weight(a, P, Q, max_len, adj, par), rebuild, ratio, start)
     return (None, None) if got is None else got
 
 
@@ -482,22 +493,18 @@ def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
 def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:
     """Largest pump ratio of a prepared infinite machine without an unbounded
     pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
-    pump that attains it; `graph` is `pump_graph(work)`."""
+    pump that attains it read back from its DP; `graph` is `pump_graph(work)`."""
 
-    def rebuild(P, Q, arg):
+    def rebuild(arg, par):
         s0, xlen, b = arg
-        u = _heaviest_walk(work, graph.adj, P, Q, work.initial, xlen, s0)
-        # no walk from s0 that leaves its component comes back to it, so the
-        # component's moves give the same parents as the whole trim part
-        v = _heaviest_walk(work, graph.cycles[s0], P, Q, s0, b, s0)
-        return make_pump(work.k, u, v, s0)
+        return make_pump(work.k, _read_walk(par[0], xlen, s0, work.k), _read_walk(par[1], b, s0, work.k), s0)
 
     def ratio_of(pump):
         if pump.inc2 == 0:
             raise InvariantError("a weighed pump has a zero denominator increment")
         return Fraction(pump.inc1, pump.inc2)
 
-    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), rebuild, ratio_of)
+    got = _dinkelbach(lambda P, Q, par: max_pump_weight(work, P, Q, graph, par), rebuild, ratio_of)
     if got is None:
         raise InvariantError("an infinite machine has no pump to weigh")
     return got
@@ -544,20 +551,22 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     Infinite iff an unbounded pump exists; otherwise the maximum of the
     largest limit value and the best quotient among words shorter than the
     state count (a shortest supremum-attaining word is always that short,
-    by the usual pumping exchange).  Attained iff the short-word maximum
-    wins, in which case the witness is a shortest attaining word.
+    by the usual pumping exchange).  The short-word search starts at the
+    limit value: the supremum is attained iff the word-weight maximum there
+    is >= 0, in which case the witness is a shortest attaining word.
     """
     work, graph, pump, limit = _solve(L, ctx)
     if not graph.trim:
         raise EmptyLanguageError("the supremum of an empty language is undefined")
     if pump is not None:
         return SupResult(INF, False, pump)
-    m_short, m_witness = bounded_max_ratio(work, work.num_states - 1, graph.adj)
+    start = Fraction(0) if limit is None else limit[0]
+    m_short, m_witness = bounded_max_ratio(work, work.num_states - 1, graph.adj, start)
     if m_short is None:
         raise EmptyLanguageError("no accepted word carries a nonzero denominator")
-    if limit is None or m_short >= limit[0]:
-        return SupResult(m_short, True, m_witness)
-    return SupResult(limit[0], False, limit[1])
+    if m_witness is None:
+        return SupResult(limit[0], False, limit[1])
+    return SupResult(m_short, True, m_witness)
 
 
 # ------------------------------------------------------------- closure report

@@ -15,7 +15,10 @@ its two words the ratio `PumpDecomposition.ratio()` reads off a pump's
 stored increments.  `max_pump_weight_reference` is the whole-trim
 pump-weight DP the per-component one is pinned against, and
 `max_pump_weight_per_component` is the per-component DP without the bound
-pass that prunes its loop states.
+pass that prunes its loop states; both keep the library's parent records.
+`heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
+with parents, to recover the walk behind an argmax, which the solvers read
+from their maximizers' own parent records and are pinned against.
 """
 
 from __future__ import annotations
@@ -221,10 +224,13 @@ def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
     return SupResult(alpha, False, pump)
 
 
-def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
+def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
     """Whole-trim pump-weight DP: quotient.max_pump_weight without the
     per-component restriction, with closed walks v of 1 <= |v| <= T at every
-    trim state, T the trim size; O(T^2) layer steps per call."""
+    trim state, T the trim size; O(T^2) layer steps per call.  `par` is
+    filled as the library's is.  A closed walk at s0 never leaves the
+    component of s0, and no state outside it that the cycle DP reaches has a
+    move into it, so the argmax's cycle records read back the same v."""
     if graph is None:
         graph = pump_graph(a)
     if a.initial not in graph.trim:
@@ -235,8 +241,9 @@ def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = 
     T = len(graph.trim)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
-    for ln in range(1, T):
-        cur = _layer(cur, adj, k, w)
+    upar: list[dict] = [{} for _ in range(1, T)]
+    for ln, lpar in enumerate(upar, 1):
+        cur = _layer(cur, adj, k, w, lpar)
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
@@ -245,22 +252,26 @@ def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = 
     for s0 in sorted(xstar):
         x0, xlen = xstar[s0]
         curz = {s0: 0}
+        vpar: list[dict] = []
         for b in range(1, T + 1):
-            curz = _layer(curz, adj, k, w)
+            vpar.append({})
+            curz = _layer(curz, adj, k, w, vpar[-1])
             if not curz:
                 break
             yb = curz.get(s0)
             if yb is not None:
                 combo = (pow_k[b] - 1) * x0 + yb
                 if best is None or combo > best[0]:
-                    best = (combo, (s0, xlen, b))
+                    best, best_vpar = (combo, (s0, xlen, b)), vpar
+    if par is not None and best is not None:
+        par += (upar, best_vpar)
     return best
 
 
-def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None):
+def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
     """quotient.max_pump_weight without the bound pass: the cycle DP of
     |SCC(s0)| layers runs at every loop state s0, in ascending order, and
-    the first strict maximum wins."""
+    the first strict maximum wins; `par` is filled as the library's is."""
     if graph is None:
         graph = pump_graph(a)
     if a.initial not in graph.trim:
@@ -270,8 +281,9 @@ def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | Non
     T = len(graph.trim)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
-    for ln in range(1, T):
-        cur = _layer(cur, graph.adj, k, w)
+    upar: list[dict] = [{} for _ in range(1, T)]
+    for ln, lpar in enumerate(upar, 1):
+        cur = _layer(cur, graph.adj, k, w, lpar)
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
@@ -282,14 +294,37 @@ def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | Non
             continue
         x0, xlen = xstar[s0]
         curz = {s0: 0}
-        for b in range(1, len(sub) + 1):
-            curz = _layer(curz, sub, k, w)
+        vpar: list[dict] = [{} for _ in sub]
+        for b, lpar in enumerate(vpar, 1):
+            curz = _layer(curz, sub, k, w, lpar)
             yb = curz.get(s0)
             if yb is not None:
                 combo = (k**b - 1) * x0 + yb
                 if best is None or combo > best[0]:
-                    best = (combo, (s0, xlen, b))
+                    best, best_vpar = (combo, (s0, xlen, b)), vpar
+    if par is not None and best is not None:
+        par += (upar, best_vpar)
     return best
+
+
+def heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:
+    """The re-run witness rebuild: the symbols of the heaviest walk of
+    `steps` symbols from start to end over the moves `adj`, found by running
+    the weight DP's layers again with parents, with its tie-breaks."""
+    k = a.k
+    syms = symbols(k, 2)
+    w = _symbol_weights(k, P, Q)
+    cur = {start: 0}
+    parents: list[dict] = []
+    for _ in range(steps):
+        parents.append({})
+        cur = _layer(cur, adj, k, w, parents[-1])
+    out = []
+    for par in reversed(parents):
+        end, c = divmod(par[end], len(syms))
+        out.append(syms[c])
+    out.reverse()
+    return out
 
 
 def is_sup_infinite_reference(L: Dfa, ctx: RadixContext) -> bool:

@@ -21,6 +21,7 @@ from critex.quotient import (
     EmptyLanguageError,
     FiniteLanguageError,
     QuotientError,
+    SupResult,
     bounded_max_ratio,
     check_pair_closure,
     comparator_dfa,
@@ -44,6 +45,7 @@ from helpers import comparator_bounded_suite, prepared_random_suite, verify_pump
 from reference import (
     UndefinedRatioError,
     candidates,
+    heaviest_walk,
     is_sup_infinite_reference,
     max_pump_weight_per_component,
     max_pump_weight_reference,
@@ -515,6 +517,110 @@ def test_limit_probes_land_on_argmax_ratios(monkeypatch):
     monkeypatch.setattr(quotient, "max_pump_weight", recorded)
     assert largest_limit_quotient(pairs_ones_then_01(), CTX)[0] == Fraction(1, 2)
     assert probes == [(0, 1), (1, 2)]
+
+
+def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
+    # at every word and pump step, the walks read back from the maximizer's
+    # own parent records are those the re-run DP rebuilds, so the witnesses
+    # are the ones the rebuild gave
+    suite = comparator_bounded_suite(5600, 100) + [(m, CTX) for m in prepared_random_suite(5700, 150)]
+    # each oracle call: (name, arguments, result); the last argument is the
+    # list the call filled with its parent records
+    steps = []
+    for name in ("max_word_weight", "max_pump_weight"):
+
+        def recorded(*args, real=getattr(quotient, name), name=name):
+            got = real(*args)
+            steps.append((name, args, got))
+            return got
+
+        monkeypatch.setattr(quotient, name, recorded)
+    kinds = set()
+    for work, ctx in suite:
+        del steps[:]
+        quotient._SOLVED.clear()
+        sup = sup_quo(work, ctx)
+        limit = quotient._solve(work, ctx)[3]
+        last = {}
+        for name, args, got in steps:
+            if got is None:
+                continue
+            a, P, Q, *_, moves, par = args
+            if name == "max_word_weight":
+                ln, s = got[1]
+                walk = heaviest_walk(a, moves, P, Q, a.initial, ln, s)
+                assert quotient._read_walk(par[0], ln, s, a.k) == walk
+                last[name] = DigitWord(a.k, 2, tuple(walk))
+            else:
+                s0, xlen, b = got[1]
+                u = heaviest_walk(a, moves.adj, P, Q, a.initial, xlen, s0)
+                v = heaviest_walk(a, moves.cycles[s0], P, Q, s0, b, s0)
+                assert quotient._read_walk(par[0], xlen, s0, a.k) == u
+                assert quotient._read_walk(par[1], b, s0, a.k) == v
+                last[name] = quotient.make_pump(a.k, u, v, s0)
+            kinds.add((name, got[0] == 0))
+        if sup.attained:
+            assert sup.witness == last["max_word_weight"]
+        if limit is not None:
+            assert limit[1] == last["max_pump_weight"]
+            if not sup.attained:
+                assert sup.witness == limit[1]
+    # both oracles were read back at intermediate and at final steps
+    assert kinds == {(n, z) for n in ("max_word_weight", "max_pump_weight") for z in (False, True)}
+
+
+def test_sup_warm_start_matches_reference_on_each_branch():
+    # a short word wins, a short word ties with the limit, the limit wins
+    limit_wins = comparator_bounded_suite(5100, 23)[22]
+    cases = [(pairs_ones_then_01(), CTX, True), (pairs_ones_repeat(), CTX, True), limit_wins + (False,)]
+    for L, ctx, attained in cases:
+        got = sup_quo(L, ctx)
+        assert got == sup_quo_reference(L, ctx)
+        assert got.attained == attained
+    assert sup_quo(pairs_ones_then_01(), CTX).value > largest_limit_quotient(pairs_ones_then_01(), CTX)[0]
+    assert sup_quo(pairs_ones_repeat(), CTX).value == largest_limit_quotient(pairs_ones_repeat(), CTX)[0]
+
+
+def test_limit_win_weighs_words_once_at_the_limit(monkeypatch):
+    # the short-word search starts at the limit; when every short word lies
+    # below it, the first word DP is negative and the search stops there
+    work, ctx = comparator_bounded_suite(5100, 23)[22]
+    limit = largest_limit_quotient(work, ctx)[0]
+    probes = []
+    real = quotient.max_word_weight
+
+    def recorded(a, P, Q, *rest):
+        probes.append((P, Q))
+        return real(a, P, Q, *rest)
+
+    monkeypatch.setattr(quotient, "max_word_weight", recorded)
+    assert sup_quo(work, ctx) == SupResult(limit, False, largest_limit_quotient(work, ctx)[1])
+    assert probes == [(limit.numerator, limit.denominator)]
+
+
+def test_negative_word_weight_after_the_first_step_is_an_invariant_error(monkeypatch):
+    # from the limit 1/2 the first step finds the word of ratio 1; a
+    # negative maximum at 1 breaks the iteration's invariant
+    real = quotient.max_word_weight
+    calls = []
+
+    def negative_later(*args):
+        got = real(*args)
+        calls.append(got)
+        return got if len(calls) == 1 else (-1, got[1])
+
+    monkeypatch.setattr(quotient, "max_word_weight", negative_later)
+    quotient._SOLVED.clear()
+    with pytest.raises(InvariantError):
+        sup_quo(pairs_ones_then_01(), CTX)
+    assert len(calls) == 2 and calls[0][0] > 0
+
+
+def test_negative_word_weight_at_a_start_of_zero_is_an_invariant_error(monkeypatch):
+    real = quotient.max_word_weight
+    monkeypatch.setattr(quotient, "max_word_weight", lambda *args: (-1, real(*args)[1]))
+    with pytest.raises(InvariantError):
+        bounded_max_ratio(_prepare(pairs_ones_then_01(), CTX), 5)
 
 
 def test_off_by_one_word_weight_is_an_invariant_error(monkeypatch):
