@@ -26,7 +26,6 @@ from .quotient import (
     Comparator,
     SupResult,
     comparator_dfa,
-    check_pair_closure,
     is_sup_infinite,
     largest_limit_quotient,
     sup_quo,
@@ -55,7 +54,6 @@ __all__ = [
     "is_sup_infinite",
     "sup_quo",
     "largest_limit_quotient",
-    "check_pair_closure",
     "ExponentResult",
     "RecurrenceReport",
     "period_language",

@@ -48,11 +48,6 @@ def add_rel(ctx: RadixContext) -> Dfa:
     return linear_rel(ctx.k, (1, 1, -1), "==")
 
 
-def successor_rel(ctx: RadixContext) -> Dfa:
-    """2-track machine accepting (x, y) with x = y + 1."""
-    return linear_rel(ctx.k, (1, -1), "==", 1)
-
-
 def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:
     """1-track machine accepting every padded encoding of the constant.
 

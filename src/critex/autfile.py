@@ -12,14 +12,16 @@
     trans: <q> [<d1>,...,<dd>] -> <q'>
 
 '#' starts a comment; blank lines are ignored.  Transitions not listed go to
-an implicit dead state appended after the declared ones.
+an implicit dead state appended after the declared ones.  A machine of more
+than CRITEX_MAX_STATES states, or an alphabet of more than CRITEX_MAX_STATES
+symbols, raises StateLimitError before any row is built.
 """
 
 from __future__ import annotations
 
 import re
 
-from .automaton import Dfa, Dfao, sym_index, symbols
+from .automaton import Dfa, Dfao, StateLimitError, state_limit, sym_index, symbols
 
 MAGIC = "critex-automaton v1"
 HEADER_KEYS = frozenset({"base", "tracks", "kind", "order", "states", "initial", "accepting", "output"})
@@ -82,6 +84,9 @@ def parse_automaton(text: str) -> Dfa | Dfao:
     kind = need("kind")
     if kind not in ("dfa", "dfao"):
         raise AutFileError(f"kind must be dfa or dfao, got {kind!r}")
+    foreign = "output" if kind == "dfa" else "accepting"
+    if foreign in header:
+        raise AutFileError(f"key {foreign!r} does not belong in a {kind}")
     order = need("order")
     if order != "msd":
         raise AutFileError(f"order must be msd (digits most significant first), got {order!r}")
@@ -90,6 +95,10 @@ def parse_automaton(text: str) -> Dfa | Dfao:
     if initial >= n:
         raise AutFileError(f"initial state {initial} out of range")
 
+    limit = state_limit()
+    # k >= 2, so k ** limit.bit_length() > limit: the power stays small
+    if k ** min(tracks, limit.bit_length()) > limit:
+        raise StateLimitError(f"{tracks} tracks of base {k} make more than CRITEX_MAX_STATES={limit} symbols")
     s_count = k**tracks
     moves: dict[tuple[int, int], int] = {}
     for lineno, line in trans_lines:
@@ -112,15 +121,12 @@ def parse_automaton(text: str) -> Dfa | Dfao:
             raise AutFileError(f"conflicting transition in {line!r}", lineno)
         moves[key] = dst
 
-    complete = all((s, c) in moves for s in range(n) for c in range(s_count))
+    complete = len(moves) == n * s_count
     total = n if complete else n + 1
-    dead = n  # only used when incomplete
-    rows = []
-    for s in range(total):
-        if s < n:
-            rows.append([moves.get((s, c), dead) for c in range(s_count)])
-        else:
-            rows.append([dead] * s_count)
+    if total > limit:
+        raise StateLimitError(f"the machine has {total} states, more than CRITEX_MAX_STATES={limit}")
+    # a missing move goes to state n, the dead state when the table is incomplete
+    rows = [[moves.get((s, c), n) for c in range(s_count)] for s in range(total)]
 
     if kind == "dfa":
         accepting: set[int] = set()
@@ -183,7 +189,11 @@ def serialize_automaton(m: Dfa | Dfao) -> str:
 
 def load_automaton(path: str) -> Dfa | Dfao:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+        text = fh.read()
+    try:
+        return parse_automaton(text)
+    except StateLimitError as exc:
+        raise StateLimitError(f"{path}: {exc}") from None
 
 
 def save_automaton(path: str, m: Dfa | Dfao) -> None:

@@ -12,7 +12,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 
 from .numeral import DigitWord, digits_of
 from .rational import INF, Value
@@ -421,27 +421,75 @@ def is_empty(a: Dfa) -> bool:
     return a.accept.isdisjoint(explore(a.initial, a.trans.__getitem__)[1])
 
 
+def _trim_adjacency(a: Dfa, trim: set[int]) -> dict[int, list[tuple[int, int]]]:
+    """The moves (symbol index, target) of each trim state that stay in trim."""
+    return {s: [(c, t) for c, t in enumerate(a.trans[s]) if t in trim] for s in sorted(trim)}
+
+
+def _cycle_adjacency(adj) -> dict[int, dict[int, list[tuple[int, int]]]]:
+    """For each state on a cycle, the moves of its strongly connected
+    component that stay inside it; states on no cycle are absent."""
+    nodes = sorted(adj)
+    out = {}
+    for comp in _tarjan_sccs(nodes, {s: [t for _, t in adj[s]] for s in nodes}):
+        members = set(comp)
+        sub = {s: [(c, t) for c, t in adj[s] if t in members] for s in comp}
+        if len(comp) > 1 or sub[comp[0]]:
+            for s in comp:
+                out[s] = sub
+    return out
+
+
+def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
+    index = {}
+    low = {}
+    on_stack = set()
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = [0]
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for t in it:
+                if t not in index:
+                    index[t] = low[t] = counter[0]
+                    counter[0] += 1
+                    stack.append(t)
+                    on_stack.add(t)
+                    work.append((t, iter(succ[t])))
+                    advanced = True
+                    break
+                if t in on_stack:
+                    low[node] = min(low[node], index[t])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    x = stack.pop()
+                    on_stack.discard(x)
+                    comp.append(x)
+                    if x == node:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
 def is_infinite(a: Dfa) -> bool:
     """True iff the language is infinite: a cycle inside the trim part."""
-    trim = trim_states(a)
-    if not trim:
-        return False
-    indeg = {s: 0 for s in trim}
-    for s in trim:
-        for t in a.trans[s]:
-            if t in trim:
-                indeg[t] += 1
-    queue = deque(s for s in trim if indeg[s] == 0)
-    removed = 0
-    while queue:
-        s = queue.popleft()
-        removed += 1
-        for t in a.trans[s]:
-            if t in trim:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-    return removed < len(trim)
+    return bool(_cycle_adjacency(_trim_adjacency(a, trim_states(a))))
 
 
 def leading_zero_filter(k: int, tracks: int) -> Dfa:
@@ -454,19 +502,6 @@ def leading_zero_filter(k: int, tracks: int) -> Dfa:
 def canonicalize(a: Dfa) -> Dfa:
     """Drop words starting with the all-zero symbol, then minimize."""
     return minimize(product(a, leading_zero_filter(a.k, a.tracks), "and"))
-
-
-def zero_closure(a: Dfa) -> Dfa:
-    """Leading-zero-invariant machine with the same value-tuple language.
-
-    Accepts 0^m w for every accepted w and every m >= 0; applied to canonical
-    machines before they participate in relation products.
-    """
-    # state n moves like the initial state and also loops on the all-zero symbol
-    n = a.num_states
-    pad = [(n, 0, n)] + [(n, c, t) for c, t in enumerate(a.trans[a.initial])]
-    acc = a.accept | {n} if a.initial in a.accept else a.accept
-    return _double_reversal(a.k, a.tracks, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:

@@ -309,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("internal: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    except RecursionError:
+        print("internal: nesting too deep (Python recursion limit exceeded)", file=sys.stderr)
+        return EXIT_INTERNAL
     report.time_ms = int((time.monotonic() - started) * 1000)
     print(report.to_json() if args.json else report.to_text())
     return EXIT_OK

@@ -1,5 +1,6 @@
-"""Quotient analysis of regular pair languages: threshold comparators,
-suprema, and largest limit values, all as exact rationals or infinite.
+"""Quotient analysis of regular pair languages: suprema and largest limit
+values, all as exact rationals or infinite, and the threshold comparator
+machines (`comparator_dfa`) that check a value against a language.
 
 The supremum solver rests on three exact primitives:
 
@@ -16,8 +17,11 @@ The supremum solver rests on three exact primitives:
 Dinkelbach's iteration on either maximizer yields the exact largest ratio
 and its witness, read back from the maximizer's own DP parent records,
 without enumerating words or pumps; `sup_quo` starts the word search at the
-largest limit value.  The enumeration-based references and the re-run
-witness rebuild that cross-validate them live with the tests.
+largest limit value.  The enumeration-based references, the re-run witness
+rebuild and the closure audit (`check_pair_closure`) that cross-validate
+them live with the tests.  The trim moves and their strongly connected
+components (`_trim_adjacency`, `_cycle_adjacency`) come from `automaton`,
+whose `is_infinite` reads the same components.
 
 Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
 unbounded-pump test, `_limit`), keyed on the language, base and state cap
@@ -34,23 +38,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import cmp_rel, linear_rel, nonzero_track_dfa, successor_rel
+from .arith import linear_rel, nonzero_track_dfa
 from .automaton import (
     Dfa,
     InvariantError,
     PumpDecomposition,
+    _cycle_adjacency,
+    _trim_adjacency,
     canonicalize,
-    complement,
-    erase,
-    is_empty,
-    leading_zero_filter,
-    lift_tracks,
     make_pump,
     product,
     state_limit,
     symbols,
     trim_states,
-    zero_closure,
 )
 from .numeral import DigitWord, RadixContext, ratio
 from .rational import INF, Value
@@ -93,31 +93,14 @@ class SupResult:
 # ------------------------------------------------------------- comparators
 
 
-_COMPARATOR_CACHE: dict[tuple, Dfa] = {}
-
-
 def comparator_dfa(comp: Comparator) -> Dfa:
     """Machine accepting pair encodings (p, q) with p*Q <relation> q*P.
 
     The linear relation Q*p - P*q <relation> 0: its running sum locks
     positive at max(P, 1) and negative at -Q, so it has O(P + Q) states.
     """
-    # The cap is part of the key, so a machine built under a larger cap is
-    # never handed out where a fresh build would raise StateLimitError.
-    cache_key = (comp.ctx.k, comp.threshold, comp.relation, state_limit())
-    cached = _COMPARATOR_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     P, Q = comp.threshold.numerator, comp.threshold.denominator
-    out = linear_rel(comp.ctx.k, (Q, -P), comp.relation)
-    if len(_COMPARATOR_CACHE) > 8192:
-        _COMPARATOR_CACHE.clear()
-    _COMPARATOR_CACHE[cache_key] = out
-    return out
-
-
-def compare_language(L: Dfa, ctx: RadixContext, threshold: Fraction, relation: str) -> Dfa:
-    return product(L, comparator_dfa(Comparator(threshold, relation, ctx)), "and")
+    return linear_rel(comp.ctx.k, (Q, -P), comp.relation)
 
 
 # ------------------------------------------------------------- weight DPs
@@ -125,10 +108,6 @@ def compare_language(L: Dfa, ctx: RadixContext, threshold: Fraction, relation: s
 
 def _symbol_weights(k: int, P: int, Q: int) -> list[int]:
     return [Q * c1 - P * c2 for (c1, c2) in symbols(k, 2)]
-
-
-def _trim_adjacency(a: Dfa, trim: set[int]) -> dict[int, list[tuple[int, int]]]:
-    return {s: [(c, t) for c, t in enumerate(a.trans[s]) if t in trim] for s in sorted(trim)}
 
 
 def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = None) -> dict[int, int]:
@@ -160,20 +139,6 @@ def _read_walk(layers: list[dict], steps: int, end: int, k: int) -> list:
         end, c = divmod(par[end], len(syms))
         out.append(syms[c])
     out.reverse()
-    return out
-
-
-def _cycle_adjacency(adj) -> dict[int, dict[int, list[tuple[int, int]]]]:
-    """For each state on a cycle, the moves of its strongly connected
-    component that stay inside it; states on no cycle are absent."""
-    nodes = sorted(adj)
-    out = {}
-    for comp in _tarjan_sccs(nodes, {s: [t for _, t in adj[s]] for s in nodes}):
-        members = set(comp)
-        sub = {s: [(c, t) for c, t in adj[s] if t in members] for s in comp}
-        if len(comp) > 1 or sub[comp[0]]:
-            for s in comp:
-                out[s] = sub
     return out
 
 
@@ -357,53 +322,6 @@ def bounded_max_ratio(
 # ------------------------------------------------------------- unbounded pumps
 
 
-def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    on_stack.add(t)
-                    work.append((t, iter(succ[t])))
-                    advanced = True
-                    break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    on_stack.discard(x)
-                    comp.append(x)
-                    if x == node:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
 def _bfs_parents(start, step) -> dict:
     """Breadth-first tree from start: each node reached maps to (previous
     node, symbol index) and start to None; insertion order is BFS order."""
@@ -568,28 +486,3 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
         return SupResult(limit[0], False, limit[1])
     return SupResult(m_short, True, m_witness)
 
-
-# ------------------------------------------------------------- closure report
-
-
-def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:
-    """Structural conditions under which every limit value except possibly 1
-    is a true accumulation point of the quotient set.
-
-    (a) no accepted word starts with the all-zero symbol;
-    (c) no accepted pair has quotient below 1;
-    (d) decrementing the numerator of any accepted pair with p > q stays in
-        the language.  Cardinality of the quotient set is reported
-        "not checked": no decision procedure is available for it.
-    """
-    k = ctx.k
-    zero_start = complement(leading_zero_filter(k, 2))
-    a_ok = is_empty(product(L, zero_start, "and"))
-    c_ok = is_empty(compare_language(L, ctx, Fraction(1), "<"))
-    Lz = zero_closure(L)
-    succ = successor_rel(ctx)
-    wide = product(lift_tracks(succ, [0, 2], 3), lift_tracks(Lz, [2, 1], 3), "and")
-    shift = erase(wide, 2)
-    bad = product(product(L, cmp_rel(ctx, ">"), "and"), complement(shift), "and")
-    d_ok = is_empty(bad)
-    return {"a": a_ok, "c": c_ok, "d": d_ok, "b": "not checked"}

@@ -1,4 +1,6 @@
-"""Built-in sequence automata and pair-language fixtures.
+"""Built-in sequence automata: Thue-Morse, Rudin-Shapiro, the ternary
+squarefree word and the period-doubling word, and the residual
+classification that derives a Dfao from a rule n -> value.
 
 The ternary squarefree word is derived, not hand-coded: its values come from
 the two-bit sliding-block recoding of the parity-of-ones sequence, and the
@@ -8,7 +10,7 @@ verified symbol-by-symbol on a long prefix.
 
 from __future__ import annotations
 
-from .automaton import Dfa, Dfao
+from .automaton import Dfao
 
 
 class FixtureError(RuntimeError):
@@ -32,20 +34,6 @@ def rudin_shapiro() -> Dfao:
         trans.append([idx[((c ^ (p & d)) & 1, d)] for d in (0, 1)])
     output = [str(c) for c, _ in states]
     return Dfao(2, 1, trans, output, idx[(0, 0)])
-
-
-def constant_zero() -> Dfao:
-    return Dfao(2, 1, [[0, 0]], ["0"], 0)
-
-
-def one_then_zeros() -> Dfao:
-    """1 0 0 0 ...: output 1 exactly at index 0."""
-    return Dfao(2, 1, [[0, 1], [1, 1]], ["1", "0"], 0)
-
-
-def alternating() -> Dfao:
-    """0 1 0 1 ...: the low bit of the index."""
-    return Dfao(2, 1, [[0, 1], [0, 1]], ["0", "1"], 0)
 
 
 def _tm_bit(n: int) -> int:
@@ -135,69 +123,3 @@ def period_doubling() -> Dfao:
         _PD_CACHE.append(dfao_from_function(period_doubling_value, 2))
     return _PD_CACHE[0]
 
-
-# ----------------------------------------------------------- pair fixtures
-
-
-def dfa_for_words(k: int, tracks: int, words: list[tuple[tuple[int, ...], ...]]) -> Dfa:
-    """Trie acceptor for an explicit finite set of words."""
-    from .automaton import sym_index
-
-    s_count = k**tracks
-    children: list[dict[int, int]] = [{}]
-    accept: set[int] = set()
-    for word in words:
-        cur = 0
-        for sym in word:
-            c = sym_index(tuple(sym), k)
-            nxt = children[cur].get(c)
-            if nxt is None:
-                nxt = len(children)
-                children.append({})
-                children[cur][c] = nxt
-            cur = nxt
-        accept.add(cur)
-    dead = len(children)
-    rows = [[row.get(c, dead) for c in range(s_count)] for row in children]
-    rows.append([dead] * s_count)
-    return Dfa(k, tracks, rows, accept, 0)
-
-
-def pairs_ones_then_01() -> Dfa:
-    """{[1,1]} . {[0,1]}*: quotients 1, 2/3, 4/7, ... with limit 1/2."""
-    # symbol indices for k=2, d=2: [0,0]=0, [0,1]=1, [1,0]=2, [1,1]=3
-    dead = 2
-    rows = [
-        [dead, dead, dead, 1],
-        [dead, 1, dead, dead],
-        [dead, dead, dead, dead],
-    ]
-    return Dfa(2, 2, rows, {1}, 0)
-
-
-def pairs_ones_repeat() -> Dfa:
-    """{[1,1]} . {[1,1]}*: every quotient exactly 1."""
-    dead = 2
-    rows = [
-        [dead, dead, dead, 1],
-        [dead, dead, dead, 1],
-        [dead, dead, dead, dead],
-    ]
-    return Dfa(2, 2, rows, {1}, 0)
-
-
-def pairs_unbounded() -> Dfa:
-    """{[1,0]} . {[1,0]}* . {[1,1]}: quotients (2^(m+1) - 1), unbounded."""
-    dead = 3
-    rows = [
-        [dead, dead, 1, dead],
-        [dead, dead, 1, 2],
-        [dead, dead, dead, dead],
-        [dead, dead, dead, dead],
-    ]
-    return Dfa(2, 2, rows, {2}, 0)
-
-
-def pairs_single() -> Dfa:
-    """The single pair word [1,0][1,1][0,1]: the quotient 6/3."""
-    return dfa_for_words(2, 2, [((1, 0), (1, 1), (0, 1))])

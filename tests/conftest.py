@@ -3,6 +3,8 @@ import pytest
 from critex.numeral import RadixContext
 from critex import logic, quotient, sequences
 
+import helpers
+
 
 @pytest.fixture(autouse=True)
 def cold_memos():
@@ -29,17 +31,17 @@ def rs():
 
 @pytest.fixture(scope="session")
 def zero():
-    return sequences.constant_zero()
+    return helpers.constant_zero()
 
 
 @pytest.fixture(scope="session")
 def one_then_zeros():
-    return sequences.one_then_zeros()
+    return helpers.one_then_zeros()
 
 
 @pytest.fixture(scope="session")
 def alternating():
-    return sequences.alternating()
+    return helpers.alternating()
 
 
 @pytest.fixture(scope="session")

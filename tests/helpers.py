@@ -1,5 +1,6 @@
-"""Shared test machinery: random machines, random words, pump validation,
-and an independent minimizer."""
+"""Shared test machinery: the fixture machines and the `FIXTURES` table the
+files in `fixtures/` are written from, random machines, random words, pump
+validation, and an independent minimizer."""
 
 from __future__ import annotations
 
@@ -7,21 +8,122 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+from critex import sequences
 from critex.arith import nonzero_track_dfa
 from critex.automaton import (
     Dfa,
+    Dfao,
     PumpDecomposition,
     canonicalize,
     is_empty,
     is_infinite,
     product,
+    sym_index,
     symbols,
     trim_states,
 )
 from critex.numeral import DigitWord, RadixContext
-from critex.quotient import _prepare, compare_language
+from critex.quotient import _prepare
 
-from reference import Nfa, determinize
+from reference import Nfa, compare_language, determinize
+
+
+# ----------------------------------------------------------- fixtures
+
+
+def constant_zero() -> Dfao:
+    return Dfao(2, 1, [[0, 0]], ["0"], 0)
+
+
+def one_then_zeros() -> Dfao:
+    """1 0 0 0 ...: output 1 exactly at index 0."""
+    return Dfao(2, 1, [[0, 1], [1, 1]], ["1", "0"], 0)
+
+
+def alternating() -> Dfao:
+    """0 1 0 1 ...: the low bit of the index."""
+    return Dfao(2, 1, [[0, 1], [0, 1]], ["0", "1"], 0)
+
+
+def dfa_for_words(k: int, tracks: int, words: list[tuple[tuple[int, ...], ...]]) -> Dfa:
+    """Trie acceptor for an explicit finite set of words."""
+    s_count = k**tracks
+    children: list[dict[int, int]] = [{}]
+    accept: set[int] = set()
+    for word in words:
+        cur = 0
+        for sym in word:
+            c = sym_index(tuple(sym), k)
+            nxt = children[cur].get(c)
+            if nxt is None:
+                nxt = len(children)
+                children.append({})
+                children[cur][c] = nxt
+            cur = nxt
+        accept.add(cur)
+    dead = len(children)
+    rows = [[row.get(c, dead) for c in range(s_count)] for row in children]
+    rows.append([dead] * s_count)
+    return Dfa(k, tracks, rows, accept, 0)
+
+
+def pairs_ones_then_01() -> Dfa:
+    """{[1,1]} . {[0,1]}*: quotients 1, 2/3, 4/7, ... with limit 1/2."""
+    # symbol indices for k=2, d=2: [0,0]=0, [0,1]=1, [1,0]=2, [1,1]=3
+    dead = 2
+    rows = [
+        [dead, dead, dead, 1],
+        [dead, 1, dead, dead],
+        [dead, dead, dead, dead],
+    ]
+    return Dfa(2, 2, rows, {1}, 0)
+
+
+def pairs_ones_repeat() -> Dfa:
+    """{[1,1]} . {[1,1]}*: every quotient exactly 1."""
+    dead = 2
+    rows = [
+        [dead, dead, dead, 1],
+        [dead, dead, dead, 1],
+        [dead, dead, dead, dead],
+    ]
+    return Dfa(2, 2, rows, {1}, 0)
+
+
+def pairs_unbounded() -> Dfa:
+    """{[1,0]} . {[1,0]}* . {[1,1]}: quotients (2^(m+1) - 1), unbounded."""
+    dead = 3
+    rows = [
+        [dead, dead, 1, dead],
+        [dead, dead, 1, 2],
+        [dead, dead, dead, dead],
+        [dead, dead, dead, dead],
+    ]
+    return Dfa(2, 2, rows, {2}, 0)
+
+
+def pairs_single() -> Dfa:
+    """The single pair word [1,0][1,1][0,1]: the quotient 6/3."""
+    return dfa_for_words(2, 2, [((1, 0), (1, 1), (0, 1))])
+
+
+# Each file in fixtures/ and the builder it is written from; the README's
+# regeneration recipe and test_autfile both read this table.
+FIXTURES = {
+    "tm.dfao": sequences.thue_morse,
+    "rs.dfao": sequences.rudin_shapiro,
+    "vtm.dfao": sequences.vtm,
+    "period_doubling.dfao": sequences.period_doubling,
+    "zero.dfao": constant_zero,
+    "one_then_zeros.dfao": one_then_zeros,
+    "alternating.dfao": alternating,
+    "pairs_ones_then_01.dfa": pairs_ones_then_01,
+    "pairs_unbounded.dfa": pairs_unbounded,
+    "pairs_single.dfa": pairs_single,
+}
+
+
+# ----------------------------------------------------------- random machines
 
 
 def random_dfa(rng: random.Random, k: int = 2, tracks: int = 2, max_states: int = 4) -> Dfa:

@@ -19,6 +19,12 @@ pass that prunes its loop states; both keep the library's parent records.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
 with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
+`is_infinite_reference` decides finiteness by Kahn's topological sort of
+the trim part, independently of the Tarjan components `is_infinite` reads.
+
+The closure audit `check_pair_closure`, with the constructions only it uses
+(`compare_language`, `zero_closure` and `successor_rel`), is a diagnostic
+of pair languages that no measure reads.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
+from critex.arith import cmp_rel, linear_rel
 from critex.automaton import (
     AutomatonError,
     Dfa,
@@ -38,12 +46,16 @@ from critex.automaton import (
     _mask,
     _require_compatible,
     _reverse_subsets,
+    complement,
     enumerate_accepted,
+    erase,
     explore,
     is_empty,
+    leading_zero_filter,
     lift_tracks,
     make_pump,
     minimize,
+    product,
     pump_increments,
     sym_index,
     symbols,
@@ -67,6 +79,7 @@ from critex.logic import (
 )
 from critex.numeral import DigitWord, RadixContext, ratio
 from critex.quotient import (
+    Comparator,
     EmptyLanguageError,
     PumpGraph,
     QuotientError,
@@ -74,7 +87,7 @@ from critex.quotient import (
     _layer,
     _prepare,
     _symbol_weights,
-    compare_language,
+    comparator_dfa,
     find_unbounded_pump,
     pump_graph,
 )
@@ -552,3 +565,74 @@ def language_equal(a: Dfa, b: Dfa) -> bool:
     """Exact language equality via canonical minimal forms."""
     _require_compatible(a, b)
     return minimize(a) == minimize(b)
+
+
+def is_infinite_reference(a: Dfa) -> bool:
+    """Kahn's algorithm on the trim part: the language is infinite iff
+    repeatedly removing trim states with no incoming trim move leaves some."""
+    trim = trim_states(a)
+    indeg = {s: 0 for s in trim}
+    for s in trim:
+        for t in a.trans[s]:
+            if t in trim:
+                indeg[t] += 1
+    queue = deque(s for s in trim if indeg[s] == 0)
+    removed = 0
+    while queue:
+        s = queue.popleft()
+        removed += 1
+        for t in a.trans[s]:
+            if t in trim:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
+    return removed < len(trim)
+
+
+# ------------------------------------------------------------- closure audit
+
+
+def compare_language(L: Dfa, ctx: RadixContext, threshold: Fraction, relation: str) -> Dfa:
+    """The pairs (p, q) of L with p/q <relation> threshold."""
+    return product(L, comparator_dfa(Comparator(threshold, relation, ctx)), "and")
+
+
+def successor_rel(ctx: RadixContext) -> Dfa:
+    """2-track machine accepting (x, y) with x = y + 1."""
+    return linear_rel(ctx.k, (1, -1), "==", 1)
+
+
+def zero_closure(a: Dfa) -> Dfa:
+    """Leading-zero-invariant machine with the same value-tuple language.
+
+    Accepts 0^m w for every accepted w and every m >= 0; applied to canonical
+    machines before they participate in relation products.
+    """
+    # state n moves like the initial state and also loops on the all-zero symbol
+    n = a.num_states
+    pad = [(n, 0, n)] + [(n, c, t) for c, t in enumerate(a.trans[a.initial])]
+    acc = a.accept | {n} if a.initial in a.accept else a.accept
+    return _double_reversal(a.k, a.tracks, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
+
+
+def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:
+    """Structural conditions under which every limit value except possibly 1
+    is a true accumulation point of the quotient set.
+
+    (a) no accepted word starts with the all-zero symbol;
+    (c) no accepted pair has quotient below 1;
+    (d) decrementing the numerator of any accepted pair with p > q stays in
+        the language.  Cardinality of the quotient set is reported
+        "not checked": no decision procedure is available for it.
+    """
+    k = ctx.k
+    zero_start = complement(leading_zero_filter(k, 2))
+    a_ok = is_empty(product(L, zero_start, "and"))
+    c_ok = is_empty(compare_language(L, ctx, Fraction(1), "<"))
+    Lz = zero_closure(L)
+    succ = successor_rel(ctx)
+    wide = product(lift_tracks(succ, [0, 2], 3), lift_tracks(Lz, [2, 1], 3), "and")
+    shift = erase(wide, 2)
+    bad = product(product(L, cmp_rel(ctx, ">"), "and"), complement(shift), "and")
+    d_ok = is_empty(bad)
+    return {"a": a_ok, "c": c_ok, "d": d_ok, "b": "not checked"}

@@ -12,7 +12,6 @@ from critex.arith import (
     nonzero_track_dfa,
     seq_const,
     seq_eq,
-    successor_rel,
 )
 from critex.automaton import (
     Dfao,
@@ -27,7 +26,7 @@ from critex.automaton import (
 from critex.numeral import DigitWord, RadixContext, digits_of
 
 from helpers import all_words_upto
-from reference import language_equal
+from reference import language_equal, successor_rel
 
 
 def encode_tuple(values, k, width=None):

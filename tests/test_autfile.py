@@ -1,15 +1,18 @@
 import pytest
 
-from critex.autfile import AutFileError, parse_automaton, serialize_automaton
-from critex.automaton import Dfa, Dfao
+from critex.autfile import AutFileError, load_automaton, parse_automaton, serialize_automaton
+from critex.automaton import Dfa, Dfao, StateLimitError
 from critex.numeral import DigitWord
-from critex.sequences import pairs_ones_then_01, rudin_shapiro, thue_morse, vtm
 
+from helpers import FIXTURES
 from reference import language_equal
 
 
 def test_round_trip_dfao():
-    for m in (thue_morse(), rudin_shapiro(), vtm()):
+    for name, build in FIXTURES.items():
+        if not name.endswith(".dfao"):
+            continue
+        m = build()
         again = parse_automaton(serialize_automaton(m))
         assert isinstance(again, Dfao)
         assert again.trans == m.trans
@@ -19,10 +22,13 @@ def test_round_trip_dfao():
 
 
 def test_round_trip_dfa():
-    m = pairs_ones_then_01()
-    again = parse_automaton(serialize_automaton(m))
-    assert isinstance(again, Dfa)
-    assert language_equal(again, m)
+    for name, build in FIXTURES.items():
+        if not name.endswith(".dfa"):
+            continue
+        m = build()
+        again = parse_automaton(serialize_automaton(m))
+        assert isinstance(again, Dfa)
+        assert language_equal(again, m)
 
 
 def test_comments_and_blank_lines():
@@ -74,6 +80,8 @@ trans: 0 [1,1] -> 0
         (lambda t: t.replace("order: msd", "order: lsd"), "order"),
         (lambda t: t.replace("order: msd", "order: xyz"), "order"),
         (lambda t: t.replace("accepting: 1", "acepting: 1"), "unknown key 'acepting'"),
+        (lambda t: t.replace("accepting: 1", "output: 0:a"), "key 'output' does not belong in a dfa"),
+        (lambda t: t.replace("kind: dfa", "kind: dfao"), "key 'accepting' does not belong in a dfao"),
     ],
 )
 def test_parse_errors(mutate, needle):
@@ -90,6 +98,41 @@ trans: 0 [1] -> 1
     with pytest.raises(AutFileError) as err:
         parse_automaton(mutate(good))
     assert needle in str(err.value).lower()
+
+
+def sized_dfa(tracks: int, states: int) -> str:
+    """A dfa file declaring the given size, with one move when it has 1 track."""
+    text = f"critex-automaton v1\nbase: 2\ntracks: {tracks}\nkind: dfa\norder: msd\nstates: {states}\ninitial: 0\n"
+    return text + ("accepting: 0\ntrans: 0 [1] -> 0\n" if tracks == 1 else "")
+
+
+@pytest.mark.parametrize(
+    "tracks,states,needle",
+    [
+        (1, 300000, "the machine has 300001 states, more than CRITEX_MAX_STATES=1000"),
+        (22, 1, "22 tracks of base 2 make more than CRITEX_MAX_STATES=1000 symbols"),
+    ],
+)
+def test_declared_size_over_the_state_cap_is_refused(tmp_path, monkeypatch, tracks, states, needle):
+    p = tmp_path / "big.dfa"
+    p.write_text(sized_dfa(tracks, states))
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    with pytest.raises(StateLimitError) as err:
+        load_automaton(str(p))
+    assert str(err.value) == f"{p}: {needle}"
+
+
+def test_file_at_the_state_cap_loads(monkeypatch):
+    # 999 declared states and the implicit dead state make exactly 1000
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    assert parse_automaton(sized_dfa(1, 999)).num_states == 1000
+    with pytest.raises(StateLimitError):
+        parse_automaton(sized_dfa(1, 1000))
+    # 10 binary tracks make exactly 1024 symbols
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1024")
+    assert parse_automaton(sized_dfa(10, 1)).alphabet_size == 1024
+    with pytest.raises(StateLimitError):
+        parse_automaton(sized_dfa(11, 1))
 
 
 def test_dfao_requires_total_output():
@@ -146,29 +189,11 @@ trans: 0 [0] -> 0
 
 
 def test_shipped_fixture_files_match_builders():
+    # FIXTURES is what the README's regeneration recipe writes, and it covers
+    # every shipped file, so the recipe cannot drift from the frozen files
     from pathlib import Path
 
-    from critex.sequences import (
-        alternating,
-        constant_zero,
-        one_then_zeros,
-        pairs_single,
-        pairs_unbounded,
-        period_doubling,
-    )
-
     root = Path(__file__).resolve().parent.parent / "fixtures"
-    expected = {
-        "tm.dfao": thue_morse(),
-        "rs.dfao": rudin_shapiro(),
-        "vtm.dfao": vtm(),
-        "period_doubling.dfao": period_doubling(),
-        "zero.dfao": constant_zero(),
-        "one_then_zeros.dfao": one_then_zeros(),
-        "alternating.dfao": alternating(),
-        "pairs_ones_then_01.dfa": pairs_ones_then_01(),
-        "pairs_unbounded.dfa": pairs_unbounded(),
-        "pairs_single.dfa": pairs_single(),
-    }
-    for name, machine in expected.items():
-        assert (root / name).read_text() == serialize_automaton(machine), name
+    assert sorted(p.name for p in root.iterdir()) == sorted(FIXTURES)
+    for name, build in FIXTURES.items():
+        assert (root / name).read_text() == serialize_automaton(build()), name

@@ -18,14 +18,15 @@ from critex.automaton import (
     lift_tracks,
     minimize,
     product,
-    zero_closure,
 )
 from critex.numeral import DigitWord
-from critex.sequences import dfa_for_words, pairs_ones_then_01, pairs_unbounded
 
 from helpers import (
     all_words_upto,
     brzozowski_minimize,
+    dfa_for_words,
+    pairs_ones_then_01,
+    pairs_unbounded,
     pump_words,
     random_dfa,
     random_nfa,
@@ -37,6 +38,7 @@ from reference import (
     accepted_from,
     determinize,
     determinize_minimal,
+    is_infinite_reference,
     language_equal,
     permute_tracks,
     project,
@@ -44,6 +46,7 @@ from reference import (
     reverse,
     shortest_accepted,
     subsets_reference,
+    zero_closure,
     zero_saturate,
 )
 
@@ -366,6 +369,23 @@ def test_is_infinite():
     assert is_infinite(pairs_ones_then_01())
     assert not is_infinite(dfa_for_words(2, 2, [((1, 1),), ((1, 0), (0, 1))]))
     assert not is_infinite(empty_dfa(2, 2))
+
+
+def test_is_infinite_matches_kahn_reference_random():
+    # half the machines send about 60 % of the moves to a dead state, so
+    # finite languages are common
+    rng = random.Random(3141)
+    seen = set()
+    for i in range(600):
+        a = random_dfa(rng, k=rng.randint(2, 3), tracks=rng.randint(1, 2), max_states=7)
+        if i % 2:
+            dead = a.num_states
+            rows = [[dead if rng.random() < 0.6 else t for t in row] for row in a.trans]
+            a = Dfa(a.k, a.tracks, rows + [[dead] * a.alphabet_size], a.accept, 0)
+        got = is_infinite(a)
+        assert got == is_infinite_reference(a), a.trans
+        seen.add(got)
+    assert seen == {True, False}
 
 
 # ------------------------------------------------------------- canonicalize

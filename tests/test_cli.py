@@ -9,14 +9,9 @@ import pytest
 from critex.autfile import save_automaton
 from critex.automaton import Dfao
 from critex.cli import main
-from critex.sequences import (
-    constant_zero,
-    one_then_zeros,
-    pairs_ones_then_01,
-    pairs_single,
-    pairs_unbounded,
-    thue_morse,
-)
+from critex.sequences import thue_morse
+
+from helpers import constant_zero, one_then_zeros, pairs_ones_then_01, pairs_single, pairs_unbounded
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +210,7 @@ def test_bad_automaton_file_is_input_error(tmp_path, capsys):
         ("sup", "pairs.dfa", "order: msd", "order: lsd", "order"),
         ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1 0:1", "output state 0"),
         ("sup", "finite.dfa", "accepting:", "acepting:", "unknown key 'acepting'"),
+        ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1\naccepting: 0", "key 'accepting'"),
     ],
 )
 def test_refused_automaton_file_is_input_error(files, tmp_path, capsys, command, name, old, new, needle):
@@ -288,6 +284,32 @@ def test_out_of_memory_exits_4_without_a_traceback(files, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "recurrence", files["tm.dfao"])
     assert code == 4 and out == ""
     assert err == "internal: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "formula, extra",
+    [("~" * 3000 + "seq[0]=0", []), (" & ".join(["x = 1"] * 3000), ["--vars", "x"])],
+)
+def test_deeply_nested_formula_exits_4_without_a_traceback(files, capsys, formula, extra):
+    # the parser's `unary` and `logic.free_vars` recurse once per level
+    code, out, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", formula, *extra)
+    assert code == 4 and out == ""
+    assert err.startswith("internal: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "size_lines, needle",
+    [("tracks: 1\nstates: 300000\n", "300001 states"), ("tracks: 22\nstates: 1\n", "22 tracks")],
+)
+def test_automaton_file_over_the_state_cap_exits_4(tmp_path, capsys, monkeypatch, size_lines, needle):
+    p = tmp_path / "big.dfa"
+    p.write_text(
+        "critex-automaton v1\nbase: 2\n" + size_lines + "kind: dfa\norder: msd\ninitial: 0\naccepting: 0\n"
+    )
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
+    code, out, err = run_cli(capsys, "sup", str(p))
+    assert code == 4 and out == ""
+    assert err.startswith(f"internal: {p}: ") and needle in err
 
 
 def test_projection_state_cap_exits_4(files, capsys, monkeypatch):

@@ -18,11 +18,11 @@ from critex.exponents import (
 )
 from critex.numeral import RadixContext, encode_pair, ratio
 from critex.oracle import scan_ice, scan_max_exponent, scan_recurrence, sequence_prefix
-from critex.quotient import Comparator, check_pair_closure, comparator_dfa
+from critex.quotient import Comparator, comparator_dfa
 from critex.rational import INF
 
 from helpers import verify_pump
-from reference import pump_ratio
+from reference import check_pair_closure, pump_ratio
 
 CTX = RadixContext(2)
 

@@ -14,7 +14,8 @@ from critex.oracle import (
     sequence_prefix,
 )
 from critex.quotient import Comparator, comparator_dfa
-from critex.sequences import pairs_ones_then_01
+
+from helpers import dfa_for_words, pairs_ones_then_01
 
 CTX = RadixContext(2)
 
@@ -82,8 +83,6 @@ def test_scan_recurrence_examples():
 def test_brute_quo_profile_examples():
     profile = brute_quo_profile(pairs_ones_then_01(), 4)
     assert profile == [Fraction(1), Fraction(2, 3), Fraction(4, 7), Fraction(8, 15)]
-    from critex.sequences import dfa_for_words
-
     assert brute_quo_profile(dfa_for_words(2, 2, []), 5) == []
     eq2 = comparator_dfa(Comparator(Fraction(2), "==", CTX))
     assert all(v == 2 for v in brute_quo_profile(eq2, 2))

@@ -23,7 +23,6 @@ from critex.quotient import (
     QuotientError,
     SupResult,
     bounded_max_ratio,
-    check_pair_closure,
     comparator_dfa,
     find_unbounded_pump,
     is_sup_infinite,
@@ -33,18 +32,22 @@ from critex.quotient import (
     _prepare,
 )
 from critex.rational import INF
-from critex.sequences import (
+
+from helpers import (
+    comparator_bounded_suite,
     dfa_for_words,
     pairs_ones_repeat,
     pairs_ones_then_01,
     pairs_single,
     pairs_unbounded,
+    prepared_random_suite,
+    verify_pump,
 )
-
-from helpers import comparator_bounded_suite, prepared_random_suite, verify_pump
 from reference import (
     UndefinedRatioError,
     candidates,
+    check_pair_closure,
+    compare_language,
     heaviest_walk,
     is_sup_infinite_reference,
     max_pump_weight_per_component,
@@ -727,6 +730,6 @@ def test_check_pair_closure_shift_language_under_a_small_cap(monkeypatch):
     # the forward subset construction of this shift language passes 20,000
     # subsets; the report is the one the default cap gives
     raw = Dfa(2, 2, [[3, 3, 0, 2], [4, 3, 3, 2], [3, 2, 4, 1], [4, 1, 2, 1], [0, 4, 2, 4]], [3], 0)
-    L = quotient.compare_language(raw, CTX, Fraction(3, 2), "<=")
+    L = compare_language(raw, CTX, Fraction(3, 2), "<=")
     monkeypatch.setenv("CRITEX_MAX_STATES", "20000")
     assert check_pair_closure(L, CTX) == {"a": False, "c": False, "d": False, "b": "not checked"}
