@@ -7,7 +7,7 @@ so the relations compose freely inside padded products.
 
 from __future__ import annotations
 
-from .automaton import Dfa, Dfao, explore, minimize, symbols
+from .automaton import Dfa, Dfao, minimal, symbols
 from .numeral import RadixContext, digits_of
 
 # Signs of (sum - c) that satisfy each relation.
@@ -28,10 +28,9 @@ def linear_rel(k: int, coeffs: tuple[int, ...], relation: str, c: int = 0) -> Df
     wts = [sum(a * d for a, d in zip(coeffs, sym)) for sym in symbols(k, len(coeffs))]
     hi = max(-sum(a for a in coeffs if a < 0), c + 1)
     lo = min(-sum(a for a in coeffs if a > 0), c - 1)
-    rows, sums = explore(0, lambda d: [min(max(k * d + w, lo), hi) for w in wts])
     signs = _SIGNS[relation]
-    acc = [i for i, d in enumerate(sums) if (d > c) - (d < c) in signs]
-    return minimize(Dfa(k, len(coeffs), rows, acc, 0))
+    step = lambda d: [min(max(k * d + w, lo), hi) for w in wts]
+    return minimal(k, len(coeffs), 0, step, lambda d: (d > c) - (d < c) in signs)
 
 
 def cmp_rel(ctx: RadixContext, relation: str) -> Dfa:
@@ -63,7 +62,7 @@ def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:
     rows[0][0] = 0
     for i, d in enumerate(digits):
         rows[i][d] = i + 1
-    return minimize(Dfa(k, 1, rows, {len(digits)}, 0))
+    return minimal(k, 1, 0, rows.__getitem__, lambda s: s == len(digits))
 
 
 def nonzero_track_dfa(ctx: RadixContext, tracks: int, track: int) -> Dfa:
@@ -79,12 +78,9 @@ def seq_eq(a: Dfao) -> Dfa:
     Runs the Dfao on both tracks in lockstep; requires a leading-zero
     invariant Dfao so padded runs match canonical runs.
     """
-    trans = a.trans
-    rows, states = explore(
-        (a.initial, a.initial), lambda p: [(t1, t2) for t1 in trans[p[0]] for t2 in trans[p[1]]]
-    )
-    acc = [i for i, (s1, s2) in enumerate(states) if a.output[s1] == a.output[s2]]
-    return minimize(Dfa(a.k, 2, rows, acc, 0))
+    trans, out = a.trans, a.output
+    step = lambda p: [(t1, t2) for t1 in trans[p[0]] for t2 in trans[p[1]]]
+    return minimal(a.k, 2, (a.initial, a.initial), step, lambda p: out[p[0]] == out[p[1]])
 
 
 def seq_const(a: Dfao, symbol: str) -> Dfa:
@@ -92,5 +88,4 @@ def seq_const(a: Dfao, symbol: str) -> Dfa:
     symbol = str(symbol)
     if symbol not in a.output_alphabet:
         raise ValueError(f"output symbol {symbol!r} not in the sequence alphabet")
-    acc = [s for s in range(a.num_states) if a.output[s] == symbol]
-    return minimize(Dfa(a.k, 1, a.trans, acc, a.initial))
+    return minimal(a.k, 1, a.initial, a.trans.__getitem__, lambda s: a.output[s] == symbol)

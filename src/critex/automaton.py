@@ -67,6 +67,22 @@ def state_limit() -> int:
     return limit
 
 
+def _checked_table(trans, initial: int, s_count: int) -> tuple:
+    """The rows of a complete table as tuples, once the initial state, each
+    row's length and each row's targets are in range."""
+    table = tuple(tuple(row) for row in trans)
+    n = len(table)
+    if not 0 <= initial < n:
+        raise AutomatonError(f"initial state {initial} out of range")
+    for s, row in enumerate(table):
+        if len(row) != s_count:
+            raise AutomatonError(f"state {s} has {len(row)} moves, expected {s_count}")
+        for t in row:
+            if not 0 <= t < n:
+                raise AutomatonError(f"state {s} has transition target {t} out of range")
+    return table
+
+
 class Dfa:
     """Complete deterministic acceptor over (Sigma_k)^tracks, reading
     digits most significant first."""
@@ -77,20 +93,10 @@ class Dfa:
     def __init__(self, k, tracks, trans, accept, initial):
         self.k = k
         self.tracks = tracks
-        self.trans = tuple(tuple(row) for row in trans)
+        self.trans = _checked_table(trans, initial, k**tracks)
         self.accept = frozenset(accept)
         self.initial = initial
-        n = len(self.trans)
-        s_count = k**tracks
-        if not 0 <= initial < n:
-            raise AutomatonError(f"initial state {initial} out of range")
-        for s, row in enumerate(self.trans):
-            if len(row) != s_count:
-                raise AutomatonError(f"state {s} has {len(row)} moves, expected {s_count}")
-            for t in row:
-                if not 0 <= t < n:
-                    raise AutomatonError(f"transition target {t} out of range")
-        if not self.accept <= set(range(n)):
+        if not self.accept <= set(range(len(self.trans))):
             raise AutomatonError("accepting set contains unknown states")
 
     @property
@@ -139,21 +145,11 @@ class Dfao:
     def __init__(self, k, tracks, trans, output, initial):
         self.k = k
         self.tracks = tracks
-        self.trans = tuple(tuple(row) for row in trans)
+        self.trans = _checked_table(trans, initial, k**tracks)
         self.output = tuple(str(o) for o in output)
         self.initial = initial
-        n = len(self.trans)
-        if not 0 <= initial < n:
-            raise AutomatonError(f"initial state {initial} out of range")
-        if len(self.output) != n:
+        if len(self.output) != len(self.trans):
             raise AutomatonError("output map is not total")
-        s_count = k**tracks
-        for row in self.trans:
-            if len(row) != s_count:
-                raise AutomatonError("transition table is not total")
-            for t in row:
-                if not 0 <= t < n:
-                    raise AutomatonError("transition target out of range")
 
     @property
     def num_states(self) -> int:
@@ -258,17 +254,17 @@ def explore(start, step):
 
 
 def product(a: Dfa, b: Dfa, mode: str = "and") -> Dfa:
-    """Reachable product; accepts the intersection ("and") or union ("or")."""
+    """Canonical minimal machine of the intersection ("and") or union ("or")
+    of two languages, built over the reachable state pairs."""
     if mode not in ("and", "or"):
         raise AutomatonError(f"unknown product mode {mode!r}")
     _require_compatible(a, b)
-    ta, tb = a.trans, b.trans
-    rows, pairs = explore((a.initial, b.initial), lambda p: list(zip(ta[p[0]], tb[p[1]])))
+    ta, tb, fa, fb = a.trans, b.trans, a.accept, b.accept
     if mode == "and":
-        acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept and sb in b.accept]
+        accepting = lambda p: p[0] in fa and p[1] in fb
     else:
-        acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept or sb in b.accept]
-    return Dfa(a.k, a.tracks, rows, acc, 0)
+        accepting = lambda p: p[0] in fa or p[1] in fb
+    return minimal(a.k, a.tracks, (a.initial, b.initial), lambda p: list(zip(ta[p[0]], tb[p[1]])), accepting)
 
 
 def complement(a: Dfa) -> Dfa:
@@ -392,13 +388,16 @@ def _refine(trans, cls: list[int]) -> list[int]:
         n_cls = len(sig2id)
 
 
-def minimize(a: Dfa) -> Dfa:
-    """Minimal complete machine with canonical breadth-first state numbering.
+def minimal(k: int, tracks: int, start, step, accepting) -> Dfa:
+    """Minimal complete machine with canonical breadth-first state numbering
+    of the states reachable from `start`, explored with `step` as in
+    `explore`; accepting(key) is True exactly for the keys that accept.
 
     Equal languages therefore yield bit-identical machines.
     """
-    trans, reach = explore(a.initial, a.trans.__getitem__)
-    cls = _refine(trans, [1 if s in a.accept else 0 for s in reach])
+    trans, keys = explore(start, step)
+    flags = list(map(accepting, keys))
+    cls = _refine(trans, flags)
     # States are in breadth-first order, so first-occurrence class ids are
     # already the breadth-first numbering of the quotient machine.
     rows: list = [None] * (max(cls) + 1)
@@ -406,9 +405,14 @@ def minimize(a: Dfa) -> Dfa:
     for s, c in enumerate(cls):
         if rows[c] is None:
             rows[c] = [cls[t] for t in trans[s]]
-            if reach[s] in a.accept:
+            if flags[s]:
                 acc.add(c)
-    return Dfa(a.k, a.tracks, rows, acc, 0)
+    return Dfa(k, tracks, rows, acc, 0)
+
+
+def minimize(a: Dfa) -> Dfa:
+    """The canonical minimal machine of a's language (see `minimal`)."""
+    return minimal(a.k, a.tracks, a.initial, a.trans.__getitem__, a.accept.__contains__)
 
 
 def trim_states(a: Dfa) -> set[int]:
@@ -500,8 +504,9 @@ def leading_zero_filter(k: int, tracks: int) -> Dfa:
 
 
 def canonicalize(a: Dfa) -> Dfa:
-    """Drop words starting with the all-zero symbol, then minimize."""
-    return minimize(product(a, leading_zero_filter(a.k, a.tracks), "and"))
+    """Canonical minimal machine of a's words that do not start with the
+    all-zero symbol."""
+    return product(a, leading_zero_filter(a.k, a.tracks))
 
 
 def distance_to_accept(a: Dfa) -> list[float]:

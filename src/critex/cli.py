@@ -185,6 +185,9 @@ def cmd_eval(args) -> RunReport:
     declared = tuple(v.strip() for v in args.vars.split(",") if v.strip()) if args.vars else ()
     fv = free_vars(f)
     if not fv:
+        given = [opt for opt, val in (("--vars", args.vars), ("--dump", args.dump)) if val]
+        if given:
+            raise InputError(f"a closed formula takes no {' or '.join(given)}")
         env = CompilationEnv((), a, RadixContext(a.k))
         out = compile_formula(f, env)
         report.values["sentence"] = "true" if out else "false"

@@ -6,8 +6,9 @@ terms through the addition relation, each distinct subterm of an atom once
 (`seq[i+j] = seq[i+j+p]` builds one adder for `i+j`), turns E into one
 `automaton.erase` of the quantified track (a double reversal,
 det(rev(det(rev(N)))), run straight on the machine's moves, which yields the
-minimal machine directly), A into the double complement, and minimizes the
-result of every other construction.  The track order of a compiled machine
+minimal machine directly), A into the double complement, and & and | into
+one `automaton.product`, which lands on the canonical minimal machine of
+the operands' intersection or union.  The track order of a compiled machine
 is exactly the declared free-variable order, never inferred from the
 formula.
 
@@ -450,7 +451,7 @@ class _Compiler:
         out, vars_out = parts[0]
         for m, mv in parts[1:]:
             allvars = vars_out + tuple(v for v in mv if v not in vars_out)
-            out = minimize(product(self.lift(out, vars_out, allvars), self.lift(m, mv, allvars), "and"))
+            out = product(self.lift(out, vars_out, allvars), self.lift(m, mv, allvars), "and")
             vars_out = allvars
         return out, vars_out
 
@@ -560,7 +561,7 @@ class _Compiler:
             m1, v1 = self.compile(f.left)
             m2, v2 = self.compile(f.right)
             allvars = v1 + tuple(v for v in v2 if v not in v1)
-            out = minimize(product(self.lift(m1, v1, allvars), self.lift(m2, v2, allvars), "or"))
+            out = product(self.lift(m1, v1, allvars), self.lift(m2, v2, allvars), "or")
             return out, allvars
         if isinstance(f, Implies):
             return self.compile(Or(Not(f.left), f.right))

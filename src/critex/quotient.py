@@ -405,7 +405,7 @@ def is_sup_infinite(L: Dfa, graph: PumpGraph | None = None) -> tuple[bool, PumpD
 
 def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
     """Canonical machine restricted to nonzero denominator values."""
-    return canonicalize(product(L, nonzero_track_dfa(ctx, 2, 1), "and"))
+    return product(L, canonicalize(nonzero_track_dfa(ctx, 2, 1)))
 
 
 def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:

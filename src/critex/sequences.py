@@ -10,6 +10,8 @@ verified symbol-by-symbol on a long prefix.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .automaton import Dfao
 
 
@@ -94,14 +96,10 @@ def dfao_from_function(fn, k: int, probe_len: int = 8, verify_n: int = 1 << 14, 
     return dfao
 
 
-_VTM_CACHE: list[Dfao] = []
-
-
+@cache
 def vtm() -> Dfao:
     """2-automatic form of the ternary squarefree word, derived and verified."""
-    if not _VTM_CACHE:
-        _VTM_CACHE.append(dfao_from_function(vtm_value, 2))
-    return _VTM_CACHE[0]
+    return dfao_from_function(vtm_value, 2)
 
 
 def period_doubling_value(n: int) -> int:
@@ -114,12 +112,8 @@ def period_doubling_value(n: int) -> int:
     return v
 
 
-_PD_CACHE: list[Dfao] = []
-
-
+@cache
 def period_doubling() -> Dfao:
     """The period-doubling word 0100010101000100..., derived and verified."""
-    if not _PD_CACHE:
-        _PD_CACHE.append(dfao_from_function(period_doubling_value, 2))
-    return _PD_CACHE[0]
+    return dfao_from_function(period_doubling_value, 2)
 

@@ -10,10 +10,12 @@ core and the packed `_subsets` step are checked against, field for field;
 `atom_conjoin_all` is the compiler's atom without early erasure;
 `interpret` evaluates a formula directly, over a box for quantifiers;
 `reverse`, `language_equal`, `permute_tracks` and `shortest_accepted` are
-small constructions only the tests use, and `pump_ratio` recomputes from
-its two words the ratio `PumpDecomposition.ratio()` reads off a pump's
-stored increments.  `max_pump_weight_reference` is the whole-trim
-pump-weight DP the per-component one is pinned against, and
+small constructions only the tests use; `product_reference` is the
+reachable product before minimization, which `product` is pinned against;
+and `pump_ratio` recomputes from its two words the ratio
+`PumpDecomposition.ratio()` reads off a pump's stored increments.
+`max_pump_weight_reference` is the whole-trim pump-weight DP the
+per-component one is pinned against, and
 `max_pump_weight_per_component` is the per-component DP without the bound
 pass that prunes its loop states; both keep the library's parent records.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
@@ -559,6 +561,19 @@ def permute_tracks(a: Dfa, perm: list[int]) -> Dfa:
     for j, i in enumerate(perm):
         inv[i] = j
     return lift_tracks(a, inv, a.tracks)
+
+
+def product_reference(a: Dfa, b: Dfa, mode: str) -> Dfa:
+    """The reachable product, unminimized: the pairs of states in breadth-first
+    order, accepting the intersection ("and") or union ("or")."""
+    _require_compatible(a, b)
+    ta, tb = a.trans, b.trans
+    rows, pairs = explore((a.initial, b.initial), lambda p: list(zip(ta[p[0]], tb[p[1]])))
+    if mode == "and":
+        acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept and sb in b.accept]
+    else:
+        acc = [i for i, (sa, sb) in enumerate(pairs) if sa in a.accept or sb in b.accept]
+    return Dfa(a.k, a.tracks, rows, acc, 0)
 
 
 def language_equal(a: Dfa, b: Dfa) -> bool:

@@ -41,6 +41,7 @@ from reference import (
     is_infinite_reference,
     language_equal,
     permute_tracks,
+    product_reference,
     project,
     pump_decompositions,
     reverse,
@@ -66,6 +67,21 @@ def test_constructors_refuse_an_initial_state_out_of_range(initial):
         Dfao(2, 1, [[0, 0]], ["a"], initial)
     with pytest.raises(AutomatonError, match="initial state"):
         Dfa(2, 1, [[0, 0]], {0}, initial)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1], [1]], "state 1 has 1 moves, expected 2"),
+        ([[0, 1], [2, 0]], "state 1 has transition target 2 out of range"),
+        ([[0, -1], [1, 0]], "state 0 has transition target -1 out of range"),
+    ],
+)
+def test_constructors_refuse_a_bad_row_naming_its_state(rows, message):
+    with pytest.raises(AutomatonError, match=message):
+        Dfao(2, 1, rows, ["a", "b"], 0)
+    with pytest.raises(AutomatonError, match=message):
+        Dfa(2, 1, rows, {0}, 0)
 
 
 # ------------------------------------------------------------- product
@@ -96,6 +112,19 @@ def test_product_or_against_membership():
             w = random_word(rng, 2, 2, 6)
             assert both_and.accepts(w) == (a.accepts(w) and b.accepts(w))
             assert both_or.accepts(w) == (a.accepts(w) or b.accepts(w))
+
+
+def test_product_is_the_minimal_reachable_product_random():
+    rng = random.Random(20)
+    for _ in range(300):
+        k = rng.randint(2, 3)
+        tracks = rng.randint(1, 3)
+        a = random_dfa(rng, k=k, tracks=tracks, max_states=5)
+        b = random_dfa(rng, k=k, tracks=tracks, max_states=5)
+        for mode in ("and", "or"):
+            got = product(a, b, mode)
+            assert got == minimize(product_reference(a, b, mode)), (a.trans, b.trans, mode)
+            assert minimize(got) == got
 
 
 def test_product_rejects_mismatched_alphabets():

@@ -157,6 +157,16 @@ def test_eval_open_formula_needs_vars(files, capsys):
     assert code == 2 and "--vars" in err
 
 
+@pytest.mark.parametrize("options", [("--vars",), ("--dump",), ("--vars", "--dump")])
+def test_eval_closed_formula_refuses_vars_and_dump(files, capsys, tmp_path, options):
+    dump = tmp_path / "out.txt"
+    values = {"--vars": "x", "--dump": str(dump)}
+    argv = [arg for opt in options for arg in (opt, values[opt])]
+    code, _, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", "E i . seq[i] = 1", *argv)
+    assert code == 2 and all(opt in err for opt in options)
+    assert not dump.exists()
+
+
 def test_formula_syntax_error_is_input_error(files, capsys):
     code, _, err = run_cli(capsys, "eval", files["tm.dfao"], "--formula", "E i .")
     assert code == 2 and "position" in err
