@@ -136,7 +136,7 @@ def parse_automaton(text: str) -> Dfa | Dfao:
                     q = int(tok)
                 except ValueError:
                     raise AutFileError(f"bad accepting state {tok!r}") from None
-                if q >= n:
+                if not 0 <= q < n:
                     raise AutFileError(f"accepting state {q} out of range")
                 accepting.add(q)
         return Dfa(k, tracks, rows, accepting, initial)
@@ -151,7 +151,7 @@ def parse_automaton(text: str) -> Dfa | Dfao:
             q = int(qs)
         except ValueError:
             raise AutFileError(f"bad output state {qs!r}") from None
-        if q >= n:
+        if not 0 <= q < n:
             raise AutFileError(f"output state {q} out of range")
         if q in outputs:
             raise AutFileError(f"output state {q} listed twice")

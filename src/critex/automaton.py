@@ -361,9 +361,10 @@ def erase(a: Dfa, track: int) -> Dfa:
     padding of it is, which keeps machines leading-zero-invariant.  The
     saturation is the start set of the double reversal: every state the
     initial state reaches on symbols that are zero on all kept tracks.
+    Erasing the only track of a leading-zero-invariant machine leaves the
+    one-state 0-track machine that accepts exactly when a's language is
+    nonempty.
     """
-    if a.tracks < 2:
-        raise AutomatonError("erasing a track needs at least 2 tracks")
     if not 0 <= track < a.tracks:
         raise AutomatonError(f"track {track} out of range")
     k = a.k

@@ -1,14 +1,16 @@
 """First-order predicate compiler over natural-number position variables.
 
 Formulas support addition terms, the six comparisons, sequence-value atoms
-over a Dfao, the boolean connectives and E/A quantifiers.  Compilation lowers
-terms through the addition relation, each distinct subterm of an atom once
-(`seq[i+j] = seq[i+j+p]` builds one adder for `i+j`), turns E into one
-`automaton.erase` of the quantified track (a double reversal,
+over a Dfao, the boolean connectives and E/A quantifiers.  The parser reads
+`f -> g` as `~f | g` and A into the double complement `~E x . ~f`, so a
+parsed formula has five node kinds: atoms, ~, & and |, and E.  Compilation
+lowers terms through the addition relation, each distinct subterm of an
+atom once (`seq[i+j] = seq[i+j+p]` builds one adder for `i+j`), turns E
+into one `automaton.erase` of the quantified track (a double reversal,
 det(rev(det(rev(N)))), run straight on the machine's moves, which yields the
-minimal machine directly), A into the double complement, and & and | into
-one `automaton.product`, which lands on the canonical minimal machine of
-the operands' intersection or union.  The track order of a compiled machine
+minimal machine directly), ~ into a complement, and & and | into one
+`automaton.product`, which lands on the canonical minimal machine of the
+operands' intersection or union.  The track order of a compiled machine
 is exactly the declared free-variable order, never inferred from the
 formula.
 
@@ -23,7 +25,7 @@ the canonical minimal machine of its language, and the language is the
 same in any order.
 
 Atoms and quantified subformulas are shared through one memo of every
-compiled atom (Cmp, SeqEq, SeqConst), E and A node and every whole formula
+compiled atom (Cmp, SeqEq, SeqConst) and E node and every whole formula
 compile_formula returns.  Its key is the node's shape with each variable
 renamed by first occurrence, a digest of the sequence Dfao's content, the
 base and the CRITEX_MAX_STATES cap, plus the declared track order for a
@@ -138,24 +140,12 @@ class Or:
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-
-Formula = Cmp | SeqEq | SeqConst | Not | And | Or | Implies | Exists | Forall
+Formula = Cmp | SeqEq | SeqConst | Not | And | Or | Exists
 
 
 def term_vars(t: Term) -> set[str]:
@@ -175,15 +165,15 @@ def free_vars(f: Formula) -> set[str]:
         return term_vars(f.term)
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         return free_vars(f.body) - {f.var}
     raise FormulaError(f"unknown node {f!r}")
 
 
 def _check_scopes(f: Formula, active: frozenset, free_top: set[str]) -> None:
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         if f.var in active:
             raise FormulaError(f"variable {f.var!r} shadows an enclosing binding")
         if f.var in free_top:
@@ -191,7 +181,7 @@ def _check_scopes(f: Formula, active: frozenset, free_top: set[str]) -> None:
         _check_scopes(f.body, active | {f.var}, free_top)
     elif isinstance(f, Not):
         _check_scopes(f.body, active, free_top)
-    elif isinstance(f, (And, Or, Implies)):
+    elif isinstance(f, (And, Or)):
         _check_scopes(f.left, active, free_top)
         _check_scopes(f.right, active, free_top)
 
@@ -264,8 +254,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "arrow":
             self.next()
-            right = self.formula()
-            return Implies(left, right)
+            return Or(Not(left), self.formula())
         return left
 
     def or_level(self) -> Formula:
@@ -320,8 +309,8 @@ class _Parser:
                 body = And(Cmp("<", Var(name), bound_term), body)
             return Exists(name, body)
         if bound_term is not None:
-            body = Implies(Cmp("<", Var(name), bound_term), body)
-        return Forall(name, body)
+            body = Or(Not(Cmp("<", Var(name), bound_term)), body)
+        return Not(Exists(name, Not(body)))
 
     def atom(self) -> Formula:
         kind, val, pos = self.peek()
@@ -397,11 +386,6 @@ class CompilationEnv:
             raise CompileError(f"a sequence automaton reads 1 track, got {self.dfao.tracks}")
 
 
-def bool_dfa(k: int, truth: bool) -> Dfa:
-    """0-track machine standing for a closed subformula's truth value."""
-    return Dfa(k, 0, [[0]], {0} if truth else set(), 0)
-
-
 # ---------------------------------------------------------------- memo
 
 _MEMO: dict[tuple, object] = {}
@@ -420,9 +404,9 @@ def _shape(node, names: dict[str, int]):
     in order of first occurrence, which `names` records."""
     if isinstance(node, Var):
         return names.setdefault(node.name, len(names))
-    if isinstance(node, (Exists, Forall)):
-        return type(node), names.setdefault(node.var, len(names)), _shape(node.body, names)
-    if isinstance(node, (Const, Add, Cmp, SeqEq, SeqConst, Not, And, Or, Implies)):
+    if isinstance(node, Exists):
+        return Exists, names.setdefault(node.var, len(names)), _shape(node.body, names)
+    if isinstance(node, (Const, Add, Cmp, SeqEq, SeqConst, Not, And, Or)):
         return (type(node), *(_shape(getattr(node, field.name), names) for field in fields(node)))
     return node  # a literal: Const.value, Cmp.op or SeqConst.symbol
 
@@ -430,12 +414,11 @@ def _shape(node, names: dict[str, int]):
 class _Compiler:
     def __init__(self, env: CompilationEnv):
         self.env = env
-        self.k = env.ctx.k
         self.counter = 0
         a = env.dfao
         seq = b"" if a is None else repr((a.k, a.tracks, a.trans, a.output, a.initial)).encode()
         # the memo key parts shared by every node of one compilation
-        self.context = (self.k, hashlib.sha256(seq).digest(), state_limit())
+        self.context = (env.ctx.k, hashlib.sha256(seq).digest(), state_limit())
 
     def fresh(self) -> str:
         self.counter += 1
@@ -444,22 +427,20 @@ class _Compiler:
     # -- machine alignment -------------------------------------------------
 
     def lift(self, m: Dfa, mvars: tuple[str, ...], allvars: tuple[str, ...]) -> Dfa:
-        positions = [allvars.index(v) for v in mvars]
-        return lift_tracks(m, positions, len(allvars))
+        if mvars == allvars:
+            return m
+        return lift_tracks(m, [allvars.index(v) for v in mvars], len(allvars))
 
-    def conjoin(self, parts: list[tuple[Dfa, tuple[str, ...]]]) -> tuple[Dfa, tuple[str, ...]]:
-        out, vars_out = parts[0]
-        for m, mv in parts[1:]:
-            allvars = vars_out + tuple(v for v in mv if v not in vars_out)
-            out = product(self.lift(out, vars_out, allvars), self.lift(m, mv, allvars), "and")
-            vars_out = allvars
-        return out, vars_out
+    def combine(self, left: tuple, right: tuple, mode: str) -> tuple[Dfa, tuple[str, ...]]:
+        """The "and" or "or" product of two (machine, tracks) pairs, each
+        lifted to the union of their tracks, the left operand's first."""
+        (m1, v1), (m2, v2) = left, right
+        allvars = v1 + tuple(v for v in v2 if v not in v1)
+        return product(self.lift(m1, v1, allvars), self.lift(m2, v2, allvars), mode), allvars
 
     def exists_out(self, m: Dfa, mvars: tuple[str, ...], name: str) -> tuple[Dfa, tuple[str, ...]]:
         if name not in mvars:
             return m, mvars
-        if len(mvars) == 1:
-            return bool_dfa(self.k, not is_empty(m)), ()
         idx = mvars.index(name)
         return erase(m, idx), mvars[:idx] + mvars[idx + 1 :]
 
@@ -513,18 +494,18 @@ class _Compiler:
                 return sum(1 for v in set(mvars) | set(rest[i][1]) if not v.startswith("_t") or v in live)
 
             part = rest.pop(min(range(len(rest)), key=tracks_left))
-            machine, mvars = self.conjoin([(machine, mvars), part])
+            machine, mvars = self.combine((machine, mvars), part, "and")
             live = {v for _, pv in rest for v in pv}
             for v in [v for v in mvars if v.startswith("_t") and v not in live]:
                 machine, mvars = self.exists_out(machine, mvars, v)
         return machine, mvars
 
     def compile(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
-        """The machine of f with its track names.  Atoms and E and A nodes go
+        """The machine of f with its track names.  Atoms and E nodes go
         through the memo, so an atom met again, in this compile or an
         earlier one and under any variable names, is built once; the
         connectives are built from their operands each time."""
-        if isinstance(f, (Not, And, Or, Implies)):
+        if isinstance(f, (Not, And, Or)):
             return self.build(f)
         names: dict[str, int] = {}
         key = (_shape(f, names), self.context)
@@ -541,13 +522,11 @@ class _Compiler:
         parts: list = []
         if isinstance(f, Cmp):
             return self.atom(arith.cmp_rel(env.ctx, f.op), self.lower_pair(f.left, f.right, parts, {}), parts)
+        if isinstance(f, (SeqEq, SeqConst)) and env.dfao is None:
+            raise CompileError("formula uses seq[...] but no sequence was supplied")
         if isinstance(f, SeqEq):
-            if env.dfao is None:
-                raise CompileError("formula uses seq[...] but no sequence was supplied")
             return self.atom(arith.seq_eq(env.dfao), self.lower_pair(f.left, f.right, parts, {}), parts)
         if isinstance(f, SeqConst):
-            if env.dfao is None:
-                raise CompileError("formula uses seq[...] but no sequence was supplied")
             if f.symbol not in env.dfao.output_alphabet:
                 raise CompileError(f"output symbol {f.symbol!r} not in the sequence alphabet")
             v = self.lower_term(f.term, parts, {})
@@ -555,25 +534,10 @@ class _Compiler:
         if isinstance(f, Not):
             m, mv = self.compile(f.body)
             return complement(m), mv
-        if isinstance(f, And):
-            return self.conjoin([self.compile(f.left), self.compile(f.right)])
-        if isinstance(f, Or):
-            m1, v1 = self.compile(f.left)
-            m2, v2 = self.compile(f.right)
-            allvars = v1 + tuple(v for v in v2 if v not in v1)
-            out = product(self.lift(m1, v1, allvars), self.lift(m2, v2, allvars), "or")
-            return out, allvars
-        if isinstance(f, Implies):
-            return self.compile(Or(Not(f.left), f.right))
+        if isinstance(f, (And, Or)):
+            return self.combine(self.compile(f.left), self.compile(f.right), "and" if isinstance(f, And) else "or")
         if isinstance(f, Exists):
-            m, mv = self.compile(f.body)
-            return self.exists_out(m, mv, f.var)
-        if isinstance(f, Forall):
-            m, mv = self.compile(f.body)
-            if f.var not in mv:
-                return m, mv
-            m, mv = self.exists_out(complement(m), mv, f.var)
-            return complement(m), mv
+            return self.exists_out(*self.compile(f.body), f.var)
         raise CompileError(f"unknown formula node {f!r}")
 
 
@@ -601,8 +565,7 @@ def compile_formula(f: Formula, env: CompilationEnv) -> Dfa | bool:
         return _remember(key, not is_empty(m))
     if set(mvars) != set(env.free_vars):
         raise CompileError(f"compiled tracks {mvars} do not cover {env.free_vars}")
-    m = comp.lift(m, mvars, env.free_vars) if mvars != env.free_vars else m
-    return _remember(key, minimize(m))
+    return _remember(key, minimize(comp.lift(m, mvars, env.free_vars)))
 
 
 def evaluate_sentence(f: Formula, env: CompilationEnv) -> bool:

@@ -50,18 +50,23 @@ def vtm_value(n: int) -> int:
     return _BLOCK_CODE[(_tm_bit(n), _tm_bit(n + 1))]
 
 
-def dfao_from_function(fn, k: int, probe_len: int = 8, verify_n: int = 1 << 14, max_states: int = 512) -> Dfao:
+# residual classification: probe suffix depth, verified prefix, class limit
+PROBE_LEN, VERIFY_N, MAX_STATES = 8, 1 << 14, 512
+
+
+def dfao_from_function(fn, k: int) -> Dfao:
     """Grow the minimal Dfao of n -> fn(n) by residual classification.
 
     The state of a digit prefix w is the behavior x -> fn([w x]); prefixes
-    are merged when they agree on every probe suffix up to probe_len digits.
-    The result is verified against fn on 0..verify_n-1, so a too-shallow
-    probe fails loudly instead of producing a wrong machine.
+    are merged when they agree on every probe suffix up to PROBE_LEN digits,
+    and more than MAX_STATES classes is a failure.  The result is verified
+    against fn on 0..VERIFY_N-1, so a too-shallow probe fails loudly instead
+    of producing a wrong machine.
     """
     suffixes: list[tuple[int, int]] = []  # (length, value)
     frontier = [(0, 0)]
     suffixes.append((0, 0))
-    for _ in range(probe_len):
+    for _ in range(PROBE_LEN):
         frontier = [(ln + 1, val * k + d) for ln, val in frontier for d in range(k)]
         suffixes.extend(frontier)
 
@@ -82,17 +87,17 @@ def dfao_from_function(fn, k: int, probe_len: int = 8, verify_n: int = 1 << 14, 
             j = sig2state.get(sig)
             if j is None:
                 j = len(reps)
-                if j >= max_states:
-                    raise FixtureError("residual classification did not converge; raise probe_len")
+                if j >= MAX_STATES:
+                    raise FixtureError("residual classification did not converge; raise PROBE_LEN")
                 sig2state[sig] = j
                 reps.append(child)
             row.append(j)
         trans.append(row)
     output = [str(fn(rep)) for rep in reps]
     dfao = Dfao(k, 1, trans, output, 0)
-    for n in range(verify_n):
+    for n in range(VERIFY_N):
         if dfao.value(n) != str(fn(n)):
-            raise FixtureError(f"residual machine disagrees with the rule at {n}; raise probe_len")
+            raise FixtureError(f"residual machine disagrees with the rule at {n}; raise PROBE_LEN")
     return dfao
 
 

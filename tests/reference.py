@@ -68,10 +68,8 @@ from critex.logic import (
     Cmp,
     Const,
     Exists,
-    Forall,
     Formula,
     FormulaError,
-    Implies,
     Not,
     Or,
     SeqConst,
@@ -460,7 +458,9 @@ def atom_conjoin_all(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tu
     """logic._Compiler.atom without early erasure: conjoin the core atom
     with every lowering part, then erase each `_t` variable in order of
     mention.  Patch it over `_Compiler.atom` to compile the reference way."""
-    machine, mvars = self.conjoin([(core, slots)] + parts)
+    machine, mvars = core, slots
+    for part in parts:
+        machine, mvars = self.combine((machine, mvars), part, "and")
     for _, pv in parts:
         for v in pv:
             if v.startswith("_t"):
@@ -504,18 +504,10 @@ def interpret(f: Formula, assignment: dict[str, int], seq_value, box: int | None
         return interpret(f.left, assignment, seq_value, box) and interpret(f.right, assignment, seq_value, box)
     if isinstance(f, Or):
         return interpret(f.left, assignment, seq_value, box) or interpret(f.right, assignment, seq_value, box)
-    if isinstance(f, Implies):
-        return (not interpret(f.left, assignment, seq_value, box)) or interpret(
-            f.right, assignment, seq_value, box
-        )
     if isinstance(f, Exists):
         if box is None:
             raise FormulaError("direct evaluation of quantifiers needs a box")
         return any(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
-    if isinstance(f, Forall):
-        if box is None:
-            raise FormulaError("direct evaluation of quantifiers needs a box")
-        return all(interpret(f.body, {**assignment, f.var: v}, seq_value, box) for v in range(box))
     raise FormulaError(f"unknown formula node {f!r}")
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from critex.automaton import is_empty, is_infinite, product
+from critex.automaton import is_empty, is_infinite
 from critex.exponents import (
     critical_exponent,
     initial_critical_exponents,
@@ -29,7 +29,7 @@ from critex.quotient import (
 from critex.rational import INF
 
 from helpers import prepared_random_suite
-from reference import candidates
+from reference import candidates, product_reference
 from property_suites import run_chain_suite, run_comparator_suite, run_mediant_suite
 
 CTX = RadixContext(2)
@@ -136,14 +136,16 @@ def test_criterion_5_solver_cross_validation():
             # product emptiness); every smaller candidate is non-qualifying,
             # proven constructively by an accepted word whose exact ratio
             # exceeds the largest smaller candidate, with comparator-product
-            # probes on the hundred candidates nearest the sup.
+            # probes on the hundred candidates nearest the sup.  The probes
+            # read only emptiness and infiniteness, so they take the
+            # unminimized reachable product.
             if res.value is not INF:
                 assert res.value in finite, idx
-                above = product(
+                above = product_reference(
                     machine, comparator_dfa(Comparator(res.value, ">", CTX)), "and"
                 )
                 assert is_empty(above), idx
-                at = product(
+                at = product_reference(
                     machine, comparator_dfa(Comparator(res.value, "==", CTX)), "and"
                 )
                 assert (not is_empty(at)) == res.attained, idx
@@ -154,7 +156,7 @@ def test_criterion_5_solver_cross_validation():
             if smaller:
                 _word_above(machine, res, max(smaller))
                 for beta in smaller[-100:]:
-                    nonempty = product(
+                    nonempty = product_reference(
                         machine, comparator_dfa(Comparator(beta, ">", CTX)), "and"
                     )
                     assert not is_empty(nonempty), (idx, beta)
@@ -169,7 +171,7 @@ def test_criterion_5_solver_cross_validation():
                 sigma, _pump = largest_limit_quotient(machine, CTX)
                 if sigma is INF:
                     for t in (1, 2, 4, 8):
-                        probe = product(
+                        probe = product_reference(
                             machine, comparator_dfa(Comparator(Fraction(t), ">", CTX)), "and"
                         )
                         assert not is_empty(probe), (idx, t)
@@ -179,7 +181,7 @@ def test_criterion_5_solver_cross_validation():
                         if t < 0:
                             probe = machine
                         else:
-                            probe = product(
+                            probe = product_reference(
                                 machine, comparator_dfa(Comparator(t, ">", CTX)), "and"
                             )
                         assert is_infinite(probe), (idx, eps)

@@ -77,6 +77,11 @@ trans: 0 [1,1] -> 0
         (lambda t: t.replace("kind: dfa", "kind: moore"), "kind"),
         (lambda t: t + "trans: 0 [1] -> 5\n", "range"),
         (lambda t: t.replace("accepting: 1", "accepting: 7"), "range"),
+        (lambda t: t.replace("accepting: 1", "accepting: -1"), "accepting state -1 out of range"),
+        (
+            lambda t: t.replace("kind: dfa", "kind: dfao").replace("accepting: 1", "output: 0:0 1:1 -1:1"),
+            "output state -1 out of range",
+        ),
         (lambda t: t.replace("order: msd", "order: lsd"), "order"),
         (lambda t: t.replace("order: msd", "order: xyz"), "order"),
         (lambda t: t.replace("accepting: 1", "acepting: 1"), "unknown key 'acepting'"),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from critex import arith
 from critex.automaton import (
     AutomatonError,
     Dfa,
@@ -19,11 +20,13 @@ from critex.automaton import (
     minimize,
     product,
 )
-from critex.numeral import DigitWord
+from critex.numeral import DigitWord, RadixContext
 
 from helpers import (
+    FIXTURES,
     all_words_upto,
     brzozowski_minimize,
+    constant_zero,
     dfa_for_words,
     pairs_ones_then_01,
     pairs_unbounded,
@@ -337,6 +340,43 @@ def test_erase_and_zero_closure_match_forward_path_random():
             assert erase(a, track) == minimize(determinize(zero_saturate(project(a, track))))
         assert zero_closure(a) == minimize(determinize(_padded_nfa(a)))
     assert empties > 20
+
+
+def _truth(a: Dfa) -> Dfa:
+    return Dfa(a.k, 0, [[0]], {0} if not is_empty(a) else set(), 0)
+
+
+def test_erasing_the_only_track_gives_the_truth_value_random():
+    # leading-zero invariance, which every compiled machine has, is what
+    # makes every word length accepted once one word is: the initial state
+    # loops on the zero digit
+    rng = random.Random(2101)
+    empties = 0
+    for _ in range(300):
+        a = random_dfa(rng, k=rng.randint(2, 3), tracks=1, max_states=5)
+        a = Dfa(a.k, 1, [[0, *a.trans[0][1:]], *a.trans[1:]], a.accept, 0)
+        empties += is_empty(a)
+        assert erase(a, 0) == _truth(a)
+    assert empties > 10
+
+
+def test_erasing_the_only_track_of_a_fixture_atom_gives_the_truth_value():
+    ctx = RadixContext(2)
+    atoms = [arith.const_eq_rel(ctx, c) for c in (0, 1, 6, 1000)] + [arith.nonzero_track_dfa(ctx, 1, 0)]
+    for name, build in FIXTURES.items():
+        if name.endswith(".dfao"):
+            a = build()
+            atoms += [arith.seq_const(a, symbol) for symbol in sorted(a.output_alphabet)]
+    atoms.append(complement(arith.seq_const(constant_zero(), "0")))
+    assert any(is_empty(a) for a in atoms)
+    for a in atoms:
+        assert erase(a, 0) == _truth(a)
+
+
+def test_erasing_the_only_track_keeps_the_word_lengths_without_invariance():
+    # accepts only the empty word; no state leads back to the accepting one
+    a = Dfa(2, 1, [[1, 1], [1, 1]], {0}, 0)
+    assert erase(a, 0) == Dfa(2, 0, [[1], [1]], {0}, 0)
 
 
 # ------------------------------------------------------------- minimize

@@ -220,6 +220,8 @@ def test_bad_automaton_file_is_input_error(tmp_path, capsys):
         ("sup", "pairs.dfa", "order: msd", "order: lsd", "order"),
         ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1 0:1", "output state 0"),
         ("sup", "finite.dfa", "accepting:", "acepting:", "unknown key 'acepting'"),
+        ("sup", "finite.dfa", "accepting:", "accepting: -1", "accepting state -1 out of range"),
+        ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1 -1:1", "output state -1 out of range"),
         ("exponent", "tm.dfao", "output: 0:0 1:1", "output: 0:0 1:1\naccepting: 0", "key 'accepting'"),
     ],
 )

@@ -15,10 +15,8 @@ from critex.logic import (
     CompileError,
     Const,
     Exists,
-    Forall,
     FormulaError,
     FormulaSyntaxError,
-    Implies,
     Not,
     Or,
     SeqConst,
@@ -56,9 +54,20 @@ def test_parse_exists_atom():
 
 def test_parse_forall_implies_tree():
     f = parse("A j . j < q -> seq[i+j] = seq[i+p+j]")
-    assert isinstance(f, Forall)
-    assert isinstance(f.body, Implies)
+    i, j, p, q = Var("i"), Var("j"), Var("p"), Var("q")
+    body = Or(Not(Cmp("<", j, q)), SeqEq(Add(i, j), Add(Add(i, p), j)))
+    assert f == Not(Exists("j", Not(body)))
     assert free_vars(f) == {"i", "p", "q"}
+
+
+@pytest.mark.parametrize("f", ["seq[x] = 1", "x < y & ~ y = 0", "E y . x + y = 3", "(A y . x <= y) | x = 0"])
+@pytest.mark.parametrize("g", ["x = 0", "seq[x] = seq[x+1] -> x > 1"])
+def test_implies_and_forall_parse_into_not_or_exists(f, g):
+    assert parse(f"({f}) -> {g}") == Or(Not(parse(f)), parse(g))
+    assert parse(f"A x . {f}") == Not(Exists("x", Not(parse(f))))
+    assert parse(f"A x < 5 . {f}") == Not(Exists("x", Not(Or(Not(Cmp("<", Var("x"), Const(5))), parse(f)))))
+    assert parse(f"A x < z + 1 . ({f}) -> {g}") == parse(f"A x . x < z + 1 -> (({f}) -> {g})")
+    assert parse(f"E x < 5 . {f}") == Exists("x", And(Cmp("<", Var("x"), Const(5)), parse(f)))
 
 
 def test_parse_error_position():
@@ -76,18 +85,17 @@ def test_parse_reserved_and_unknown_chars():
 
 def test_parse_precedence():
     f = parse("~ x = 0 & y = 0 | z = 0 -> w = 0")
-    # -> binds loosest: (((~x=0) & y=0) | z=0) -> w=0
-    assert isinstance(f, Implies)
-    assert isinstance(f.left, Or)
-    assert isinstance(f.left.left, And)
-    assert isinstance(f.left.left.left, Not)
+    # -> binds loosest: (((~x=0) & y=0) | z=0) -> w=0, read as ~(...) | w=0
+    x, y, z, w = (Cmp("==", Var(v), Const(0)) for v in "xyzw")
+    assert f == Or(Not(Or(And(Not(x), y), z)), w)
+    # -> is right associative: a -> b -> c is a -> (b -> c)
+    assert parse("x = 0 -> y = 0 -> z = 0") == Or(Not(x), Or(Not(y), z))
 
 
 def test_parse_bounded_quantifier_sugar():
-    fe = parse("E j < t . seq[j] = 1")
-    assert isinstance(fe, Exists) and isinstance(fe.body, And)
-    fa = parse("A j < t . seq[j] = 1")
-    assert isinstance(fa, Forall) and isinstance(fa.body, Implies)
+    bound, atom = Cmp("<", Var("j"), Var("t")), SeqConst(Var("j"), "1")
+    assert parse("E j < t . seq[j] = 1") == Exists("j", And(bound, atom))
+    assert parse("A j < t . seq[j] = 1") == Not(Exists("j", Not(Or(Not(bound), atom))))
 
 
 def test_quantifier_extends_maximally_right():
@@ -206,7 +214,7 @@ def _random_qf_formula(rng, names):
             return atom()
         if r < 0.55:
             return Not(formula(depth - 1))
-        ctor = rng.choice([And, Or, Implies])
+        ctor = rng.choice([And, Or, lambda a, b: Or(Not(a), b)])
         return ctor(formula(depth - 1), formula(depth - 1))
 
     return formula(2)
@@ -243,7 +251,7 @@ def test_bounded_quantifier_one_sided_fuzz(tm, ctx):
         if free_vars(body) != {"x", "y"}:
             continue
         fe = Exists("x", Exists("y", body))
-        fa = Forall("x", Forall("y", body))
+        fa = Not(Exists("x", Not(Not(Exists("y", Not(body))))))
         te = evaluate_sentence(fe, env_for(tm, ctx))
         ta = evaluate_sentence(fa, env_for(tm, ctx))
         box_e = interpret(fe, {}, seq_value, box=32)
