@@ -1,5 +1,5 @@
-"""Atomic automatic relations: comparison, addition with carry, constants,
-and pointwise sequence-value predicates read off a Dfao.
+"""Atomic automatic relations: linear constraints over the naturals,
+constants, and pointwise sequence-value predicates read off a Dfao.
 
 Every builder returns a complete machine that is leading-zero invariant,
 so the relations compose freely inside padded products.
@@ -31,20 +31,6 @@ def linear_rel(k: int, coeffs: tuple[int, ...], relation: str, c: int = 0) -> Df
     signs = _SIGNS[relation]
     step = lambda d: [min(max(k * d + w, lo), hi) for w in wts]
     return minimal(k, len(coeffs), 0, step, lambda d: (d > c) - (d < c) in signs)
-
-
-def cmp_rel(ctx: RadixContext, relation: str) -> Dfa:
-    """2-track machine accepting (x, y) with x <relation> y."""
-    return linear_rel(ctx.k, (1, -1), relation)
-
-
-def eq_rel(ctx: RadixContext) -> Dfa:
-    return cmp_rel(ctx, "==")
-
-
-def add_rel(ctx: RadixContext) -> Dfa:
-    """3-track machine accepting (x, y, z) with x + y = z."""
-    return linear_rel(ctx.k, (1, 1, -1), "==")
 
 
 def const_eq_rel(ctx: RadixContext, value: int) -> Dfa:

@@ -12,6 +12,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .numeral import DigitWord, digits_of
@@ -34,17 +35,10 @@ class InvariantError(RuntimeError):
     """An internal invariant failed; the result would be wrong."""
 
 
-_SYMBOLS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@cache
 def symbols(k: int, tracks: int) -> tuple[tuple[int, ...], ...]:
     """All d-track digit tuples in lexicographic (index) order."""
-    key = (k, tracks)
-    cached = _SYMBOLS.get(key)
-    if cached is None:
-        cached = tuple(iproduct(range(k), repeat=tracks))
-        _SYMBOLS[key] = cached
-    return cached
+    return tuple(iproduct(range(k), repeat=tracks))
 
 
 def sym_index(sym: tuple[int, ...], k: int) -> int:

@@ -4,8 +4,10 @@ Formulas support addition terms, the six comparisons, sequence-value atoms
 over a Dfao, the boolean connectives and E/A quantifiers.  The parser reads
 `f -> g` as `~f | g` and A into the double complement `~E x . ~f`, so a
 parsed formula has five node kinds: atoms, ~, & and |, and E.  Compilation
-lowers terms through the addition relation, each distinct subterm of an
-atom once (`seq[i+j] = seq[i+j+p]` builds one adder for `i+j`), turns E
+lowers each comparison and each distinct `+` subterm of an atom to one
+linear constraint, `arith.linear_rel`, in which a variable named twice gets
+the sum of its coefficients (`x + x` is 2x; `seq[i+j] = seq[i+j+p]` builds
+one constraint for `i+j`); a constant is `arith.const_eq_rel`.  It turns E
 into one `automaton.erase` of the quantified track (a double reversal,
 det(rev(det(rev(N)))), run straight on the machine's moves, which yields the
 minimal machine directly), ~ into a complement, and & and | into one
@@ -446,6 +448,15 @@ class _Compiler:
 
     # -- terms and atoms ----------------------------------------------------
 
+    def linear(self, relation: str, *terms: tuple[str, int]) -> tuple[Dfa, tuple[str, ...]]:
+        """The machine of sum(coeff * track) <relation> 0 over the distinct
+        tracks of `terms`, in order of first mention; a track named twice
+        gets the sum of its coefficients, so `x + x` is 2x and `x < x` is 0 < 0."""
+        coeffs: dict[str, int] = {}
+        for track, coeff in terms:
+            coeffs[track] = coeffs.get(track, 0) + coeff
+        return arith.linear_rel(self.env.ctx.k, tuple(coeffs.values()), relation), tuple(coeffs)
+
     def lower_term(self, t: Term, parts: list, lowered: dict) -> str:
         """The track holding t's value; `lowered` maps each subterm of the
         atom lowered so far to its track, so each is lowered once."""
@@ -456,27 +467,17 @@ class _Compiler:
             if isinstance(t, Const):
                 parts.append((arith.const_eq_rel(self.env.ctx, t.value), (aux,)))
             elif isinstance(t, Add):
-                v1, v2 = self.lower_pair(t.left, t.right, parts, lowered)
-                parts.append((arith.add_rel(self.env.ctx), (v1, v2, aux)))
+                left, right = self.lower_term(t.left, parts, lowered), self.lower_term(t.right, parts, lowered)
+                parts.append(self.linear("==", (left, 1), (right, 1), (aux, -1)))
             else:
                 raise CompileError(f"unknown term {t!r}")
             lowered[t] = aux
         return lowered[t]
 
-    def lower_pair(self, left: Term, right: Term, parts: list, lowered: dict) -> tuple[str, str]:
-        """The tracks of two terms, an alias of the first when both are one."""
-        v1 = self.lower_term(left, parts, lowered)
-        v2 = self.lower_term(right, parts, lowered)
-        return v1, self.alias(v1, parts) if v2 == v1 else v2
-
-    def alias(self, name: str, parts: list) -> str:
-        aux = self.fresh()
-        parts.append((arith.eq_rel(self.env.ctx), (name, aux)))
-        return aux
-
-    def atom(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tuple[Dfa, tuple[str, ...]]:
-        """Conjoin the core atom with its lowering parts and erase every
-        auxiliary `_t` variable as soon as no remaining part mentions it.
+    def atom(self, core: tuple, parts: list) -> tuple[Dfa, tuple[str, ...]]:
+        """Conjoin the core atom, a (machine, tracks) pair, with its lowering
+        parts and erase every auxiliary `_t` variable as soon as no
+        remaining part mentions it.
 
         Each step conjoins the part that leaves the fewest tracks after that
         erasure, the first such part in `parts` on a tie.  Every step lands
@@ -485,7 +486,7 @@ class _Compiler:
         tracks, but not the language; the compiled machine, lifted to the
         declared track order and minimized, is the same.
         """
-        machine, mvars = core, slots
+        machine, mvars = core
         rest = list(parts)
         while rest:
 
@@ -520,17 +521,22 @@ class _Compiler:
     def build(self, f: Formula) -> tuple[Dfa, tuple[str, ...]]:
         env = self.env
         parts: list = []
+        lowered: dict = {}
         if isinstance(f, Cmp):
-            return self.atom(arith.cmp_rel(env.ctx, f.op), self.lower_pair(f.left, f.right, parts, {}), parts)
+            left, right = self.lower_term(f.left, parts, lowered), self.lower_term(f.right, parts, lowered)
+            return self.atom(self.linear(f.op, (left, 1), (right, -1)), parts)
         if isinstance(f, (SeqEq, SeqConst)) and env.dfao is None:
             raise CompileError("formula uses seq[...] but no sequence was supplied")
         if isinstance(f, SeqEq):
-            return self.atom(arith.seq_eq(env.dfao), self.lower_pair(f.left, f.right, parts, {}), parts)
+            left, right = self.lower_term(f.left, parts, lowered), self.lower_term(f.right, parts, lowered)
+            # one track on both sides: the sequence agrees with itself everywhere
+            core = self.linear("==", (left, 0)) if left == right else (arith.seq_eq(env.dfao), (left, right))
+            return self.atom(core, parts)
         if isinstance(f, SeqConst):
             if f.symbol not in env.dfao.output_alphabet:
                 raise CompileError(f"output symbol {f.symbol!r} not in the sequence alphabet")
-            v = self.lower_term(f.term, parts, {})
-            return self.atom(arith.seq_const(env.dfao, f.symbol), (v,), parts)
+            v = self.lower_term(f.term, parts, lowered)
+            return self.atom((arith.seq_const(env.dfao, f.symbol), (v,)), parts)
         if isinstance(f, Not):
             m, mv = self.compile(f.body)
             return complement(m), mv

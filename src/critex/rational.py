@@ -54,10 +54,3 @@ def fmt_value(v: Value | None) -> str:
     if isinstance(v, Infinity):
         return "inf"
     return f"{v.numerator}/{v.denominator}"
-
-
-def parse_value(text: str) -> Value:
-    text = text.strip()
-    if text == "inf":
-        return INF
-    return Fraction(text)

@@ -23,6 +23,9 @@ with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
 `is_infinite_reference` decides finiteness by Kahn's topological sort of
 the trim part, independently of the Tarjan components `is_infinite` reads.
+`cmp_rel`, `eq_rel` and `add_rel` name the comparison, equality and
+addition constraints over `linear_rel`, and `parse_value` reads back what
+`rational.fmt_value` writes.
 
 The closure audit `check_pair_closure`, with the constructions only it uses
 (`compare_language`, `zero_closure` and `successor_rel`), is a diagnostic
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from critex.arith import cmp_rel, linear_rel
+from critex.arith import linear_rel
 from critex.automaton import (
     AutomatonError,
     Dfa,
@@ -454,11 +457,11 @@ def determinize_minimal(nfa: Nfa) -> Dfa:
     return _double_reversal(nfa.k, nfa.tracks, nfa.num_states, arcs, nfa.accept, nfa.initials)
 
 
-def atom_conjoin_all(self, core: Dfa, slots: tuple[str, ...], parts: list) -> tuple[Dfa, tuple[str, ...]]:
+def atom_conjoin_all(self, core: tuple, parts: list) -> tuple[Dfa, tuple[str, ...]]:
     """logic._Compiler.atom without early erasure: conjoin the core atom
     with every lowering part, then erase each `_t` variable in order of
     mention.  Patch it over `_Compiler.atom` to compile the reference way."""
-    machine, mvars = core, slots
+    machine, mvars = core
     for part in parts:
         machine, mvars = self.combine((machine, mvars), part, "and")
     for _, pv in parts:
@@ -594,6 +597,29 @@ def is_infinite_reference(a: Dfa) -> bool:
                 if indeg[t] == 0:
                     queue.append(t)
     return removed < len(trim)
+
+
+# ------------------------------------------------------------- named atoms
+
+
+def cmp_rel(ctx: RadixContext, relation: str) -> Dfa:
+    """2-track machine accepting (x, y) with x <relation> y."""
+    return linear_rel(ctx.k, (1, -1), relation)
+
+
+def eq_rel(ctx: RadixContext) -> Dfa:
+    return linear_rel(ctx.k, (1, -1), "==")
+
+
+def add_rel(ctx: RadixContext) -> Dfa:
+    """3-track machine accepting (x, y, z) with x + y = z."""
+    return linear_rel(ctx.k, (1, 1, -1), "==")
+
+
+def parse_value(text: str) -> Value:
+    """The value `fmt_value` renders as `text`: "inf" or a fraction."""
+    text = text.strip()
+    return INF if text == "inf" else Fraction(text)
 
 
 # ------------------------------------------------------------- closure audit

@@ -4,10 +4,7 @@ import random
 import pytest
 
 from critex.arith import (
-    add_rel,
-    cmp_rel,
     const_eq_rel,
-    eq_rel,
     linear_rel,
     nonzero_track_dfa,
     seq_const,
@@ -26,7 +23,7 @@ from critex.automaton import (
 from critex.numeral import DigitWord, RadixContext, digits_of
 
 from helpers import all_words_upto
-from reference import language_equal, successor_rel
+from reference import add_rel, cmp_rel, eq_rel, language_equal, successor_rel
 
 
 def encode_tuple(values, k, width=None):

@@ -172,8 +172,8 @@ def test_project_empty_stays_empty():
 
 def test_project_diagonal_gives_all_words():
     # (m, m) pairs: erasing either track leaves every 1-track word
-    from critex.arith import eq_rel
     from critex.numeral import RadixContext
+    from reference import eq_rel
 
     eq = eq_rel(RadixContext(2))
     d = minimize(determinize(project(eq, 1)))

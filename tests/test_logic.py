@@ -480,15 +480,15 @@ def test_an_atom_met_again_under_other_names_is_a_memo_hit(tm, ctx, monkeypatch)
 @pytest.mark.parametrize(
     "text, names, built",
     [
-        ("seq[i+j] = seq[i+j+p]", ("i", "j", "p"), ["add_rel", "add_rel"]),
-        ("x + y = x + y", ("x", "y"), ["add_rel"]),
-        ("seq[n+n] = seq[n+n+1]", ("n",), ["add_rel", "add_rel", "const_eq_rel"]),
-        ("i + 3 = j + 3", ("i", "j"), ["add_rel", "add_rel", "const_eq_rel"]),
+        ("seq[i+j] = seq[i+j+p]", ("i", "j", "p"), ["linear_rel"] * 2),
+        ("x + y = x + y", ("x", "y"), ["linear_rel"] * 2),
+        ("seq[n+n] = seq[n+n+1]", ("n",), ["const_eq_rel"] + ["linear_rel"] * 2),
+        ("i + 3 = j + 3", ("i", "j"), ["const_eq_rel"] + ["linear_rel"] * 3),
     ],
 )
 def test_repeated_subterms_are_lowered_once(tm, ctx, monkeypatch, text, names, built):
     calls = []
-    for name in ("add_rel", "const_eq_rel"):
+    for name in ("linear_rel", "const_eq_rel"):
         real = getattr(arith, name)
         monkeypatch.setattr(arith, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     f = parse(text)
@@ -498,3 +498,28 @@ def test_repeated_subterms_are_lowered_once(tm, ctx, monkeypatch, text, names, b
     for values in itertools.product(range(12), repeat=len(names)):
         assignment = dict(zip(names, values))
         assert m.accepts(encode_tuple(values, 2)) == interpret(f, assignment, seq_value), (text, assignment)
+
+
+@pytest.mark.parametrize(
+    "text, names, products",
+    [
+        ("x + x = y", ("x", "y"), 1),
+        ("x < x", ("x",), 0),
+        ("seq[x] = seq[x]", ("x",), 0),
+        ("seq[n+n] = seq[n+n+1]", ("n",), 3),
+        ("3 + x >= 2 + y + y", ("x", "y"), 5),
+    ],
+)
+def test_a_variable_named_twice_sums_its_coefficients(tm, ctx, monkeypatch, text, names, products):
+    # one linear constraint per comparison and per `+`: a name met twice in
+    # it is one track with the summed coefficient, not an alias conjoined in
+    calls = []
+    monkeypatch.setattr(logic, "product", lambda *a: calls.append(a) or automaton.product(*a))
+    f, env = parse(text), env_for(tm, ctx, *names)
+    logic._MEMO.clear()
+    m = compile_formula(f, env)
+    assert len(calls) == products
+    assert m == _compile_reference(monkeypatch, f, env)
+    for values in itertools.product(range(16), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        assert m.accepts(encode_tuple(values, 2)) == interpret(f, assignment, tm.value), (text, assignment)
