@@ -11,7 +11,8 @@
     output: <q>:<sym> <q>:<sym> ... (dfao, total)
     trans: <q> [<d1>,...,<dd>] -> <q'>
 
-'#' starts a comment; blank lines are ignored.  Transitions not listed go to
+'#' starts a comment; blank lines are ignored, and so an output symbol holds
+no '#' and no whitespace.  Transitions not listed go to
 an implicit dead state appended after the declared ones.  A machine of more
 than CRITEX_MAX_STATES states, or an alphabet of more than CRITEX_MAX_STATES
 symbols, raises StateLimitError before any row is built.
@@ -178,6 +179,10 @@ def serialize_automaton(m: Dfa | Dfao) -> str:
     if kind == "dfa":
         lines.append("accepting: " + " ".join(str(q) for q in sorted(m.accept)))
     else:
+        for q, out in enumerate(m.output):
+            # the parser splits the output line at whitespace and cuts it at '#'
+            if re.search(r"[\s#]", out):
+                raise AutFileError(f"output symbol {out!r} of state {q} holds whitespace or '#'")
         lines.append("output: " + " ".join(f"{q}:{m.output[q]}" for q in range(m.num_states)))
     syms = symbols(m.k, m.tracks)
     for s in range(m.num_states):
@@ -188,8 +193,11 @@ def serialize_automaton(m: Dfa | Dfao) -> str:
 
 
 def load_automaton(path: str) -> Dfa | Dfao:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise AutFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         return parse_automaton(text)
     except StateLimitError as exc:

@@ -174,8 +174,15 @@ def free_vars(f: Formula) -> set[str]:
     raise FormulaError(f"unknown node {f!r}")
 
 
+def _check_name(var: str) -> None:
+    # the compiler names its auxiliary tracks `_t...` and erases them early
+    if var.startswith("_"):
+        raise FormulaError(f"variable {var!r} is reserved: names starting with '_' belong to the compiler")
+
+
 def _check_scopes(f: Formula, active: frozenset, free_top: set[str]) -> None:
     if isinstance(f, Exists):
+        _check_name(f.var)
         if f.var in active:
             raise FormulaError(f"variable {f.var!r} shadows an enclosing binding")
         if f.var in free_top:
@@ -189,9 +196,13 @@ def _check_scopes(f: Formula, active: frozenset, free_top: set[str]) -> None:
 
 
 def validate_scopes(f: Formula) -> None:
-    """No shadowing and no name both bound and free; sibling scopes may
-    reuse a bound name (each binder projects its own track away)."""
-    _check_scopes(f, frozenset(), free_vars(f))
+    """No shadowing, no name both bound and free and no name starting with
+    `_`; sibling scopes may reuse a bound name (each binder projects its own
+    track away)."""
+    free = free_vars(f)
+    for var in sorted(free):
+        _check_name(var)
+    _check_scopes(f, frozenset(), free)
 
 
 # ---------------------------------------------------------------- parser

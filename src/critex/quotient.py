@@ -14,14 +14,14 @@ The supremum solver rests on three exact primitives:
 * a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
   bounded length, with the word that attains it.
 
-Dinkelbach's iteration on either maximizer yields the exact largest ratio
-and its witness, read back from the maximizer's own DP parent records,
-without enumerating words or pumps; `sup_quo` starts the word search at the
-largest limit value.  The enumeration-based references, the re-run witness
-rebuild and the closure audit (`check_pair_closure`) that cross-validate
-them live with the tests.  The trim moves and their strongly connected
-components (`_trim_adjacency`, `_cycle_adjacency`) come from `automaton`,
-whose `is_infinite` reads the same components.
+Each maximizer returns the word or pump that attains its maximum, read
+back from its own DP parent records, so Dinkelbach's iteration on it yields
+the exact largest ratio and its witness without enumerating words or pumps;
+`sup_quo` starts the word search at the largest limit value.  The
+enumeration-based references and the re-run witness rebuild that
+cross-validate them live with the tests.  The trim moves and their strongly
+connected components (`_trim_adjacency`, `_cycle_adjacency`) come from
+`automaton`, whose `is_infinite` reads the same components.
 
 Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
 unbounded-pump test, `_limit`), keyed on the language, base and state cap
@@ -142,27 +142,40 @@ def _read_walk(layers: list[dict], steps: int, end: int, k: int) -> list:
     return out
 
 
-class PumpGraph(NamedTuple):
-    """The trim part of a machine as the pump DPs read it: its states, their
-    moves inside it and `_cycle_adjacency` of those moves.  Only P/Q changes
-    between the steps of one solve, so one graph serves them all."""
+def _prefix_walk(a: Dfa, adj, w: list[int], steps: int, layers: list):
+    """The max-plus DP from a's initial state over the moves `adj`: yields
+    (length, best weight of each state a walk of that length reaches) for
+    lengths 0 to steps, and appends each layer's `_layer` parent records to
+    `layers`; stops at the first length no walk reaches."""
+    cur = {a.initial: 0} if a.initial in adj else {}
+    for ln in range(steps + 1):
+        if ln:
+            layers.append({})
+            cur = _layer(cur, adj, a.k, w, layers[-1])
+        if not cur:
+            return
+        yield ln, cur
 
-    trim: set[int]
+
+class PumpGraph(NamedTuple):
+    """The trim part of a machine as the pump DPs read it: the moves of each
+    trim state inside it and `_cycle_adjacency` of those moves.  Only P/Q
+    changes between the steps of one solve, so one graph serves them all."""
+
     adj: dict[int, list[tuple[int, int]]]
     cycles: dict[int, dict[int, list[tuple[int, int]]]]
 
 
 def pump_graph(a: Dfa) -> PumpGraph:
-    trim = trim_states(a)
-    adj = _trim_adjacency(a, trim)
-    return PumpGraph(trim, adj, _cycle_adjacency(adj))
+    adj = _trim_adjacency(a, trim_states(a))
+    return PumpGraph(adj, _cycle_adjacency(adj))
 
 
-def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
-    """Maximum of Q*inc1 - P*inc2 over pumps with its argmax (loop state,
-    |u|, |v|): the largest weight, then the smallest loop state, then the
-    shortest v; or None if no pump exists.  `par`, a list, receives the
-    parent records (`_read_walk`) of the prefix DP and the argmax's cycle DP.
+def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, PumpDecomposition] | None:
+    """Maximum of Q*inc1 - P*inc2 over pumps with a pump that attains it,
+    the one of smallest loop state, then of shortest v; or None if no pump
+    exists.  `graph` is `pump_graph(a)`; the pump is read back
+    (`_read_walk`) from the parent records of the prefix DP and its cycle DP.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
     state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, with T the
@@ -186,18 +199,11 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par:
     equal one and a larger number.  The skipped states hold no better pump,
     so the maximum and its argmax are exactly those of the full search.
     """
-    if graph is None:
-        graph = pump_graph(a)
-    if a.initial not in graph.trim:
-        return None
     k = a.k
     w = _symbol_weights(k, P, Q)
-    T = len(graph.trim)
-    cur = {a.initial: 0}
-    xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
-    upar: list[dict] = [{} for _ in range(1, T)]
-    for ln, lpar in enumerate(upar, 1):
-        cur = _layer(cur, graph.adj, k, w, lpar)
+    xstar: dict[int, tuple[int, int]] = {}
+    upar: list[dict] = []
+    for ln, cur in _prefix_walk(a, graph.adj, w, len(graph.adj) - 1, upar):
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
@@ -215,7 +221,7 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par:
                     bound[t] = val
     best = None
     for s0 in sorted(bound, key=lambda s: (-bound[s], s)):
-        if best is not None and (bound[s0], -s0) < (best[0], -best[1][0]):
+        if best is not None and (bound[s0], -s0) < (best[0], -best[1]):
             break
         sub = graph.cycles[s0]
         x0, xlen = xstar[s0]
@@ -226,67 +232,56 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par:
             yb = curz.get(s0)
             if yb is not None:
                 combo = (k**b - 1) * x0 + yb
-                if best is None or (combo, -s0) > (best[0], -best[1][0]):
-                    best, best_vpar = (combo, (s0, xlen, b)), vpar
-    if par is not None and best is not None:
-        par += (upar, best_vpar)
-    return best
+                if best is None or (combo, -s0) > (best[0], -best[1]):
+                    best = (combo, s0, xlen, b, vpar)
+    if best is None:
+        return None
+    weight, s0, xlen, b, vpar = best
+    return weight, make_pump(k, _read_walk(upar, xlen, s0, k), _read_walk(vpar, b, s0, k), s0)
 
 
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict | None = None, par: list | None = None):
-    """Maximum of Q*p - P*q over accepted words of length <= max_len with its
-    argmax (length, end state), the first strict maximum, shortest first; or
-    None if no such word is accepted.  `adj` is `_trim_adjacency` of a's trim
-    part, built here when not given; only P/Q changes between the steps of
-    one solve, so a caller may build it once.  `par`, a list, receives the
-    DP's parent records (`_read_walk`)."""
-    if adj is None:
-        adj = _trim_adjacency(a, trim_states(a))
-    k = a.k
-    w = _symbol_weights(k, P, Q)
-    cur = {a.initial: 0} if a.initial in adj else {}
-    layers: list[dict] = [{} for _ in range(max_len)]
+def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict) -> tuple[int, DigitWord] | None:
+    """Maximum of Q*p - P*q over accepted words of length <= max_len with the
+    first word found to attain it, shortest first; or None if no such word
+    is accepted.  `adj` is `_trim_adjacency` of a's trim part; the word is
+    read back (`_read_walk`) from the DP's parent records."""
+    w = _symbol_weights(a.k, P, Q)
+    layers: list[dict] = []
     best = None
-    for ln in range(max_len + 1):
-        if ln:
-            cur = _layer(cur, adj, k, w, layers[ln - 1])
-        if not cur:
-            break
+    for ln, cur in _prefix_walk(a, adj, w, max_len, layers):
         for s, val in cur.items():
             if s in a.accept and (best is None or val > best[0]):
-                best = (val, (ln, s))
-    if par is not None:
-        par.append(layers)
-    return best
+                best = (val, ln, s)
+    if best is None:
+        return None
+    weight, ln, s = best
+    return weight, DigitWord(a.k, 2, tuple(_read_walk(layers, ln, s, a.k)))
 
 
-def _dinkelbach(oracle, rebuild, ratio_of, start: Fraction = Fraction(0)):
+def _dinkelbach(oracle, ratio_of, start: Fraction = Fraction(0)):
     """Largest ratio over a finite candidate set with a candidate attaining
     it, None if the set is empty, or (start, None) if start > 0 and every
     candidate's ratio lies below start.
 
-    oracle(P, Q, par) gives the maximum of Q*num - P*den over the
-    candidates and an argmax, or None, and leaves its DP's parent records
-    in the list par; rebuild(argmax, par) reads that candidate back from
-    them and ratio_of(candidate) gives its exact ratio.  Dinkelbach's Newton
-    step: from start, move to the ratio of the argmax until the maximum is
-    0.  Each step lands on a candidate's ratio and rises strictly, so the
-    loop ends, at the largest ratio, whose argmax does not depend on start.
+    oracle(P, Q) gives the maximum of Q*num - P*den over the candidates
+    with a candidate attaining it, or None, and ratio_of(candidate) gives
+    that candidate's exact ratio.  Dinkelbach's Newton step: from start,
+    move to the ratio of the attaining candidate until the maximum is 0.
+    Each step lands on a candidate's ratio and rises strictly, so the loop
+    ends, at the largest ratio, whose candidate does not depend on start.
     """
     lam = start
     while True:
-        par: list = []
-        got = oracle(lam.numerator, lam.denominator, par)
+        got = oracle(lam.numerator, lam.denominator)
         if got is None:
             if lam != start:
                 raise InvariantError(f"no candidate to weigh at {lam}")
             return None
-        weight, arg = got
+        weight, witness = got
         if weight < 0:
             if lam != start or not start:
                 raise InvariantError(f"negative maximum weight {weight} at {lam}")
             return start, None
-        witness = rebuild(arg, par)
         if weight == 0:
             return lam, witness
         nxt = ratio_of(witness)
@@ -304,18 +299,14 @@ def bounded_max_ratio(
 
     Expects a language whose accepted words all carry a nonzero denominator
     track.  Runs Dinkelbach's iteration on the word-weight maximizer from
-    start and reads each step's word back from its DP's parent records, so
-    no word enumeration happens; the reference for it is the enumeration in
-    oracle.brute_quo_profile.  `adj` is as in `max_word_weight`.
+    start, each step taking the word the maximizer read back from its DP,
+    so no word enumeration happens; the reference for it is the enumeration
+    in oracle.brute_quo_profile.  `adj` is as in `max_word_weight`, built
+    here when not given.
     """
     if adj is None:
         adj = _trim_adjacency(a, trim_states(a))
-
-    def rebuild(arg, par):
-        ln, s = arg
-        return DigitWord(a.k, 2, tuple(_read_walk(par[0], ln, s, a.k)))
-
-    got = _dinkelbach(lambda P, Q, par: max_word_weight(a, P, Q, max_len, adj, par), rebuild, ratio, start)
+    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len, adj), ratio, start)
     return (None, None) if got is None else got
 
 
@@ -352,14 +343,13 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
     Exists iff the quotient supremum is infinite: pumping it fixes the
     denominator while the numerator grows without bound.  Searches the
     subgraph of trim states linked by symbols whose denominator digit is 0.
-    `graph` is `pump_graph(a)`; without it only the trim part and its moves
-    are built, the part of the graph read here.
+    `graph` is `pump_graph(a)`; without it only the trim part's moves are
+    built, the part of the graph read here.
     """
-    trim = trim_states(a) if graph is None else graph.trim
-    if a.initial not in trim:
+    moves_of = _trim_adjacency(a, trim_states(a)) if graph is None else graph.adj
+    if a.initial not in moves_of:
         return None
     syms = symbols(a.k, 2)
-    moves_of = _trim_adjacency(a, trim) if graph is None else graph.adj
     adj = {s: [(c, t) for c, t in moves if syms[c][1] == 0] for s, moves in moves_of.items()}
     cycles = _cycle_adjacency(adj)
     # reach each (state, saw-nonzero-numerator flag) from the initial state
@@ -413,16 +403,12 @@ def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:
     pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
     pump that attains it read back from its DP; `graph` is `pump_graph(work)`."""
 
-    def rebuild(arg, par):
-        s0, xlen, b = arg
-        return make_pump(work.k, _read_walk(par[0], xlen, s0, work.k), _read_walk(par[1], b, s0, work.k), s0)
-
     def ratio_of(pump):
         if pump.inc2 == 0:
             raise InvariantError("a weighed pump has a zero denominator increment")
         return Fraction(pump.inc1, pump.inc2)
 
-    got = _dinkelbach(lambda P, Q, par: max_pump_weight(work, P, Q, graph, par), rebuild, ratio_of)
+    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), ratio_of)
     if got is None:
         raise InvariantError("an infinite machine has no pump to weigh")
     return got
@@ -474,7 +460,7 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     is >= 0, in which case the witness is a shortest attaining word.
     """
     work, graph, pump, limit = _solve(L, ctx)
-    if not graph.trim:
+    if not graph.adj:
         raise EmptyLanguageError("the supremum of an empty language is undefined")
     if pump is not None:
         return SupResult(INF, False, pump)

@@ -17,7 +17,8 @@ and `pump_ratio` recomputes from its two words the ratio
 `max_pump_weight_reference` is the whole-trim pump-weight DP the
 per-component one is pinned against, and
 `max_pump_weight_per_component` is the per-component DP without the bound
-pass that prunes its loop states; both keep the library's parent records.
+pass that prunes its loop states; both read their pump back from their
+parent records, as the library does.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
 with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
@@ -89,10 +90,10 @@ from critex.quotient import (
     SupResult,
     _layer,
     _prepare,
+    _read_walk,
     _symbol_weights,
     comparator_dfa,
     find_unbounded_pump,
-    pump_graph,
 )
 from critex.rational import INF, Value
 
@@ -240,21 +241,25 @@ def sup_quo_reference(L: Dfa, ctx: RadixContext) -> SupResult:
     return SupResult(alpha, False, pump)
 
 
-def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
+def _read_pump(k: int, upar: list, weight: int, s0: int, xlen: int, b: int, vpar: list):
+    """(weight, the pump of loop state s0 read back from the prefix records
+    upar and the cycle records vpar)."""
+    return weight, make_pump(k, _read_walk(upar, xlen, s0, k), _read_walk(vpar, b, s0, k), s0)
+
+
+def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph):
     """Whole-trim pump-weight DP: quotient.max_pump_weight without the
     per-component restriction, with closed walks v of 1 <= |v| <= T at every
-    trim state, T the trim size; O(T^2) layer steps per call.  `par` is
-    filled as the library's is.  A closed walk at s0 never leaves the
-    component of s0, and no state outside it that the cycle DP reaches has a
-    move into it, so the argmax's cycle records read back the same v."""
-    if graph is None:
-        graph = pump_graph(a)
-    if a.initial not in graph.trim:
+    trim state, T the trim size; O(T^2) layer steps per call.  A closed walk
+    at s0 never leaves the component of s0, and no state outside it that the
+    cycle DP reaches has a move into it, so the argmax's cycle records read
+    back the same v."""
+    if a.initial not in graph.adj:
         return None
     k = a.k
     w = _symbol_weights(k, P, Q)
     adj = graph.adj
-    T = len(graph.trim)
+    T = len(adj)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
     upar: list[dict] = [{} for _ in range(1, T)]
@@ -278,23 +283,19 @@ def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph | None = 
             if yb is not None:
                 combo = (pow_k[b] - 1) * x0 + yb
                 if best is None or combo > best[0]:
-                    best, best_vpar = (combo, (s0, xlen, b)), vpar
-    if par is not None and best is not None:
-        par += (upar, best_vpar)
-    return best
+                    best = (combo, s0, xlen, b, vpar)
+    return None if best is None else _read_pump(k, upar, *best)
 
 
-def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | None = None, par: list | None = None):
+def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph):
     """quotient.max_pump_weight without the bound pass: the cycle DP of
     |SCC(s0)| layers runs at every loop state s0, in ascending order, and
-    the first strict maximum wins; `par` is filled as the library's is."""
-    if graph is None:
-        graph = pump_graph(a)
-    if a.initial not in graph.trim:
+    the first strict maximum wins."""
+    if a.initial not in graph.adj:
         return None
     k = a.k
     w = _symbol_weights(k, P, Q)
-    T = len(graph.trim)
+    T = len(graph.adj)
     cur = {a.initial: 0}
     xstar: dict[int, tuple[int, int]] = {a.initial: (0, 0)}
     upar: list[dict] = [{} for _ in range(1, T)]
@@ -317,10 +318,8 @@ def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph | Non
             if yb is not None:
                 combo = (k**b - 1) * x0 + yb
                 if best is None or combo > best[0]:
-                    best, best_vpar = (combo, (s0, xlen, b)), vpar
-    if par is not None and best is not None:
-        par += (upar, best_vpar)
-    return best
+                    best = (combo, s0, xlen, b, vpar)
+    return None if best is None else _read_pump(k, upar, *best)
 
 
 def heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:

@@ -3,6 +3,7 @@ import pytest
 from critex.autfile import AutFileError, load_automaton, parse_automaton, serialize_automaton
 from critex.automaton import Dfa, Dfao, StateLimitError
 from critex.numeral import DigitWord
+from critex.sequences import dfao_from_function, thue_morse
 
 from helpers import FIXTURES
 from reference import language_equal
@@ -29,6 +30,19 @@ def test_round_trip_dfa():
         again = parse_automaton(serialize_automaton(m))
         assert isinstance(again, Dfa)
         assert language_equal(again, m)
+
+
+def test_output_that_cannot_be_read_back_is_refused():
+    # a tuple output renders as "('0', '1')"; its space would split the
+    # output line, and '#' would cut it
+    tm = thue_morse()
+    pairs = dfao_from_function(lambda n: (tm.value(n), tm.value(n + 1)), 2)
+    with pytest.raises(AutFileError, match=r"output symbol \"\('0', '1'\)\" of state"):
+        serialize_automaton(pairs)
+    with pytest.raises(AutFileError, match="of state 1"):
+        serialize_automaton(Dfao(2, 1, [[0, 1], [1, 0]], ["a", "b#"], 0))
+    with pytest.raises(AutFileError, match="of state 0"):
+        serialize_automaton(Dfao(2, 1, [[0, 0]], ["a\tb"], 0))
 
 
 def test_comments_and_blank_lines():

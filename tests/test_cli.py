@@ -213,6 +213,14 @@ def test_bad_automaton_file_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_automaton_file_is_input_error(tmp_path, capsys):
+    p = tmp_path / "binary.dfa"
+    p.write_bytes(b"critex-automaton v1\n\xff\xfe\x00\x81\n")
+    code, out, err = run_cli(capsys, "sup", str(p))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "binary.dfa" in err and "UTF-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command,name,old,new,needle",
     [

@@ -156,6 +156,20 @@ def test_env_free_var_mismatch(tm, ctx):
         compile_formula(parse("x + y = 3"), env_for(tm, ctx, "x"))
 
 
+def test_hand_built_underscore_names_are_refused(tm, ctx):
+    # `_t...` names are the compiler's auxiliary tracks, which it erases
+    # early; a user variable of that shape read A _tq . _tq < 3 as true, or
+    # as whatever an earlier compile of A y . y < 3 left in the memo
+    for_all = Not(Exists("_tq", Not(Cmp("<", Var("_tq"), Const(3)))))
+    with pytest.raises(FormulaError, match="_tq"):
+        evaluate_sentence(for_all, env_for(tm, ctx))
+    assert evaluate_sentence(parse("A y . y < 3"), env_for(tm, ctx)) is False
+    with pytest.raises(FormulaError, match="_tq"):
+        evaluate_sentence(for_all, env_for(tm, ctx))
+    with pytest.raises(FormulaError, match="_x"):
+        compile_formula(Cmp("<", Var("_x"), Const(3)), env_for(tm, ctx, "_x"))
+
+
 def test_track_order_follows_declaration(tm, ctx):
     f = parse("x < y")
     m_xy = compile_formula(f, env_for(tm, ctx, "x", "y"))

@@ -384,21 +384,27 @@ def test_bounded_max_ratio_matches_enumeration():
 
 
 def test_max_pump_weight_sign_matches_enumerated_pumps():
+    # comparator-bounded machines are infinite with a finite supremum, so
+    # every one of them reaches the sign checks
     rng = random.Random(4600)
-    for machine in prepared_random_suite(4600, 25, max_states=3):
+    checked = 0
+    for machine, _ctx in comparator_bounded_suite(4600, 25, max_trim=10):
         if not is_infinite(machine):
             continue
         finite_ratios = [p.ratio() for p in pump_decompositions(machine) if not (p.inc1 == 0 and p.inc2 == 0)]
         if any(r is INF for r in finite_ratios):
             continue
         best = max(finite_ratios)
+        graph = quotient.pump_graph(machine)
         for _ in range(10):
             P, Q = rng.randrange(0, 8), rng.randrange(1, 8)
-            m = max_pump_weight(machine, P, Q)[0]
+            m = max_pump_weight(machine, P, Q, graph)[0]
             probe = Fraction(P, Q)
             want = 0 if best == probe else (1 if best > probe else -1)
             got = 0 if m == 0 else (1 if m > 0 else -1)
             assert got == want
+        checked += 1
+    assert checked == 25
 
 
 def _sign(m: int) -> int:
@@ -411,8 +417,9 @@ def test_max_pump_weight_sign_matches_whole_trim_reference():
     rng = random.Random(5000)
     for idx, (work, ctx) in enumerate(comparator_bounded_suite(5000, 100)):
         limit, _pump = largest_limit_quotient(work, ctx)
-        got = max_pump_weight(work, limit.numerator, limit.denominator)
-        assert got[0] == 0 and got == max_pump_weight_reference(work, limit.numerator, limit.denominator), idx
+        graph = quotient.pump_graph(work)
+        got = max_pump_weight(work, limit.numerator, limit.denominator, graph)
+        assert got[0] == 0 and got == max_pump_weight_reference(work, limit.numerator, limit.denominator, graph), idx
         probes = [
             Fraction(0),
             limit / 2,
@@ -423,8 +430,8 @@ def test_max_pump_weight_sign_matches_whole_trim_reference():
             probes.append(limit - Fraction(1, 97))
         for beta in probes:
             P, Q = beta.numerator, beta.denominator
-            want = max_pump_weight_reference(work, P, Q)[0]
-            assert _sign(max_pump_weight(work, P, Q)[0]) == _sign(want), (idx, beta)
+            want = max_pump_weight_reference(work, P, Q, graph)[0]
+            assert _sign(max_pump_weight(work, P, Q, graph)[0]) == _sign(want), (idx, beta)
 
 
 def test_solvers_match_whole_trim_reference(monkeypatch):
@@ -450,6 +457,7 @@ def test_max_pump_weight_cost_is_per_component(monkeypatch):
     work = _prepare(Dfa(2, 2, rows, {n - 2}, 0), CTX)
     T = len(trim_states(work))
     assert T == n
+    graph = quotient.pump_graph(work)
     calls = []
     real = quotient._layer
 
@@ -458,7 +466,7 @@ def test_max_pump_weight_cost_is_per_component(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(quotient, "_layer", counted)
-    assert max_pump_weight(work, 1, 1) is not None
+    assert max_pump_weight(work, 1, 1, graph) is not None
     assert len(calls) <= (T - 1) + 2 * 2
 
 
@@ -482,7 +490,6 @@ def test_pruned_pump_weight_matches_per_component_reference():
             P, Q = beta.numerator, beta.denominator
             want = max_pump_weight_per_component(work, P, Q, graph)
             assert max_pump_weight(work, P, Q, graph) == want, (idx, beta)
-            assert max_pump_weight(work, P, Q) == want, (idx, beta)
 
 
 def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
@@ -523,12 +530,11 @@ def test_limit_probes_land_on_argmax_ratios(monkeypatch):
 
 
 def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
-    # at every word and pump step, the walks read back from the maximizer's
-    # own parent records are those the re-run DP rebuilds, so the witnesses
-    # are the ones the rebuild gave
+    # at every word and pump step, the witness each maximizer reads back
+    # from its own parent records is the walk the re-run DP rebuilds, so the
+    # witnesses are the ones the rebuild gave
     suite = comparator_bounded_suite(5600, 100) + [(m, CTX) for m in prepared_random_suite(5700, 150)]
-    # each oracle call: (name, arguments, result); the last argument is the
-    # list the call filled with its parent records
+    # each oracle call: (name, arguments, result)
     steps = []
     for name in ("max_word_weight", "max_pump_weight"):
 
@@ -548,20 +554,18 @@ def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
         for name, args, got in steps:
             if got is None:
                 continue
-            a, P, Q, *_, moves, par = args
+            weight, witness = got
+            a, P, Q, *_, moves = args
             if name == "max_word_weight":
-                ln, s = got[1]
-                walk = heaviest_walk(a, moves, P, Q, a.initial, ln, s)
-                assert quotient._read_walk(par[0], ln, s, a.k) == walk
-                last[name] = DigitWord(a.k, 2, tuple(walk))
+                walk = heaviest_walk(a, moves, P, Q, a.initial, len(witness), a.run(witness))
+                assert list(witness.symbols) == walk
             else:
-                s0, xlen, b = got[1]
-                u = heaviest_walk(a, moves.adj, P, Q, a.initial, xlen, s0)
-                v = heaviest_walk(a, moves.cycles[s0], P, Q, s0, b, s0)
-                assert quotient._read_walk(par[0], xlen, s0, a.k) == u
-                assert quotient._read_walk(par[1], b, s0, a.k) == v
-                last[name] = quotient.make_pump(a.k, u, v, s0)
-            kinds.add((name, got[0] == 0))
+                s0 = witness.loop_state
+                u = heaviest_walk(a, moves.adj, P, Q, a.initial, len(witness.u), s0)
+                v = heaviest_walk(a, moves.cycles[s0], P, Q, s0, len(witness.v), s0)
+                assert witness == quotient.make_pump(a.k, u, v, s0)
+            last[name] = witness
+            kinds.add((name, weight == 0))
         if sup.attained:
             assert sup.witness == last["max_word_weight"]
         if limit is not None:
@@ -570,6 +574,27 @@ def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
                 assert sup.witness == limit[1]
     # both oracles were read back at intermediate and at final steps
     assert kinds == {(n, z) for n in ("max_word_weight", "max_pump_weight") for z in (False, True)}
+
+
+def test_returned_witnesses_attain_the_returned_weights():
+    # each maximizer's witness is accepted or a genuine pump, and its own
+    # weight is the maximum returned with it
+    rng = random.Random(5800)
+    suite = [work for work, _ctx in comparator_bounded_suite(5800, 50)] + prepared_random_suite(5900, 50)
+    checked = 0
+    for a in suite:
+        graph = quotient.pump_graph(a)
+        max_len = a.num_states - 1
+        for _ in range(4):
+            P, Q = rng.randrange(0, 12), rng.randrange(1, 6)
+            weight, word = quotient.max_word_weight(a, P, Q, max_len, graph.adj)
+            assert a.accepts(word) and len(word) <= max_len
+            assert Q * word.value(0) - P * word.value(1) == weight
+            weight, pump = max_pump_weight(a, P, Q, graph)
+            assert verify_pump(a, pump) and Q * pump.inc1 - P * pump.inc2 == weight
+            checked += 1
+    # 400 words and 400 pumps
+    assert checked == 400
 
 
 def test_sup_warm_start_matches_reference_on_each_branch():
