@@ -6,8 +6,17 @@ supremum of the pair quotient (`sup_quo`) or its largest limit value
 the formula's track order (length-like, period-like), chosen so that the
 pair quotient equals the measured exponent, and its functional;
 `compute_measure` reads the table and the named measure functions call it.
-Period conditions are written additively (j + p < q in place of j < q - p),
-so the compiler never needs subtraction.
+Period conditions quantify the absolute position j of a factor starting
+at i, as i <= j & j + p < i + q, so each sequence atom compares two
+positions, seq[j] = seq[j+p], and the compiler never needs subtraction.
+
+On a recurrent sequence `c1` compiles the period language itself.  There
+`RECURRENT_SENTENCE` gives every occurrence of every factor a later
+occurrence of the same factor, so by transitivity of factor equality the
+extra conjunct of `RECURRENT_PERIOD_FORMULA` (each occurrence of the factor
+at i has a later one) holds for every (i, q): the two formulas define the
+same language, and the solve memo answers `c1` from `critical`'s entry.
+Only a sequence that is not recurrent compiles the full formula.
 
 Pairs with a vacuous period condition (length <= period) are deliberately
 left in the compiled languages: they contribute quotients <= 1 only and can
@@ -67,7 +76,7 @@ def _compile_pairs(a: Dfao, text: str, free: tuple[str, ...]) -> Dfa:
     return out
 
 
-PERIOD_FORMULA = "p >= 1 & (E i . A j . j + p < q -> seq[i+j] = seq[i+p+j])"
+PERIOD_FORMULA = "p >= 1 & (E i . A j . (i <= j & j + p < i + q) -> seq[j] = seq[j+p])"
 
 RECURRENT_PERIOD_FORMULA = (
     "p >= 1 & (E i . (A j . j + p < q -> seq[i+j] = seq[i+p+j])"
@@ -79,14 +88,14 @@ PREFIX_PERIOD_FORMULA = "p >= 1 & (A j . j + p < q -> seq[j] = seq[j+p])"
 
 PREFIX_TAIL_FORMULA = (
     "E i . E l . E p . s = i + l & t = i + p & p >= 1 & p <= l"
-    " & (A j . j + p < l -> seq[i+j] = seq[i+p+j])"
+    " & (A j . (i <= j & j + p < i + l) -> seq[j] = seq[j+p])"
 )
 
 RECURRENT_SENTENCE = "A i . A q . E j . i < j & (A m . m < q -> seq[i+m] = seq[j+m])"
 
 GAP_FORMULA = (
-    "l >= 1 & (E i . (A j . j < l -> seq[i+j] = seq[i+n+j])"
-    " & (A t . (1 <= t & t < n) -> (E j . j < l & ~(seq[i+j] = seq[i+t+j]))))"
+    "l >= 1 & (E i . (A j . (i <= j & j < i + l) -> seq[j] = seq[j+n])"
+    " & (A u . (i < u & u < i + n) -> ~(A m . m < l -> seq[i+m] = seq[u+m])))"
 )
 
 
@@ -109,6 +118,8 @@ def compute_measure(a: Dfao, which: str) -> ExponentResult:
     if which not in PIPELINES:
         raise ExponentError(f"unknown measure {which!r}")
     text, free, functional = PIPELINES[which]
+    if which == "c1" and is_recurrent(a):
+        text = PERIOD_FORMULA
     L = _compile_pairs(a, text, free)
     if functional == "sup":
         res = sup_quo(L, _ctx(a))

@@ -107,6 +107,28 @@ def pairs_single() -> Dfa:
     return dfa_for_words(2, 2, [((1, 0), (1, 1), (0, 1))])
 
 
+def digit_sum_mod(m: int) -> Dfao:
+    """Sum of the binary digits of n, mod m."""
+    return Dfao(2, 1, [[s, (s + 1) % m] for s in range(m)], [str(s) for s in range(m)], 0)
+
+
+def paperfolding_value(n: int) -> int:
+    """Regular paperfolding word at n: 1 iff the odd part of n+1 is 1 mod 4."""
+    n += 1
+    while n % 2 == 0:
+        n //= 2
+    return int(n % 4 == 1)
+
+
+def base3_digit_sum_value(n: int) -> int:
+    """Sum of the base-3 digits of n, mod 3."""
+    s = 0
+    while n:
+        s += n % 3
+        n //= 3
+    return s % 3
+
+
 # Each file in fixtures/ and the builder it is written from; the README's
 # regeneration recipe and test_autfile both read this table.
 FIXTURES = {

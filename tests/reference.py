@@ -31,6 +31,14 @@ addition constraints over `linear_rel`, and `parse_value` reads back what
 The closure audit `check_pair_closure`, with the constructions only it uses
 (`compare_language`, `zero_closure` and `successor_rel`), is a diagnostic
 of pair languages that no measure reads.
+
+`OFFSET_PERIOD_FORMULA`, `OFFSET_PREFIX_TAIL_FORMULA` and
+`OFFSET_GAP_FORMULA` are the period, prefix-tail and gap languages as
+`exponents` wrote them before it quantified absolute positions: each
+period condition ranges over an offset j into the factor at i, so its
+atom `seq[i+j] = seq[i+p+j]` reads three tracks.  The tests pin the
+library's texts to the same machines, and the projection-count and
+state-cap tests compile these, whose intermediate machines they count.
 """
 
 from __future__ import annotations
@@ -96,6 +104,19 @@ from critex.quotient import (
     find_unbounded_pump,
 )
 from critex.rational import INF, Value
+
+
+OFFSET_PERIOD_FORMULA = "p >= 1 & (E i . A j . j + p < q -> seq[i+j] = seq[i+p+j])"
+
+OFFSET_PREFIX_TAIL_FORMULA = (
+    "E i . E l . E p . s = i + l & t = i + p & p >= 1 & p <= l"
+    " & (A j . j + p < l -> seq[i+j] = seq[i+p+j])"
+)
+
+OFFSET_GAP_FORMULA = (
+    "l >= 1 & (E i . (A j . j < l -> seq[i+j] = seq[i+n+j])"
+    " & (A t . (1 <= t & t < n) -> (E j . j < l & ~(seq[i+j] = seq[i+t+j]))))"
+)
 
 
 class SearchError(RuntimeError):

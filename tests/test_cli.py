@@ -333,11 +333,12 @@ def test_automaton_file_over_the_state_cap_exits_4(tmp_path, capsys, monkeypatch
 
 
 def test_projection_state_cap_exits_4(files, capsys, monkeypatch):
-    # the first reversed pass of one projection in the tm gap language needs
-    # 100 subsets, more than any other construction of that compile
-    from critex.exponents import GAP_FORMULA
+    # the first reversed pass of one projection in the offset form of the tm
+    # gap language needs 100 subsets, more than any other construction of
+    # that compile
+    from reference import OFFSET_GAP_FORMULA
 
-    argv = ("eval", files["tm.dfao"], "--formula", GAP_FORMULA, "--vars", "n,l")
+    argv = ("eval", files["tm.dfao"], "--formula", OFFSET_GAP_FORMULA, "--vars", "n,l")
     monkeypatch.setenv("CRITEX_MAX_STATES", "99")
     code, _, err = run_cli(capsys, *argv)
     assert code == 4

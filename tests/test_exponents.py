@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from critex import exponents
+from critex import exponents, sequences
 from critex.automaton import StateLimitError, canonicalize, is_empty, product
 from critex.exponents import (
     compute_measure,
@@ -21,8 +21,14 @@ from critex.oracle import scan_ice, scan_max_exponent, scan_recurrence, sequence
 from critex.quotient import Comparator, comparator_dfa
 from critex.rational import INF
 
-from helpers import verify_pump
-from reference import check_pair_closure, pump_ratio
+from helpers import digit_sum_mod, paperfolding_value, verify_pump
+from reference import (
+    OFFSET_GAP_FORMULA,
+    OFFSET_PERIOD_FORMULA,
+    OFFSET_PREFIX_TAIL_FORMULA,
+    check_pair_closure,
+    pump_ratio,
+)
 
 CTX = RadixContext(2)
 
@@ -62,6 +68,53 @@ def test_critical_exponents(tm, zero, rs, vtm):
     r = critical_exponent(vtm)
     assert (r.value, r.attained) == (Fraction(2), False)
     assert pump_ratio(r.witness.u, r.witness.v) == Fraction(2)
+
+
+# the fixture sequences the offset and position texts are pinned on
+PAIR_FIXTURES = {
+    "tm": sequences.thue_morse,
+    "rs": sequences.rudin_shapiro,
+    "vtm": sequences.vtm,
+    "period_doubling": sequences.period_doubling,
+    "paperfolding": lambda: sequences.dfao_from_function(paperfolding_value, 2),
+    "digsum2mod6": lambda: digit_sum_mod(6),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_FIXTURES)
+def test_position_texts_compile_to_the_offset_texts_machines(name):
+    a = PAIR_FIXTURES[name]()
+    for offset_text, text, free in (
+        (OFFSET_PERIOD_FORMULA, exponents.PERIOD_FORMULA, ("q", "p")),
+        (OFFSET_PREFIX_TAIL_FORMULA, exponents.PREFIX_TAIL_FORMULA, ("s", "t")),
+        (OFFSET_GAP_FORMULA, exponents.GAP_FORMULA, ("n", "l")),
+    ):
+        assert exponents._compile_pairs(a, text, free) == exponents._compile_pairs(a, offset_text, free), text
+
+
+def _compiled_texts(monkeypatch) -> list:
+    texts = []
+    real = exponents._compile_pairs
+    monkeypatch.setattr(exponents, "_compile_pairs", lambda a, text, free: texts.append(text) or real(a, text, free))
+    return texts
+
+
+@pytest.mark.parametrize("name", PAIR_FIXTURES)
+def test_c1_of_a_recurrent_sequence_compiles_the_period_language(name, monkeypatch):
+    a = PAIR_FIXTURES[name]()
+    assert is_recurrent(a)
+    full = exponents._compile_pairs(a, exponents.RECURRENT_PERIOD_FORMULA, ("q", "p"))
+    assert full == period_language(a)
+    texts = _compiled_texts(monkeypatch)
+    assert recurrent_critical_exponent(a).pair_dfa == full
+    assert texts == [exponents.PERIOD_FORMULA]
+
+
+def test_c1_of_a_sequence_that_is_not_recurrent_compiles_the_full_formula(one_then_zeros, monkeypatch):
+    assert not is_recurrent(one_then_zeros)
+    texts = _compiled_texts(monkeypatch)
+    assert recurrent_critical_exponent(one_then_zeros).value is INF
+    assert texts == [exponents.RECURRENT_PERIOD_FORMULA]
 
 
 def test_recurrent_critical_exponent(tm, zero, one_then_zeros):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from critex.logic import (
 )
 from critex.numeral import RadixContext
 
+from helpers import paperfolding_value
 from reference import atom_conjoin_all, interpret, language_equal
 from test_arith import encode_tuple
 
@@ -283,14 +285,6 @@ def test_bounded_quantifier_one_sided_fuzz(tm, ctx):
 # ------------------------------------------------------------- quantifier projection
 
 
-def _paperfolding_value(n: int) -> int:
-    """Regular paperfolding word at n: 1 iff the odd part of n+1 is 1 mod 4."""
-    n += 1
-    while n % 2 == 0:
-        n //= 2
-    return int(n % 4 == 1)
-
-
 def _erase_calls(monkeypatch) -> list:
     """Patch the compiler's erase to record each (machine, track) it is given."""
     calls = []
@@ -304,22 +298,33 @@ def _erase_calls(monkeypatch) -> list:
 
 
 def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
-    # every E projection met while compiling the period, gap and prefix-tail
-    # languages; rs is left out because its forward path takes about 20 s
+    # every E projection met while compiling the offset forms of the period,
+    # gap and prefix-tail languages; rs is left out because its forward path
+    # takes about 20 s
     from critex import sequences
     from critex.automaton import erase, minimize
-    from critex.exponents import GAP_FORMULA, PERIOD_FORMULA, PREFIX_TAIL_FORMULA
-    from reference import determinize, project, zero_saturate
+    from reference import (
+        OFFSET_GAP_FORMULA,
+        OFFSET_PERIOD_FORMULA,
+        OFFSET_PREFIX_TAIL_FORMULA,
+        determinize,
+        project,
+        zero_saturate,
+    )
 
     captured = _erase_calls(monkeypatch)
     seqs = [
         sequences.thue_morse(),
         sequences.vtm(),
         sequences.period_doubling(),
-        sequences.dfao_from_function(_paperfolding_value, 2),
+        sequences.dfao_from_function(paperfolding_value, 2),
     ]
     for a in seqs:
-        for text, free in ((PERIOD_FORMULA, ("q", "p")), (GAP_FORMULA, ("n", "l")), (PREFIX_TAIL_FORMULA, ("s", "t"))):
+        for text, free in (
+            (OFFSET_PERIOD_FORMULA, ("q", "p")),
+            (OFFSET_GAP_FORMULA, ("n", "l")),
+            (OFFSET_PREFIX_TAIL_FORMULA, ("s", "t")),
+        ):
             compile_formula(parse(text), CompilationEnv(free, a, RadixContext(a.k)))
     # 48 distinct (machine, track) inputs; the memo, atoms included, skips
     # 56 repeat erases of the 120 a compile without it runs, and every input
@@ -334,22 +339,23 @@ def test_projection_matches_forward_path_on_pair_languages(monkeypatch):
 
 
 def test_projection_respects_the_state_cap(tm, ctx, monkeypatch):
-    # the tm gap language's largest construction is a first reversed pass of
-    # 100 subsets; every product, atom and second pass stays below 99
+    # the largest construction of the tm gap language's offset form is a
+    # first reversed pass of 100 subsets; every product, atom and second
+    # pass stays below 99
     from critex.automaton import StateLimitError
-    from critex.exponents import GAP_FORMULA
+    from reference import OFFSET_GAP_FORMULA
 
     monkeypatch.setenv("CRITEX_MAX_STATES", "99")
     with pytest.raises(StateLimitError) as info:
-        compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l"))
+        compile_formula(parse(OFFSET_GAP_FORMULA), env_for(tm, ctx, "n", "l"))
     assert "_reverse_subsets" in [e.name for e in info.traceback]
     monkeypatch.setenv("CRITEX_MAX_STATES", "100")
-    assert compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l")).num_states == 12
+    assert compile_formula(parse(OFFSET_GAP_FORMULA), env_for(tm, ctx, "n", "l")).num_states == 12
     # the cap is part of the memo key: what was built under 100 is not
     # handed out under 99, where a fresh build trips the cap again
     monkeypatch.setenv("CRITEX_MAX_STATES", "99")
     with pytest.raises(StateLimitError):
-        compile_formula(parse(GAP_FORMULA), env_for(tm, ctx, "n", "l"))
+        compile_formula(parse(OFFSET_GAP_FORMULA), env_for(tm, ctx, "n", "l"))
 
 
 # ------------------------------------------------------------- early erasure
@@ -452,7 +458,9 @@ def test_warm_memo_compiles_the_exponent_formulas_as_an_unshared_compile(monkeyp
 
 
 def test_renamed_formula_is_a_memo_hit(tm, ctx, monkeypatch):
-    renamed = "b >= 1 & (E x . A y . y + b < a -> seq[x+y] = seq[x+b+y])"
+    names = {"q": "a", "p": "b", "i": "x", "j": "y"}
+    renamed = re.sub(r"\b[qpij]\b", lambda v: names[v.group()], exponents.PERIOD_FORMULA)
+    assert renamed != exponents.PERIOD_FORMULA
     expected = _compile_unshared(monkeypatch, parse(renamed), env_for(tm, ctx, "a", "b"))
     assert expected == compile_formula(parse(exponents.PERIOD_FORMULA), env_for(tm, ctx, "q", "p"))
     calls = _erase_calls(monkeypatch)
