@@ -192,10 +192,14 @@ def serialize_automaton(m: Dfa | Dfao) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_automaton(path: str) -> Dfa | Dfao:
+def load_automaton(path: str, data: bytes | None = None) -> Dfa | Dfao:
+    """The machine in the file at path; `data`, when given, is that file's
+    content already read, and path only names it in messages."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AutFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:

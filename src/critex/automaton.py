@@ -61,9 +61,13 @@ def state_limit() -> int:
     return limit
 
 
-def _checked_table(trans, initial: int, s_count: int) -> tuple:
-    """The rows of a complete table as tuples, once the initial state, each
-    row's length and each row's targets are in range."""
+def _checked_table(trans, initial: int, k, tracks: int) -> tuple:
+    """The rows of a complete table as tuples, once the base is an integer
+    >= 2 and the initial state, each row's length and each row's targets are
+    in range."""
+    if not isinstance(k, int) or k < 2:
+        raise AutomatonError(f"base must be an integer >= 2, got {k!r}")
+    s_count = k**tracks
     table = tuple(tuple(row) for row in trans)
     n = len(table)
     if not 0 <= initial < n:
@@ -87,7 +91,7 @@ class Dfa:
     def __init__(self, k, tracks, trans, accept, initial):
         self.k = k
         self.tracks = tracks
-        self.trans = _checked_table(trans, initial, k**tracks)
+        self.trans = _checked_table(trans, initial, k, tracks)
         self.accept = frozenset(accept)
         self.initial = initial
         if not self.accept <= set(range(len(self.trans))):
@@ -139,7 +143,7 @@ class Dfao:
     def __init__(self, k, tracks, trans, output, initial):
         self.k = k
         self.tracks = tracks
-        self.trans = _checked_table(trans, initial, k**tracks)
+        self.trans = _checked_table(trans, initial, k, tracks)
         self.output = tuple(str(o) for o in output)
         self.initial = initial
         if len(self.output) != len(self.trans):

@@ -84,9 +84,12 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _digest(path: str) -> str:
+def _load(path: str) -> tuple[Dfa | Dfao, str]:
+    """The machine in the file at path and the sha256 of the bytes it was
+    parsed from; the file is read once."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return load_automaton(path, data), hashlib.sha256(data).hexdigest()
 
 
 def render_witness(w) -> str | None:
@@ -104,8 +107,8 @@ def render_witness(w) -> str | None:
     return str(w)
 
 
-def _load_dfao(path: str) -> Dfao:
-    m = load_automaton(path)
+def _load_dfao(path: str) -> tuple[Dfao, str]:
+    m, digest = _load(path)
     if not isinstance(m, Dfao):
         raise InputError(f"{path} holds a dfa; a sequence automaton (dfao) is required")
     if m.tracks != 1:
@@ -115,21 +118,21 @@ def _load_dfao(path: str) -> Dfao:
             f"{path}: sequence automaton is not leading-zero invariant; "
             "its outputs depend on padding"
         )
-    return m
+    return m, digest
 
 
-def _load_pairs(path: str) -> Dfa:
-    m = load_automaton(path)
+def _load_pairs(path: str) -> tuple[Dfa, str]:
+    m, digest = _load(path)
     if not isinstance(m, Dfa):
         raise InputError(f"{path} holds a dfao; a 2-track acceptor is required")
     if m.tracks != 2:
         raise InputError(f"{path}: expected 2 tracks, found {m.tracks}")
-    return m
+    return m, digest
 
 
 def cmd_exponent(args) -> RunReport:
-    a = _load_dfao(args.file)
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
+    a, digest = _load_dfao(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     res = exponents.compute_measure(a, args.which)
     report.values["measure"] = args.which
     report.values["value"] = fmt_value(res.value)
@@ -140,8 +143,8 @@ def cmd_exponent(args) -> RunReport:
 
 
 def cmd_recurrence(args) -> RunReport:
-    a = _load_dfao(args.file)
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
+    a, digest = _load_dfao(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     rep = exponents.linear_recurrence(a)
     report.values["linearly-recurrent"] = "true" if rep.linearly_recurrent else "false"
     if rep.linearly_recurrent:
@@ -158,8 +161,8 @@ def cmd_recurrence(args) -> RunReport:
 
 
 def cmd_sup(args) -> RunReport:
-    L = _load_pairs(args.file)
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
+    L, digest = _load_pairs(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     res = sup_quo(L, RadixContext(L.k))
     report.values["value"] = fmt_value(res.value)
     report.attained = res.attained
@@ -169,8 +172,8 @@ def cmd_sup(args) -> RunReport:
 
 
 def cmd_special(args) -> RunReport:
-    L = _load_pairs(args.file)
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
+    L, digest = _load_pairs(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     value, pump = largest_limit_quotient(L, RadixContext(L.k))
     report.values["value"] = fmt_value(value)
     report.witness = render_witness(pump)
@@ -179,8 +182,8 @@ def cmd_special(args) -> RunReport:
 
 
 def cmd_eval(args) -> RunReport:
-    a = _load_dfao(args.file)
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
+    a, digest = _load_dfao(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     f = parse(args.formula)
     declared = tuple(v.strip() for v in args.vars.split(",") if v.strip()) if args.vars else ()
     fv = free_vars(f)
@@ -209,17 +212,18 @@ def cmd_eval(args) -> RunReport:
 
 
 def cmd_oracle(args) -> RunReport:
-    report = RunReport(command=_echo(args), digest=_digest(args.file))
     sub = args.oracle_cmd
     if sub == "quo":
         if args.n is not None and args.n < 0:
             raise InputError("--n must be nonnegative")
-        L = _load_pairs(args.file)
+        L, digest = _load_pairs(args.file)
+        report = RunReport(command=_echo(args), digest=digest)
         values = oracle.brute_quo_profile(L, args.n if args.n is not None else 8)
         report.values["count"] = str(len(values))
         report.values["max"] = fmt_value(max(values)) if values else "none"
         return report
-    a = _load_dfao(args.file)
+    a, digest = _load_dfao(args.file)
+    report = RunReport(command=_echo(args), digest=digest)
     n = args.n if args.n is not None else 1 << 14
     sample = oracle.sequence_prefix(a, n)
     if sub == "prefix":

@@ -103,6 +103,8 @@ class DigitWord:
 
 def digits_of(n: int, k: int) -> list[int]:
     """Canonical most-significant-first digits; empty for 0."""
+    if not isinstance(k, int) or k < 2:
+        raise NumeralError(f"base must be an integer >= 2, got {k!r}")
     if n < 0:
         raise NumeralError("negative integers have no encoding")
     out: list[int] = []

@@ -39,6 +39,11 @@ period condition ranges over an offset j into the factor at i, so its
 atom `seq[i+j] = seq[i+p+j]` reads three tracks.  The tests pin the
 library's texts to the same machines, and the projection-count and
 state-cap tests compile these, whose intermediate machines they count.
+
+`dfao_from_function_reference` is the residual classification as
+`sequences` ran it before it tabulated the rule: it evaluates the rule
+afresh for every probe of every prefix and for every number it checks.
+The library's derivation is pinned to its tables and its errors.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from critex.arith import linear_rel
 from critex.automaton import (
     AutomatonError,
     Dfa,
+    Dfao,
     InvariantError,
     PumpDecomposition,
     _dfa_arcs,
@@ -104,6 +110,7 @@ from critex.quotient import (
     find_unbounded_pump,
 )
 from critex.rational import INF, Value
+from critex.sequences import MAX_STATES, PROBE_LEN, VERIFY_N, FixtureError
 
 
 OFFSET_PERIOD_FORMULA = "p >= 1 & (E i . A j . j + p < q -> seq[i+j] = seq[i+p+j])"
@@ -689,3 +696,43 @@ def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:
     bad = product(product(L, cmp_rel(ctx, ">"), "and"), complement(shift), "and")
     d_ok = is_empty(bad)
     return {"a": a_ok, "c": c_ok, "d": d_ok, "b": "not checked"}
+
+
+def dfao_from_function_reference(fn, k: int) -> Dfao:
+    """Residual classification with one rule call per probe and per check."""
+    probes: list[tuple[int, int]] = [(1, 0)]  # (k**length, value) of each suffix
+    frontier = [(1, 0)]
+    for _ in range(PROBE_LEN):
+        frontier = [(scale * k, val * k + d) for scale, val in frontier for d in range(k)]
+        probes.extend(frontier)
+
+    def signature(prefix_val: int) -> tuple:
+        return tuple(fn(prefix_val * scale + val) for scale, val in probes)
+
+    sig2state: dict[tuple, int] = {signature(0): 0}
+    reps: list[int] = [0]
+    trans: list[list[int]] = []
+    i = 0
+    while i < len(reps):
+        rep = reps[i]
+        i += 1
+        row = []
+        for d in range(k):
+            child = rep * k + d
+            sig = signature(child)
+            j = sig2state.get(sig)
+            if j is None:
+                j = len(reps)
+                if j >= MAX_STATES:
+                    raise FixtureError("residual classification did not converge; raise PROBE_LEN")
+                sig2state[sig] = j
+                reps.append(child)
+            row.append(j)
+        trans.append(row)
+    output = [str(fn(rep)) for rep in reps]
+    state = [0] * VERIFY_N
+    for n in range(VERIFY_N):
+        state[n] = trans[state[n // k]][n % k] if n else 0
+        if output[state[n]] != str(fn(n)):
+            raise FixtureError(f"residual machine disagrees with the rule at {n}; raise PROBE_LEN")
+    return Dfao(k, 1, trans, output, 0)

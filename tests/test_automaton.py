@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -85,6 +86,16 @@ def test_constructors_refuse_a_bad_row_naming_its_state(rows, message):
         Dfao(2, 1, rows, ["a", "b"], 0)
     with pytest.raises(AutomatonError, match=message):
         Dfa(2, 1, rows, {0}, 0)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0])
+def test_constructors_refuse_a_base_below_2_naming_it(k):
+    # base 1 would otherwise pass the row check and loop forever in value
+    message = rf"base must be an integer >= 2, got {re.escape(repr(k))}$"
+    with pytest.raises(AutomatonError, match=message):
+        Dfao(k, 1, [[0]], ["0"], 0)
+    with pytest.raises(AutomatonError, match=message):
+        Dfa(k, 1, [[0]], {0}, 0)
 
 
 # ------------------------------------------------------------- product

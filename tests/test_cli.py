@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +80,37 @@ def test_golden_json_shape(files, capsys):
         "values": {"value": "1/1"},
         "witness": "word [1,1] pair=(1,1)",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exponent", "tm.dfao"),
+        ("recurrence", "zero.dfao"),
+        ("sup", "pairs.dfa"),
+        ("special", "pairs.dfa"),
+        ("eval", "tm.dfao", "--formula", "E i . seq[i] = seq[i+1]"),
+        ("oracle", "prefix", "tm.dfao", "--n", "16"),
+        ("oracle", "quo", "pairs.dfa", "--n", "4"),
+    ],
+    ids=" ".join,
+)
+def test_each_command_reads_its_input_once_and_digests_those_bytes(files, capsys, monkeypatch, argv):
+    argv = [files.get(a, a) for a in argv]
+    path = next(a for a in argv if a in files.values())
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(path) == 1
+    assert json.loads(out)["input_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_sup_and_special(files, capsys):

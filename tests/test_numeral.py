@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -10,6 +11,7 @@ from critex.numeral import (
     RadixContext,
     ZeroDenominatorError,
     decode,
+    digits_of,
     encode,
     encode_pair,
     ratio,
@@ -85,6 +87,13 @@ def test_concat_rejects_mixed_base():
 def test_radix_context_validates_base():
     with pytest.raises(NumeralError):
         RadixContext(1)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0])
+def test_digits_of_refuses_a_base_below_2_naming_it(k):
+    # base 1 would otherwise loop forever while its digit list grows
+    with pytest.raises(NumeralError, match=rf"base must be an integer >= 2, got {re.escape(repr(k))}$"):
+        digits_of(3, k)
 
 
 def test_round_trip_fuzz():
