@@ -10,7 +10,9 @@ The supremum solver rests on three exact primitives:
 * a pump-weight maximizer: for a fraction P/Q, the maximum of
   Q*inc1 - P*inc2 over all pumps within first-repeat bounds, with the pump
   that attains it; a bound per loop state, from one DP per strongly
-  connected component, skips the cycle DPs that cannot beat the best pump,
+  connected component, skips the cycle DPs that cannot beat the best pump;
+  when the prefix DP's best weights are a feasible potential whose tight
+  moves close a cycle, the maximum is 0 and one cycle DP finds its pump,
 * a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
   bounded length, with the word that attains it.
 
@@ -171,6 +173,54 @@ def pump_graph(a: Dfa) -> PumpGraph:
     return PumpGraph(adj, _cycle_adjacency(adj))
 
 
+def _tight_moves(adj, k: int, w: list[int], xstar: dict) -> dict | None:
+    """The moves s -c-> t with x(t) = k*x(s) + w(c), x(s) = xstar[s][0], of
+    each state of `adj`; or None if x is not a feasible potential, that is,
+    if some move has x(t) < k*x(s) + w(c)."""
+    tight = {}
+    for s, moves in adj.items():
+        kx = k * xstar[s][0]
+        tight[s] = row = []
+        for c, t in moves:
+            slack = xstar[t][0] - kx - w[c]
+            if slack < 0:
+                return None
+            if slack == 0:
+                row.append((c, t))
+    return tight
+
+
+def _loop_states(graph: PumpGraph, k: int, w: list[int], xstar: dict) -> list[tuple[int, int]]:
+    """(bound, loop state) pairs for `max_pump_weight` to search in order:
+    every pump at a listed state weighs at most its bound, and no state
+    left out holds a heavier pump, or an equally heavy one at a smaller
+    state, than the search finds.
+
+    If x(s) = xstar[s][0] is a feasible potential and its tight moves
+    (`_tight_moves`) have a cycle, the maximum is 0 and only the smallest
+    state on a tight cycle is listed, with bound 0.  Otherwise every loop
+    state is listed by descending bound, then ascending state, each bound
+    from one multi-source DP per component.
+    """
+    tight = _tight_moves(graph.adj, k, w, xstar)
+    on_cycle = {} if tight is None else _cycle_adjacency(tight)
+    if on_cycle:
+        return [(0, min(on_cycle))]
+    bound: dict[int, int] = {}
+    for s, sub in graph.cycles.items():
+        if s in bound:
+            continue
+        cur = dict.fromkeys(sub, 0)
+        for b in range(1, len(sub) + 1):
+            cur = _layer(cur, sub, k, w)
+            gain = k**b - 1
+            for t, val in cur.items():
+                val += gain * xstar[t][0]
+                if t not in bound or val > bound[t]:
+                    bound[t] = val
+    return sorted(((v, s) for s, v in bound.items()), key=lambda vs: (-vs[0], vs[1]))
+
+
 def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, PumpDecomposition] | None:
     """Maximum of Q*inc1 - P*inc2 over pumps with a pump that attains it,
     the one of smallest loop state, then of shortest v; or None if no pump
@@ -197,7 +247,20 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
     stops at the first whose bound cannot beat the best pump found under
     the order above: every later state then has a smaller bound, or an
     equal one and a larger number.  The skipped states hold no better pump,
-    so the maximum and its argmax are exactly those of the full search.
+    so the maximum and its argmax are exactly those of the full search.  A
+    state's cycle DP stops at the first b whose pump reaches its bound.
+
+    Before the bound pass, one pass over the trim moves tests whether x is
+    a feasible potential: x(t) >= k*x(s) + w(c) on every move s -c-> t,
+    w(c) = Q*c1 - P*c2.  If it is, a closed walk v of b symbols at s has
+    k^b*x(s) + D(v) <= x(s), D(v) its weight, so no pump weighs more than
+    0, and a pump weighs 0 exactly when every move of v is tight (equality
+    holds).  So when the tight moves have a cycle, the maximum is 0 and its
+    argmax's loop state is the smallest state s0 on a tight cycle, which
+    has a simple tight cycle of at most |SCC(s0)| symbols; only s0's cycle
+    DP runs, with bound 0, and reads back the u and v of the full search.
+    If x is not feasible (the maximum is > 0) or no tight cycle exists (the
+    maximum is < 0), the bound pass and the search above run.
     """
     k = a.k
     w = _symbol_weights(k, P, Q)
@@ -207,21 +270,9 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
-    bound: dict[int, int] = {}
-    for s, sub in graph.cycles.items():
-        if s in bound:
-            continue
-        cur = dict.fromkeys(sub, 0)
-        for b in range(1, len(sub) + 1):
-            cur = _layer(cur, sub, k, w)
-            gain = k**b - 1
-            for t, val in cur.items():
-                val += gain * xstar[t][0]
-                if t not in bound or val > bound[t]:
-                    bound[t] = val
     best = None
-    for s0 in sorted(bound, key=lambda s: (-bound[s], s)):
-        if best is not None and (bound[s0], -s0) < (best[0], -best[1]):
+    for bound, s0 in _loop_states(graph, k, w, xstar):
+        if best is not None and (bound, -s0) < (best[0], -best[1]):
             break
         sub = graph.cycles[s0]
         x0, xlen = xstar[s0]
@@ -234,6 +285,8 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
                 combo = (k**b - 1) * x0 + yb
                 if best is None or (combo, -s0) > (best[0], -best[1]):
                     best = (combo, s0, xlen, b, vpar)
+                if combo == bound:
+                    break
     if best is None:
         return None
     weight, s0, xlen, b, vpar = best

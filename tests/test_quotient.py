@@ -515,6 +515,103 @@ def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
     assert counts[max_pump_weight] < counts[max_pump_weight_per_component]
 
 
+def _random_limits():
+    """(machine, largest limit value) for the random k = 2 and k = 3
+    machines with an infinite language: nearly all have an unbounded pump,
+    so their limit value is INF."""
+    return [
+        (machine, largest_limit_quotient(machine, RadixContext(k))[0])
+        for k in (2, 3)
+        for machine in prepared_random_suite(5300, 100, k=k)
+        if is_infinite(machine)
+    ]
+
+
+def _finite_limit_suite():
+    """(machine, largest limit value) for the comparator-bounded machines
+    and the random machines whose limit value is finite."""
+    return _bounded_suite_limits() + [(m, limit) for m, limit in _random_limits() if limit is not INF]
+
+
+def test_limit_probe_runs_one_cycle_dp(monkeypatch):
+    # at the limit the prefix DP's best weights are a feasible potential
+    # whose tight moves close a cycle, so only the cycle DP of the smallest
+    # state on it runs; just above the limit (feasible, no tight cycle) and
+    # just below it or with an unbounded pump (not feasible) the bound pass
+    # and the search run
+    cases = []
+    for work, limit in _bounded_suite_limits() + _random_limits():
+        if limit is INF:
+            cases.append((work, [(Fraction(0), 1), (Fraction(5, 2), 1)]))
+        else:
+            eps = Fraction(1, 1000 * limit.denominator)
+            cases.append((work, [(limit, 0), (limit + eps, -1), (limit - eps, 1)]))
+    assert len(cases) == 300 and sum(len(probes) == 3 for _, probes in cases) == 101
+    real = quotient._layer
+    for idx, (work, probes) in enumerate(cases):
+        graph = quotient.pump_graph(work)
+        layers = []
+
+        def counted(cur, adj, *rest, graph=graph):
+            layers.append(adj is not graph.adj)
+            return real(cur, adj, *rest)
+
+        monkeypatch.setattr(quotient, "_layer", counted)
+        # the bound pass runs |C| layers in each component C
+        bound_pass = sum(len(sub) for s, sub in graph.cycles.items() if s == min(sub))
+        for beta, sign in probes:
+            P, Q = beta.numerator, beta.denominator
+            del layers[:]
+            got = max_pump_weight(work, P, Q, graph)
+            assert got == max_pump_weight_per_component(work, P, Q, graph), (idx, beta)
+            assert _sign(got[0]) == sign, (idx, beta)
+            if sign == 0:
+                assert sum(layers) <= len(graph.cycles[got[1].loop_state]), idx
+            else:
+                assert sum(layers) > bound_pass, (idx, beta)
+
+
+def _potential(a: Dfa, P: int, Q: int) -> tuple[dict, list]:
+    """x(s), the best weight of a walk of fewer than T symbols from a's
+    initial state to the trim state s (`_prefix_walk`), and the symbol
+    weights Q*c1 - P*c2."""
+    w = quotient._symbol_weights(a.k, P, Q)
+    adj = quotient.pump_graph(a).adj
+    x: dict[int, int] = {}
+    for _ln, cur in quotient._prefix_walk(a, adj, w, len(adj) - 1, []):
+        for s, val in cur.items():
+            x[s] = max(x.get(s, val), val)
+    return x, w
+
+
+def test_prefix_potential_bounds_every_longer_walk():
+    # at the limit no walk of up to T + 3 symbols inside the trim part ends
+    # heavier than x at its last state, so x is a feasible potential; just
+    # below the limit some trim move s -c-> t has x(t) < k*x(s) + w(c)
+    checked = 0
+    for work, limit in _finite_limit_suite():
+        k = work.k
+        trim = trim_states(work)
+        moves = [(s, c, t) for s in sorted(trim) for c, t in enumerate(work.trans[s]) if t in trim]
+        x, w = _potential(work, limit.numerator, limit.denominator)
+        assert set(x) == trim
+        # the heaviest walk of each length to each state, over every walk
+        heaviest = {work.initial: 0}
+        for _ in range(len(trim) + 3):
+            nxt: dict[int, int] = {}
+            for s, c, t in moves:
+                if s in heaviest:
+                    d = k * heaviest[s] + w[c]
+                    nxt[t] = max(nxt.get(t, d), d)
+            heaviest = nxt
+            assert all(val <= x[t] for t, val in heaviest.items())
+        below = limit - Fraction(1, 1000 * limit.denominator)
+        x, w = _potential(work, below.numerator, below.denominator)
+        assert any(x[t] < k * x[s] + w[c] for s, c, t in moves)
+        checked += 1
+    assert checked == 101
+
+
 def test_limit_probes_land_on_argmax_ratios(monkeypatch):
     # each pump DP moves the probe to the exact ratio of the pump it found
     probes = []
