@@ -22,14 +22,7 @@ from .exponents import (
     special_exponent,
 )
 from .numeral import DigitWord, RadixContext, decode, encode, encode_pair, ratio
-from .quotient import (
-    Comparator,
-    SupResult,
-    comparator_dfa,
-    is_sup_infinite,
-    largest_limit_quotient,
-    sup_quo,
-)
+from .quotient import SupResult, largest_limit_quotient, sup_quo
 from .rational import INF, Infinity, Value, fmt_value
 
 __version__ = "0.1.0"
@@ -48,10 +41,7 @@ __all__ = [
     "Infinity",
     "Value",
     "fmt_value",
-    "Comparator",
     "SupResult",
-    "comparator_dfa",
-    "is_sup_infinite",
     "sup_quo",
     "largest_limit_quotient",
     "ExponentResult",

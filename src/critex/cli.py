@@ -9,6 +9,8 @@
 
 Exit codes: 0 success, 2 input/parse error, 3 precondition violation,
 4 internal invariant breach or resource limit (the state cap, or memory).
+A reader that closes the output early (`critex ... | head`) is not an
+error: the command still exits 0.
 
 All numeric output is exact: reduced fractions rendered "num/den", or the
 literal "inf".  CRITEX_MAX_STATES bounds intermediate machines (default
@@ -21,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -320,7 +323,14 @@ def main(argv: list[str] | None = None) -> int:
         print("internal: nesting too deep (Python recursion limit exceeded)", file=sys.stderr)
         return EXIT_INTERNAL
     report.time_ms = int((time.monotonic() - started) * 1000)
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`critex ... | head`); stdout now points at the
+        # null device, so the flush at exit cannot fail a second time
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .automaton import Dfa, Dfao, InvariantError, PumpDecomposition
-from .logic import CompilationEnv, compile_formula, evaluate_sentence, parse
+from .logic import CompilationEnv, compile_formula, parse
 from .numeral import DigitWord, RadixContext
 from .quotient import largest_limit_quotient, sup_quo
 from .rational import Value
@@ -166,8 +166,10 @@ def diophantine_exponent(a: Dfao) -> ExponentResult:
 
 def is_recurrent(a: Dfao) -> bool:
     """Every factor that occurs, occurs infinitely often."""
-    env = CompilationEnv((), a, _ctx(a))
-    return evaluate_sentence(_parse(RECURRENT_SENTENCE), env)
+    out = compile_formula(_parse(RECURRENT_SENTENCE), CompilationEnv((), a, _ctx(a)))
+    if not isinstance(out, bool):
+        raise InvariantError("a sentence compiled to a machine")
+    return out
 
 
 def gap_language(a: Dfao) -> Dfa:

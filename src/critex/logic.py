@@ -57,7 +57,6 @@ from . import arith
 from .automaton import (
     Dfa,
     Dfao,
-    InvariantError,
     complement,
     erase,
     is_empty,
@@ -150,25 +149,17 @@ class Exists:
 Formula = Cmp | SeqEq | SeqConst | Not | And | Or | Exists
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
+def free_vars(f: Formula | Term) -> set[str]:
+    if isinstance(f, Var):
+        return {f.name}
+    if isinstance(f, Const):
         return set()
-    return term_vars(t.left) | term_vars(t.right)
-
-
-def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, Cmp):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, SeqEq):
-        return term_vars(f.left) | term_vars(f.right)
+    if isinstance(f, (Add, Cmp, SeqEq, And, Or)):
+        return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, SeqConst):
-        return term_vars(f.term)
+        return free_vars(f.term)
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, Exists):
         return free_vars(f.body) - {f.var}
     raise FormulaError(f"unknown node {f!r}")
@@ -583,12 +574,3 @@ def compile_formula(f: Formula, env: CompilationEnv) -> Dfa | bool:
     if set(mvars) != set(env.free_vars):
         raise CompileError(f"compiled tracks {mvars} do not cover {env.free_vars}")
     return _remember(key, minimize(comp.lift(m, mvars, env.free_vars)))
-
-
-def evaluate_sentence(f: Formula, env: CompilationEnv) -> bool:
-    if free_vars(f):
-        raise CompileError(f"sentence has free variables: {sorted(free_vars(f))}")
-    out = compile_formula(f, CompilationEnv((), env.dfao, env.ctx))
-    if not isinstance(out, bool):
-        raise InvariantError("a sentence compiled to a machine")
-    return out

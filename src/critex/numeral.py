@@ -29,6 +29,11 @@ class ZeroDenominatorError(NumeralError):
     pass
 
 
+def _check_base(k) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise NumeralError(f"base must be an integer >= 2, got {k!r}")
+
+
 @dataclass(frozen=True)
 class RadixContext:
     """Base k >= 2 with digit alphabet {0..k-1}."""
@@ -36,8 +41,7 @@ class RadixContext:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise NumeralError(f"base must be >= 2, got {self.k}")
+        _check_base(self.k)
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,7 @@ class DigitWord:
     symbols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise NumeralError(f"base must be >= 2, got {self.k}")
+        _check_base(self.k)
         if self.tracks < 1:
             raise NumeralError(f"track count must be >= 1, got {self.tracks}")
         for sym in self.symbols:
@@ -103,8 +106,7 @@ class DigitWord:
 
 def digits_of(n: int, k: int) -> list[int]:
     """Canonical most-significant-first digits; empty for 0."""
-    if not isinstance(k, int) or k < 2:
-        raise NumeralError(f"base must be an integer >= 2, got {k!r}")
+    _check_base(k)
     if n < 0:
         raise NumeralError("negative integers have no encoding")
     out: list[int] = []

@@ -1,6 +1,5 @@
 """Quotient analysis of regular pair languages: suprema and largest limit
-values, all as exact rationals or infinite, and the threshold comparator
-machines (`comparator_dfa`) that check a value against a language.
+values, all as exact rationals or infinite.
 
 The supremum solver rests on three exact primitives:
 
@@ -20,10 +19,11 @@ Each maximizer returns the word or pump that attains its maximum, read
 back from its own DP parent records, so Dinkelbach's iteration on it yields
 the exact largest ratio and its witness without enumerating words or pumps;
 `sup_quo` starts the word search at the largest limit value.  The
-enumeration-based references and the re-run witness rebuild that
-cross-validate them live with the tests.  The trim moves and their strongly
-connected components (`_trim_adjacency`, `_cycle_adjacency`) come from
-`automaton`, whose `is_infinite` reads the same components.
+enumeration-based references, the re-run witness rebuild and the threshold
+comparator machines that cross-validate them live with the tests.  The
+trim moves and their strongly connected components (`_trim_adjacency`,
+`_cycle_adjacency`) come from `automaton`, whose `is_infinite` reads the
+same components.
 
 Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
 unbounded-pump test, `_limit`), keyed on the language, base and state cap
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import linear_rel, nonzero_track_dfa
+from .arith import nonzero_track_dfa
 from .automaton import (
     Dfa,
     InvariantError,
@@ -71,38 +71,10 @@ class FiniteLanguageError(QuotientError):
 
 
 @dataclass(frozen=True)
-class Comparator:
-    """Threshold beta = P/Q with one of the six order relations."""
-
-    threshold: Fraction
-    relation: str
-    ctx: RadixContext
-
-    def __post_init__(self):
-        if self.threshold < 0:
-            raise QuotientError("comparator thresholds are nonnegative")
-        if self.relation not in ("<", "<=", "==", ">=", ">", "!="):
-            raise QuotientError(f"unknown relation {self.relation!r}")
-
-
-@dataclass(frozen=True)
 class SupResult:
     value: Value
     attained: bool
     witness: DigitWord | PumpDecomposition
-
-
-# ------------------------------------------------------------- comparators
-
-
-def comparator_dfa(comp: Comparator) -> Dfa:
-    """Machine accepting pair encodings (p, q) with p*Q <relation> q*P.
-
-    The linear relation Q*p - P*q <relation> 0: its running sum locks
-    positive at max(P, 1) and negative at -Q, so it has O(P + Q) states.
-    """
-    P, Q = comp.threshold.numerator, comp.threshold.denominator
-    return linear_rel(comp.ctx.k, (Q, -P), comp.relation)
 
 
 # ------------------------------------------------------------- weight DPs
@@ -431,18 +403,6 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
     return None
 
 
-def is_sup_infinite(L: Dfa, graph: PumpGraph | None = None) -> tuple[bool, PumpDecomposition | None]:
-    """Whether the quotient supremum is infinite, with the pump witness.
-
-    Expects a canonical machine whose accepted words have nonzero
-    denominator track values; `graph` is as in `find_unbounded_pump`.
-    """
-    pump = find_unbounded_pump(L, graph)
-    if pump is not None and not (pump.inc2 == 0 and pump.inc1 > 0):
-        raise InvariantError("unbounded pump with a nonzero denominator increment")
-    return pump is not None, pump
-
-
 # ------------------------------------------------------------- solvers
 
 
@@ -478,7 +438,9 @@ def _solve(L: Dfa, ctx: RadixContext) -> tuple:
     if key not in _SOLVED:
         work = _prepare(L, ctx)
         graph = pump_graph(work)
-        pump = is_sup_infinite(work, graph)[1]
+        pump = find_unbounded_pump(work, graph)
+        if pump is not None and not (pump.inc2 == 0 and pump.inc1 > 0):
+            raise InvariantError("unbounded pump with a nonzero denominator increment")
         limit = _limit(work, graph) if pump is None and graph.cycles else None
         if len(_SOLVED) >= 4096:
             _SOLVED.clear()

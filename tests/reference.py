@@ -24,6 +24,10 @@ with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
 `is_infinite_reference` decides finiteness by Kahn's topological sort of
 the trim part, independently of the Tarjan components `is_infinite` reads.
+`Comparator` and `comparator_dfa` are the threshold machines of the
+paper's decision procedure, accepting the pairs (p, q) with
+p/q <relation> P/Q, which the tests intersect with a language to check a
+solver's value; no solver builds one.
 `cmp_rel`, `eq_rel` and `add_rel` name the comparison, equality and
 addition constraints over `linear_rel`, and `parse_value` reads back what
 `rational.fmt_value` writes.
@@ -97,7 +101,6 @@ from critex.logic import (
 )
 from critex.numeral import DigitWord, RadixContext, ratio
 from critex.quotient import (
-    Comparator,
     EmptyLanguageError,
     PumpGraph,
     QuotientError,
@@ -106,7 +109,6 @@ from critex.quotient import (
     _prepare,
     _read_walk,
     _symbol_weights,
-    comparator_dfa,
     find_unbounded_pump,
 )
 from critex.rational import INF, Value
@@ -624,6 +626,34 @@ def is_infinite_reference(a: Dfa) -> bool:
                 if indeg[t] == 0:
                     queue.append(t)
     return removed < len(trim)
+
+
+# ------------------------------------------------------------- comparators
+
+
+@dataclass(frozen=True)
+class Comparator:
+    """Threshold beta = P/Q with one of the six order relations."""
+
+    threshold: Fraction
+    relation: str
+    ctx: RadixContext
+
+    def __post_init__(self):
+        if self.threshold < 0:
+            raise QuotientError("comparator thresholds are nonnegative")
+        if self.relation not in ("<", "<=", "==", ">=", ">", "!="):
+            raise QuotientError(f"unknown relation {self.relation!r}")
+
+
+def comparator_dfa(comp: Comparator) -> Dfa:
+    """Machine accepting pair encodings (p, q) with p*Q <relation> q*P.
+
+    The linear relation Q*p - P*q <relation> 0: its running sum locks
+    positive at max(P, 1) and negative at -Q, so it has O(P + Q) states.
+    """
+    P, Q = comp.threshold.numerator, comp.threshold.denominator
+    return linear_rel(comp.ctx.k, (Q, -P), comp.relation)
 
 
 # ------------------------------------------------------------- named atoms

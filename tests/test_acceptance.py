@@ -8,8 +8,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
-
 from critex.automaton import is_empty, is_infinite
 from critex.exponents import (
     critical_exponent,
@@ -19,17 +17,11 @@ from critex.exponents import (
 )
 from critex.numeral import RadixContext
 from critex.oracle import scan_max_exponent, scan_recurrence, sequence_prefix
-from critex.quotient import (
-    Comparator,
-    bounded_max_ratio,
-    comparator_dfa,
-    largest_limit_quotient,
-    sup_quo,
-)
+from critex.quotient import bounded_max_ratio, largest_limit_quotient, sup_quo
 from critex.rational import INF
 
 from helpers import prepared_random_suite
-from reference import candidates, product_reference
+from reference import Comparator, candidates, comparator_dfa, product_reference
 from property_suites import run_chain_suite, run_comparator_suite, run_mediant_suite
 
 CTX = RadixContext(2)
@@ -78,16 +70,14 @@ def test_criterion_3_rudin_shapiro(rs, rs_prefix):
 
 
 def _assert_squarefree(symbols: tuple[str, ...]) -> None:
-    """No factor x x anywhere in the sample, any period."""
-    arr = np.array([ord(c[0]) for c in symbols], dtype=np.int16)
-    n = len(arr)
+    """No factor x x anywhere in the sample, any period: the sample XORed
+    with itself shifted by p has a run of p zero bytes exactly where a
+    square of period p starts."""
+    s = bytes(ord(c[0]) for c in symbols)
+    n = len(s)
     for p in range(1, n // 2 + 1):
-        eq = (arr[p:] == arr[:-p]).astype(np.int32)
-        if len(eq) < p:
-            break
-        cs = np.concatenate(([0], np.cumsum(eq)))
-        windows = cs[p:] - cs[:-p]
-        assert int(windows.max(initial=0)) < p, f"square of period {p} found"
+        diff = int.from_bytes(s[p:], "big") ^ int.from_bytes(s[:-p], "big")
+        assert bytes(p) not in diff.to_bytes(n - p, "big"), f"square of period {p} found"
 
 
 def test_criterion_4_ternary_squarefree_word(vtm):

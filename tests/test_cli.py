@@ -382,21 +382,44 @@ def test_projection_state_cap_exits_4(files, capsys, monkeypatch):
     assert "compiled_states=12" in out
 
 
-def test_console_entry_point_smoke(files):
+def _child_env():
     # the child finds critex where this process did, installed or not
     import critex
 
     src = str(Path(critex.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point_smoke(files):
     proc = subprocess.run(
         [sys.executable, "-m", "critex", "exponent", files["tm.dfao"], "--which", "critical"],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "value=2/1" in proc.stdout
+
+
+def test_closed_stdout_exits_0_without_a_traceback():
+    # `critex exponent tm.dfao | head` whose reader has gone before the write
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "critex", "exponent", str(fixtures / "tm.dfao")],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+            env=_child_env(),
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def _run_python(flags, script, cwd):

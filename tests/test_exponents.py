@@ -18,7 +18,6 @@ from critex.exponents import (
 )
 from critex.numeral import RadixContext, encode_pair, ratio
 from critex.oracle import scan_ice, scan_max_exponent, scan_recurrence, sequence_prefix
-from critex.quotient import Comparator, comparator_dfa
 from critex.rational import INF
 
 from helpers import digit_sum_mod, paperfolding_value, verify_pump
@@ -26,7 +25,9 @@ from reference import (
     OFFSET_GAP_FORMULA,
     OFFSET_PERIOD_FORMULA,
     OFFSET_PREFIX_TAIL_FORMULA,
+    Comparator,
     check_pair_closure,
+    comparator_dfa,
     pump_ratio,
 )
 

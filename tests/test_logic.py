@@ -24,7 +24,6 @@ from critex.logic import (
     SeqEq,
     Var,
     compile_formula,
-    evaluate_sentence,
     free_vars,
     parse,
 )
@@ -141,14 +140,14 @@ def test_compile_tautology(tm, ctx):
 
 
 def test_sentences(tm, ctx):
-    assert evaluate_sentence(parse("E i . seq[i] = 1"), env_for(tm, ctx)) is True
-    assert evaluate_sentence(parse("A i . seq[i] = 0"), env_for(tm, ctx)) is False
-    assert evaluate_sentence(parse("A i . i = i"), env_for(tm, ctx)) is True
+    assert compile_formula(parse("E i . seq[i] = 1"), env_for(tm, ctx)) is True
+    assert compile_formula(parse("A i . seq[i] = 0"), env_for(tm, ctx)) is False
+    assert compile_formula(parse("A i . i = i"), env_for(tm, ctx)) is True
 
 
 def test_evaluate_sentence_rejects_free_vars(tm, ctx):
     with pytest.raises(FormulaError):
-        evaluate_sentence(parse("seq[x] = 1"), env_for(tm, ctx))
+        compile_formula(parse("seq[x] = 1"), env_for(tm, ctx))
 
 
 def test_env_free_var_mismatch(tm, ctx):
@@ -164,10 +163,10 @@ def test_hand_built_underscore_names_are_refused(tm, ctx):
     # as whatever an earlier compile of A y . y < 3 left in the memo
     for_all = Not(Exists("_tq", Not(Cmp("<", Var("_tq"), Const(3)))))
     with pytest.raises(FormulaError, match="_tq"):
-        evaluate_sentence(for_all, env_for(tm, ctx))
-    assert evaluate_sentence(parse("A y . y < 3"), env_for(tm, ctx)) is False
+        compile_formula(for_all, env_for(tm, ctx))
+    assert compile_formula(parse("A y . y < 3"), env_for(tm, ctx)) is False
     with pytest.raises(FormulaError, match="_tq"):
-        evaluate_sentence(for_all, env_for(tm, ctx))
+        compile_formula(for_all, env_for(tm, ctx))
     with pytest.raises(FormulaError, match="_x"):
         compile_formula(Cmp("<", Var("_x"), Const(3)), env_for(tm, ctx, "_x"))
 
@@ -268,8 +267,8 @@ def test_bounded_quantifier_one_sided_fuzz(tm, ctx):
             continue
         fe = Exists("x", Exists("y", body))
         fa = Not(Exists("x", Not(Not(Exists("y", Not(body))))))
-        te = evaluate_sentence(fe, env_for(tm, ctx))
-        ta = evaluate_sentence(fa, env_for(tm, ctx))
+        te = compile_formula(fe, env_for(tm, ctx))
+        ta = compile_formula(fa, env_for(tm, ctx))
         box_e = interpret(fe, {}, seq_value, box=32)
         box_a = interpret(fa, {}, seq_value, box=32)
         if box_e:

@@ -89,11 +89,21 @@ def test_radix_context_validates_base():
         RadixContext(1)
 
 
-@pytest.mark.parametrize("k", [1, 0, -2, 2.0])
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0, 2.5, "3"])
 def test_digits_of_refuses_a_base_below_2_naming_it(k):
     # base 1 would otherwise loop forever while its digit list grows
     with pytest.raises(NumeralError, match=rf"base must be an integer >= 2, got {re.escape(repr(k))}$"):
         digits_of(3, k)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0, 2.5, "3"])
+def test_radix_context_and_digit_word_refuse_a_base_below_2_naming_it(k):
+    # a float base made DigitWord(2.5, 1, ((1,),)).value(0) the float 1.0
+    pattern = rf"base must be an integer >= 2, got {re.escape(repr(k))}$"
+    with pytest.raises(NumeralError, match=pattern):
+        RadixContext(k)
+    with pytest.raises(NumeralError, match=pattern):
+        DigitWord(k, 1, ((1,),))
 
 
 def test_round_trip_fuzz():

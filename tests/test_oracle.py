@@ -13,9 +13,8 @@ from critex.oracle import (
     scan_recurrence,
     sequence_prefix,
 )
-from critex.quotient import Comparator, comparator_dfa
-
 from helpers import dfa_for_words, pairs_ones_then_01
+from reference import Comparator, comparator_dfa
 
 CTX = RadixContext(2)
 

@@ -17,15 +17,12 @@ from critex.automaton import (
 )
 from critex.numeral import DigitWord, RadixContext, encode_pair, ratio
 from critex.quotient import (
-    Comparator,
     EmptyLanguageError,
     FiniteLanguageError,
     QuotientError,
     SupResult,
     bounded_max_ratio,
-    comparator_dfa,
     find_unbounded_pump,
-    is_sup_infinite,
     largest_limit_quotient,
     max_pump_weight,
     sup_quo,
@@ -44,9 +41,11 @@ from helpers import (
     verify_pump,
 )
 from reference import (
+    Comparator,
     UndefinedRatioError,
     candidates,
     check_pair_closure,
+    comparator_dfa,
     compare_language,
     heaviest_walk,
     is_sup_infinite_reference,
@@ -146,11 +145,11 @@ def test_pump_chain_trichotomy_and_convergence_fuzz():
 
 def test_is_sup_infinite_examples():
     unb = _prepare(pairs_unbounded(), CTX)
-    flag, pump = is_sup_infinite(unb)
-    assert flag and pump.inc2 == 0 and pump.inc1 > 0
+    pump = find_unbounded_pump(unb)
+    assert pump is not None and pump.inc2 == 0 and pump.inc1 > 0
     assert verify_pump(unb, pump)
     small = _prepare(pairs_ones_then_01(), CTX)
-    assert is_sup_infinite(small) == (False, None)
+    assert find_unbounded_pump(small) is None
     assert find_unbounded_pump(_prepare(dfa_for_words(2, 2, []), CTX)) is None
 
 
@@ -178,7 +177,7 @@ def test_standalone_unbounded_pump_search_builds_no_full_pump_graph(monkeypatch)
 
 def test_is_sup_infinite_matches_reference_on_random_machines():
     for machine in prepared_random_suite(4200, 30, max_states=3):
-        got, _ = is_sup_infinite(machine)
+        got = find_unbounded_pump(machine) is not None
         want = is_sup_infinite_reference(machine, CTX)
         assert got == want
 
@@ -584,6 +583,12 @@ def _potential(a: Dfa, P: int, Q: int) -> tuple[dict, list]:
     return x, w
 
 
+def _trim_moves(a: Dfa) -> list[tuple[int, int, int]]:
+    """Every move s -c-> t between trim states of a."""
+    trim = trim_states(a)
+    return [(s, c, t) for s in sorted(trim) for c, t in enumerate(a.trans[s]) if t in trim]
+
+
 def test_prefix_potential_bounds_every_longer_walk():
     # at the limit no walk of up to T + 3 symbols inside the trim part ends
     # heavier than x at its last state, so x is a feasible potential; just
@@ -592,7 +597,7 @@ def test_prefix_potential_bounds_every_longer_walk():
     for work, limit in _finite_limit_suite():
         k = work.k
         trim = trim_states(work)
-        moves = [(s, c, t) for s in sorted(trim) for c, t in enumerate(work.trans[s]) if t in trim]
+        moves = _trim_moves(work)
         x, w = _potential(work, limit.numerator, limit.denominator)
         assert set(x) == trim
         # the heaviest walk of each length to each state, over every walk
@@ -610,6 +615,35 @@ def test_prefix_potential_bounds_every_longer_walk():
         assert any(x[t] < k * x[s] + w[c] for s, c, t in moves)
         checked += 1
     assert checked == 101
+
+
+def test_prefix_potential_certifies_each_finite_supremum():
+    # at a finite supremum P/Q the prefix potential psi is feasible on every
+    # trim move and psi(f) <= 0 at every accepting trim state f, so no
+    # accepted word of any length weighs more than 0, and psi(f) = 0 at some
+    # f exactly when a word attains P/Q; just below P/Q some move is
+    # infeasible or some psi(f) > 0
+    suite = comparator_bounded_suite(5200, 100) + [
+        (m, RadixContext(k)) for seed, k in ((5300, 2), (5301, 3)) for m in prepared_random_suite(seed, 100, k=k)
+    ]
+    checked = attained = 0
+    for work, ctx in suite:
+        res = sup_quo(work, ctx)
+        if res.value is INF:
+            continue
+        moves = _trim_moves(work)
+        finals = trim_states(work) & work.accept
+        below = res.value - Fraction(1, 10**6 * res.value.denominator)
+        for beta, holds in ((res.value, True), (below, False)):
+            psi, w = _potential(work, beta.numerator, beta.denominator)
+            feasible = all(psi[t] >= work.k * psi[s] + w[c] for s, c, t in moves)
+            top = max(psi[f] for f in finals)
+            assert (feasible and top <= 0) == holds, beta
+            if holds:
+                assert (top == 0) == res.attained, beta
+        checked += 1
+        attained += res.attained
+    assert (checked, attained) == (101, 59)
 
 
 def test_limit_probes_land_on_argmax_ratios(monkeypatch):
@@ -739,6 +773,17 @@ def test_negative_word_weight_after_the_first_step_is_an_invariant_error(monkeyp
     with pytest.raises(InvariantError):
         sup_quo(pairs_ones_then_01(), CTX)
     assert len(calls) == 2 and calls[0][0] > 0
+
+
+def test_unbounded_pump_with_a_denominator_increment_is_an_invariant_error(monkeypatch):
+    # an unbounded pump must fix the denominator; the limit pump of ratio 1/2
+    # moves it, so the solve refuses it as one
+    pump = largest_limit_quotient(pairs_ones_then_01(), CTX)[1]
+    assert pump.inc2 > 0
+    quotient._SOLVED.clear()
+    monkeypatch.setattr(quotient, "find_unbounded_pump", lambda *args: pump)
+    with pytest.raises(InvariantError, match="nonzero denominator increment"):
+        sup_quo(pairs_ones_then_01(), CTX)
 
 
 def test_negative_word_weight_at_a_start_of_zero_is_an_invariant_error(monkeypatch):
