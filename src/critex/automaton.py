@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .numeral import DigitWord, digits_of
+from .numeral import DigitWord, _check_base, digits_of
 from .rational import INF, Value
 
 
@@ -65,8 +65,7 @@ def _checked_table(trans, initial: int, k, tracks: int) -> tuple:
     """The rows of a complete table as tuples, once the base is an integer
     >= 2 and the initial state, each row's length and each row's targets are
     in range."""
-    if not isinstance(k, int) or k < 2:
-        raise AutomatonError(f"base must be an integer >= 2, got {k!r}")
+    _check_base(k, AutomatonError)
     s_count = k**tracks
     table = tuple(tuple(row) for row in trans)
     n = len(table)

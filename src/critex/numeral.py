@@ -29,9 +29,10 @@ class ZeroDenominatorError(NumeralError):
     pass
 
 
-def _check_base(k) -> None:
+def _check_base(k, error: type[Exception]) -> None:
+    """Raise `error` naming k unless k is an integer >= 2."""
     if not isinstance(k, int) or k < 2:
-        raise NumeralError(f"base must be an integer >= 2, got {k!r}")
+        raise error(f"base must be an integer >= 2, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class RadixContext:
     k: int
 
     def __post_init__(self):
-        _check_base(self.k)
+        _check_base(self.k, NumeralError)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class DigitWord:
     symbols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_base(self.k)
+        _check_base(self.k, NumeralError)
         if self.tracks < 1:
             raise NumeralError(f"track count must be >= 1, got {self.tracks}")
         for sym in self.symbols:
@@ -106,7 +107,7 @@ class DigitWord:
 
 def digits_of(n: int, k: int) -> list[int]:
     """Canonical most-significant-first digits; empty for 0."""
-    _check_base(k)
+    _check_base(k, NumeralError)
     if n < 0:
         raise NumeralError("negative integers have no encoding")
     out: list[int] = []

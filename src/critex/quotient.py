@@ -6,18 +6,21 @@ The supremum solver rests on three exact primitives:
 * an unbounded-pump test: the quotient supremum is infinite exactly when
   some reachable, co-accessible loop pumps the numerator while leaving the
   denominator fixed (its denominator-track increment is zero),
-* a pump-weight maximizer: for a fraction P/Q, the maximum of
-  Q*inc1 - P*inc2 over all pumps within first-repeat bounds, with the pump
-  that attains it; a bound per loop state, from one DP per strongly
-  connected component, skips the cycle DPs that cannot beat the best pump;
-  when the prefix DP's best weights are a feasible potential whose tight
-  moves close a cycle, the maximum is 0 and one cycle DP finds its pump,
+* a pump-weight maximizer: for a fraction P/Q, a pump whose weight
+  Q*inc1 - P*inc2 has the sign of the maximum over all pumps within
+  first-repeat bounds, and the pump that attains it when the maximum is 0;
+  when the prefix DP's best weights are not a feasible potential, the
+  first move that breaks it gives a pump of positive weight with no cycle
+  DP, and when they are one and their tight moves close a cycle, the
+  maximum is 0 and one cycle DP finds its pump,
 * a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
   bounded length, with the word that attains it.
 
-Each maximizer returns the word or pump that attains its maximum, read
-back from its own DP parent records, so Dinkelbach's iteration on it yields
-the exact largest ratio and its witness without enumerating words or pumps;
+Each maximizer returns a word or pump of the weight it reports, read back
+from its own DP parent records: one that attains the maximum when the
+maximum is 0, and one that weighs more than 0 when it is positive.  So
+Dinkelbach's iteration on it rises through genuine ratios to the exact
+largest ratio and its witness without enumerating words or pumps;
 `sup_quo` starts the word search at the largest limit value.  The
 enumeration-based references, the re-run witness rebuild and the threshold
 comparator machines that cross-validate them live with the tests.  The
@@ -51,6 +54,7 @@ from .automaton import (
     make_pump,
     product,
     state_limit,
+    sym_index,
     symbols,
     trim_states,
 )
@@ -145,10 +149,10 @@ def pump_graph(a: Dfa) -> PumpGraph:
     return PumpGraph(adj, _cycle_adjacency(adj))
 
 
-def _tight_moves(adj, k: int, w: list[int], xstar: dict) -> dict | None:
+def _tight_moves(adj, k: int, w: list[int], xstar: dict) -> dict | tuple[int, int]:
     """The moves s -c-> t with x(t) = k*x(s) + w(c), x(s) = xstar[s][0], of
-    each state of `adj`; or None if x is not a feasible potential, that is,
-    if some move has x(t) < k*x(s) + w(c)."""
+    each state of `adj` if x is a feasible potential; otherwise the first
+    move (s, c) found with x(t) < k*x(s) + w(c)."""
     tight = {}
     for s, moves in adj.items():
         kx = k * xstar[s][0]
@@ -156,84 +160,64 @@ def _tight_moves(adj, k: int, w: list[int], xstar: dict) -> dict | None:
         for c, t in moves:
             slack = xstar[t][0] - kx - w[c]
             if slack < 0:
-                return None
+                return s, c
             if slack == 0:
                 row.append((c, t))
     return tight
 
 
-def _loop_states(graph: PumpGraph, k: int, w: list[int], xstar: dict) -> list[tuple[int, int]]:
-    """(bound, loop state) pairs for `max_pump_weight` to search in order:
-    every pump at a listed state weighs at most its bound, and no state
-    left out holds a heavier pump, or an equally heavy one at a smaller
-    state, than the search finds.
-
-    If x(s) = xstar[s][0] is a feasible potential and its tight moves
-    (`_tight_moves`) have a cycle, the maximum is 0 and only the smallest
-    state on a tight cycle is listed, with bound 0.  Otherwise every loop
-    state is listed by descending bound, then ascending state, each bound
-    from one multi-source DP per component.
-    """
-    tight = _tight_moves(graph.adj, k, w, xstar)
-    on_cycle = {} if tight is None else _cycle_adjacency(tight)
-    if on_cycle:
-        return [(0, min(on_cycle))]
-    bound: dict[int, int] = {}
-    for s, sub in graph.cycles.items():
-        if s in bound:
-            continue
-        cur = dict.fromkeys(sub, 0)
-        for b in range(1, len(sub) + 1):
-            cur = _layer(cur, sub, k, w)
-            gain = k**b - 1
-            for t, val in cur.items():
-                val += gain * xstar[t][0]
-                if t not in bound or val > bound[t]:
-                    bound[t] = val
-    return sorted(((v, s) for s, v in bound.items()), key=lambda vs: (-vs[0], vs[1]))
+def _first_repeat_pump(a: Dfa, P: int, Q: int, walk: list) -> tuple[int, PumpDecomposition]:
+    """The weight and pump (u, v) of walk = u.v.u2, the symbols of a walk
+    from a's initial state split at its first repeated state; an
+    `InvariantError` if no state repeats or the pump weighs at most 0."""
+    seen = {a.initial: 0}
+    q = a.initial
+    for j, sym in enumerate(walk, 1):
+        q = a.trans[q][sym_index(sym, a.k)]
+        if q in seen:
+            pump = make_pump(a.k, walk[: seen[q]], walk[seen[q] : j], q)
+            weight = Q * pump.inc1 - P * pump.inc2
+            if weight <= 0:
+                raise InvariantError(f"the pump of a violated move weighs {weight} at {P}/{Q}")
+            return weight, pump
+        seen[q] = j
+    raise InvariantError(f"the walk over a violated move repeats no state at {P}/{Q}")
 
 
 def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, PumpDecomposition] | None:
-    """Maximum of Q*inc1 - P*inc2 over pumps with a pump that attains it,
-    the one of smallest loop state, then of shortest v; or None if no pump
-    exists.  `graph` is `pump_graph(a)`; the pump is read back
-    (`_read_walk`) from the parent records of the prefix DP and its cycle DP.
+    """A pump whose weight Q*inc1 - P*inc2 has the sign of the maximum over
+    pumps, with that weight, or None if no pump exists; when the maximum is
+    0, the pump attaining it of smallest loop state, then of shortest v.
+    `graph` is `pump_graph(a)`; u and v are read back (`_read_walk`) from
+    the parent records of the prefix DP and of at most one cycle DP.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
-    state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, with T the
-    trim size and SCC(s) the strongly connected component of s in the trim
-    part.  A closed walk at s never leaves SCC(s), so each cycle DP runs on
-    that component alone, and states on no cycle carry no pump.  Every such
-    pair is a genuine pump, and the best first-repeated-state pump (a simple
-    path u, so |u| < T, and a simple cycle v, so |v| <= |SCC(s)|) is inside
-    the bounds, so the sign of the maximum compares the largest limit
-    quotient with P/Q exactly.
+    state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, T the trim
+    size and SCC(s) the strongly connected component of s in the trim part,
+    on which a cycle DP at s runs alone.  The best first-repeated-state
+    pump (a simple path u and a simple cycle v) is inside these bounds, so
+    the sign of the maximum compares the largest limit quotient with P/Q.
 
-    The pump with loop state s, the heaviest u to s (weight x(s)) and a
-    closed walk v of b symbols weighs (k^b - 1)*x(s) + y_b(s), y_b(s) the
-    heaviest such v.  One multi-source DP per component, every state
-    starting at 0, gives U_b(s), the heaviest walk of b symbols inside the
-    component that ends at s; it starts anywhere, so U_b(s) >= y_b(s), and
-    bound(s) = max_b (k^b - 1)*x(s) + U_b(s) is at least every pump weight
-    at s.  Loop states are searched by descending bound, and the search
-    stops at the first whose bound cannot beat the best pump found under
-    the order above: every later state then has a smaller bound, or an
-    equal one and a larger number.  The skipped states hold no better pump,
-    so the maximum and its argmax are exactly those of the full search.  A
-    state's cycle DP stops at the first b whose pump reaches its bound.
+    With x(s) the heaviest D(u) over walks u of fewer than T symbols to s,
+    one pass over the trim moves tests whether x is a feasible potential:
+    x(t) >= k*x(s) + w(c) on every move s -c-> t, w(c) = Q*c1 - P*c2.
 
-    Before the bound pass, one pass over the trim moves tests whether x is
-    a feasible potential: x(t) >= k*x(s) + w(c) on every move s -c-> t,
-    w(c) = Q*c1 - P*c2.  If it is, a closed walk v of b symbols at s has
-    k^b*x(s) + D(v) <= x(s), D(v) its weight, so no pump weighs more than
-    0, and a pump weighs 0 exactly when every move of v is tight (equality
-    holds).  So when the tight moves have a cycle, the maximum is 0 and its
-    argmax's loop state is the smallest state s0 on a tight cycle, which
-    has a simple tight cycle of at most |SCC(s0)| symbols; only s0's cycle
-    DP runs, with bound 0, and reads back the u and v of the full search.
-    If x is not feasible (the maximum is > 0) or no tight cycle exists (the
-    maximum is < 0), the bound pass and the search above run.
+    * If a move s -c-> t breaks it, every walk to s of weight x(s) has T - 1
+      symbols (a shorter one followed by c would count in x(t)), so that
+      walk followed by c is a walk W of T symbols, which repeats a state.
+      Split at the first repeat, W = u.v.u2, so |u| < T and |v| <= |SCC|;
+      D(W) - D(u.u2) is k^|u2| times the weight of the pump (u, v), and
+      D(u.u2) <= x(t) < D(W), so that pump weighs more than 0.
+    * If x is feasible, a closed walk v of b symbols at s has
+      k^b*x(s) + D(v) <= x(s), so no pump weighs more than 0, and one
+      weighs 0 exactly when every move of v is tight (equality holds).  If
+      the tight moves close a cycle, the argmax's loop state is the
+      smallest state s0 on one, and s0's cycle DP stops at its first v of
+      weight 0.  Otherwise every pump weighs less than 0, and the heaviest
+      of the cycle DP at the smallest loop state is returned.
     """
+    if not graph.cycles:
+        return None
     k = a.k
     w = _symbol_weights(k, P, Q)
     xstar: dict[int, tuple[int, int]] = {}
@@ -242,26 +226,25 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
         for s, val in cur.items():
             if s not in xstar or val > xstar[s][0]:
                 xstar[s] = (val, ln)
+    tight = _tight_moves(graph.adj, k, w, xstar)
+    if isinstance(tight, tuple):
+        s, c = tight
+        return _first_repeat_pump(a, P, Q, _read_walk(upar, xstar[s][1], s, k) + [symbols(k, 2)[c]])
+    s0 = min(_cycle_adjacency(tight) or graph.cycles)
+    sub = graph.cycles[s0]
+    x0, xlen = xstar[s0]
+    curz = {s0: 0}
+    vpar: list[dict] = [{} for _ in sub]
     best = None
-    for bound, s0 in _loop_states(graph, k, w, xstar):
-        if best is not None and (bound, -s0) < (best[0], -best[1]):
-            break
-        sub = graph.cycles[s0]
-        x0, xlen = xstar[s0]
-        curz = {s0: 0}
-        vpar: list[dict] = [{} for _ in sub]
-        for b, lpar in enumerate(vpar, 1):
-            curz = _layer(curz, sub, k, w, lpar)
-            yb = curz.get(s0)
-            if yb is not None:
-                combo = (k**b - 1) * x0 + yb
-                if best is None or (combo, -s0) > (best[0], -best[1]):
-                    best = (combo, s0, xlen, b, vpar)
-                if combo == bound:
+    for b, lpar in enumerate(vpar, 1):
+        curz = _layer(curz, sub, k, w, lpar)
+        if s0 in curz:
+            combo = (k**b - 1) * x0 + curz[s0]
+            if best is None or combo > best[0]:
+                best = (combo, b)
+                if combo == 0:
                     break
-    if best is None:
-        return None
-    weight, s0, xlen, b, vpar = best
+    weight, b = best
     return weight, make_pump(k, _read_walk(upar, xlen, s0, k), _read_walk(vpar, b, s0, k), s0)
 
 
@@ -288,10 +271,12 @@ def _dinkelbach(oracle, ratio_of, start: Fraction = Fraction(0)):
     it, None if the set is empty, or (start, None) if start > 0 and every
     candidate's ratio lies below start.
 
-    oracle(P, Q) gives the maximum of Q*num - P*den over the candidates
-    with a candidate attaining it, or None, and ratio_of(candidate) gives
+    oracle(P, Q) gives a weight with the sign of the maximum of
+    Q*num - P*den over the candidates and a candidate of that weight, or
+    None: when the maximum is 0, a candidate attaining it; when it is
+    positive, any candidate of positive weight.  ratio_of(candidate) gives
     that candidate's exact ratio.  Dinkelbach's Newton step: from start,
-    move to the ratio of the attaining candidate until the maximum is 0.
+    move to the ratio of the returned candidate until the maximum is 0.
     Each step lands on a candidate's ratio and rises strictly, so the loop
     ends, at the largest ratio, whose candidate does not depend on start.
     """

@@ -16,6 +16,7 @@ from functools import cache
 from itertools import accumulate, chain
 
 from .automaton import Dfao
+from .numeral import _check_base
 
 
 class FixtureError(RuntimeError):
@@ -71,8 +72,7 @@ def dfao_from_function(fn, k: int) -> Dfao:
     yet it yields a 208-state machine that agrees with it below VERIFY_N and
     is first wrong at 38025 = 195**2.
     """
-    if not isinstance(k, int) or k < 2:
-        raise FixtureError(f"base must be an integer >= 2, got {k!r}")
+    _check_base(k, FixtureError)
     table = list(map(fn, range(VERIFY_N)))
     widths = [k**length for length in range(PROBE_LEN + 1)]
     # a signature lists its blocks l = 0..PROBE_LEN in turn; 1..PROBE_LEN start here

@@ -14,11 +14,12 @@ small constructions only the tests use; `product_reference` is the
 reachable product before minimization, which `product` is pinned against;
 and `pump_ratio` recomputes from its two words the ratio
 `PumpDecomposition.ratio()` reads off a pump's stored increments.
-`max_pump_weight_reference` is the whole-trim pump-weight DP the
-per-component one is pinned against, and
-`max_pump_weight_per_component` is the per-component DP without the bound
-pass that prunes its loop states; both read their pump back from their
-parent records, as the library does.
+`max_pump_weight_per_component` searches the cycle DP of every loop state
+for the maximum pump weight and its argmax, which `quotient.max_pump_weight`
+matches in sign at every P/Q and exactly where the maximum is 0, and
+`max_pump_weight_reference` is the whole-trim DP that search is pinned
+against; both read their pump back from their parent records, as the
+library does.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
 with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
@@ -278,8 +279,8 @@ def _read_pump(k: int, upar: list, weight: int, s0: int, xlen: int, b: int, vpar
 
 
 def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph):
-    """Whole-trim pump-weight DP: quotient.max_pump_weight without the
-    per-component restriction, with closed walks v of 1 <= |v| <= T at every
+    """Whole-trim pump-weight DP: `max_pump_weight_per_component` without
+    the per-component restriction, with closed walks v of 1 <= |v| <= T at every
     trim state, T the trim size; O(T^2) layer steps per call.  A closed walk
     at s0 never leaves the component of s0, and no state outside it that the
     cycle DP reaches has a move into it, so the argmax's cycle records read
@@ -318,9 +319,11 @@ def max_pump_weight_reference(a: Dfa, P: int, Q: int, graph: PumpGraph):
 
 
 def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph):
-    """quotient.max_pump_weight without the bound pass: the cycle DP of
-    |SCC(s0)| layers runs at every loop state s0, in ascending order, and
-    the first strict maximum wins."""
+    """The maximum pump weight and its argmax by a full search: the cycle DP
+    of |SCC(s0)| layers runs at every loop state s0, in ascending order, and
+    the first strict maximum wins.  quotient.max_pump_weight runs at most
+    one of those cycle DPs, returns a pump of a weight with the same sign,
+    and returns this one where the maximum is 0."""
     if a.initial not in graph.adj:
         return None
     k = a.k

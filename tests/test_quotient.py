@@ -474,12 +474,15 @@ def _bounded_suite_limits():
 
 
 def test_pruned_pump_weight_matches_per_component_reference():
-    # skipping loop states by their bound changes no maximum and no argmax
+    # the pump's weight has the sign of the per-component maximum, and at the
+    # limit it is that maximum with the same argmax; every pump returned is a
+    # genuine pump of that weight within first-repeat bounds
     rng = random.Random(5200)
     suite = _bounded_suite_limits()
     for machine in prepared_random_suite(5300, 100):
         limit = largest_limit_quotient(machine, CTX)[0] if is_infinite(machine) else None
         suite.append((machine, limit if isinstance(limit, Fraction) else None))
+    checked = 0
     for idx, (work, limit) in enumerate(suite):
         graph = quotient.pump_graph(work)
         probes = [Fraction(0)] + [Fraction(rng.randrange(20), rng.randrange(1, 8)) for _ in range(3)]
@@ -488,12 +491,21 @@ def test_pruned_pump_weight_matches_per_component_reference():
         for beta in probes:
             P, Q = beta.numerator, beta.denominator
             want = max_pump_weight_per_component(work, P, Q, graph)
-            assert max_pump_weight(work, P, Q, graph) == want, (idx, beta)
+            got = max_pump_weight(work, P, Q, graph)
+            weight, pump = got
+            assert _sign(weight) == _sign(want[0]), (idx, beta)
+            if beta == limit:
+                assert got == want, idx
+            assert verify_pump(work, pump) and Q * pump.inc1 - P * pump.inc2 == weight, (idx, beta)
+            assert len(pump.u) < len(graph.adj) and len(pump.v) <= len(graph.cycles[pump.loop_state]), (idx, beta)
+            checked += 1
+    # 200 machines, each with a pump, at 4 probes, and 101 finite limits
+    assert checked == 901
 
 
 def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
     # the prefix DP runs over graph.adj in both oracles; every other layer
-    # is a cycle-DP layer, the bound pass included
+    # is a cycle-DP layer
     import reference
 
     suite = _bounded_suite_limits()
@@ -535,9 +547,10 @@ def _finite_limit_suite():
 def test_limit_probe_runs_one_cycle_dp(monkeypatch):
     # at the limit the prefix DP's best weights are a feasible potential
     # whose tight moves close a cycle, so only the cycle DP of the smallest
-    # state on it runs; just above the limit (feasible, no tight cycle) and
-    # just below it or with an unbounded pump (not feasible) the bound pass
-    # and the search run
+    # state on it runs; just below the limit or with an unbounded pump (not
+    # feasible) the violated move gives the pump and no cycle DP runs; just
+    # above it (feasible, no tight cycle) the smallest loop state's cycle DP
+    # runs in full
     cases = []
     for work, limit in _bounded_suite_limits() + _random_limits():
         if limit is INF:
@@ -556,18 +569,19 @@ def test_limit_probe_runs_one_cycle_dp(monkeypatch):
             return real(cur, adj, *rest)
 
         monkeypatch.setattr(quotient, "_layer", counted)
-        # the bound pass runs |C| layers in each component C
-        bound_pass = sum(len(sub) for s, sub in graph.cycles.items() if s == min(sub))
         for beta, sign in probes:
             P, Q = beta.numerator, beta.denominator
             del layers[:]
             got = max_pump_weight(work, P, Q, graph)
-            assert got == max_pump_weight_per_component(work, P, Q, graph), (idx, beta)
-            assert _sign(got[0]) == sign, (idx, beta)
+            want = max_pump_weight_per_component(work, P, Q, graph)
+            assert _sign(got[0]) == _sign(want[0]) == sign, (idx, beta)
             if sign == 0:
+                assert got == want, idx
                 assert sum(layers) <= len(graph.cycles[got[1].loop_state]), idx
+            elif sign < 0:
+                assert sum(layers) == len(graph.cycles[min(graph.cycles)]), (idx, beta)
             else:
-                assert sum(layers) > bound_pass, (idx, beta)
+                assert sum(layers) == 0, (idx, beta)
 
 
 def _potential(a: Dfa, P: int, Q: int) -> tuple[dict, list]:
@@ -661,9 +675,10 @@ def test_limit_probes_land_on_argmax_ratios(monkeypatch):
 
 
 def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
-    # at every word and pump step, the witness each maximizer reads back
-    # from its own parent records is the walk the re-run DP rebuilds, so the
-    # witnesses are the ones the rebuild gave
+    # at every word step and at each pump step of weight 0, the witness each
+    # maximizer reads back from its own parent records is the walk the
+    # re-run DP rebuilds, so the witnesses are the ones the rebuild gave; a
+    # pump of positive weight is read from the first violated move
     suite = comparator_bounded_suite(5600, 100) + [(m, CTX) for m in prepared_random_suite(5700, 150)]
     # each oracle call: (name, arguments, result)
     steps = []
@@ -690,6 +705,16 @@ def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
             if name == "max_word_weight":
                 walk = heaviest_walk(a, moves, P, Q, a.initial, len(witness), a.run(witness))
                 assert list(witness.symbols) == walk
+            elif weight > 0:
+                # u.v leads the heaviest walk of T - 1 symbols to the first
+                # violated move's state s, followed by its symbol
+                x, w = _potential(a, P, Q)
+                s, c = next(
+                    (s, c) for s, row in moves.adj.items() for c, t in row if x[t] < a.k * x[s] + w[c]
+                )
+                walk = heaviest_walk(a, moves.adj, P, Q, a.initial, len(moves.adj) - 1, s)
+                uv = list(witness.u.symbols + witness.v.symbols)
+                assert uv == (walk + [automaton.symbols(a.k, 2)[c]])[: len(uv)]
             else:
                 s0 = witness.loop_state
                 u = heaviest_walk(a, moves.adj, P, Q, a.initial, len(witness.u), s0)
@@ -784,6 +809,25 @@ def test_unbounded_pump_with_a_denominator_increment_is_an_invariant_error(monke
     monkeypatch.setattr(quotient, "find_unbounded_pump", lambda *args: pump)
     with pytest.raises(InvariantError, match="nonzero denominator increment"):
         sup_quo(pairs_ones_then_01(), CTX)
+
+
+def test_violated_move_without_an_improving_pump_is_an_invariant_error(monkeypatch):
+    # at the limit 1/2 the prefix weights are a feasible potential, so a move
+    # reported as violated there gives a walk that repeats no state or a
+    # pump that weighs at most 0, and each is refused, not returned
+    work = _prepare(pairs_ones_then_01(), CTX)
+    graph = quotient.pump_graph(work)
+    raised = []
+    for s, row in graph.adj.items():
+        for c, _t in row:
+            monkeypatch.setattr(quotient, "_tight_moves", lambda *args, s=s, c=c: (s, c))
+            with pytest.raises(InvariantError) as err:
+                max_pump_weight(work, 1, 2, graph)
+            raised.append(str(err.value))
+    assert raised == [
+        "the walk over a violated move repeats no state at 1/2",
+        "the pump of a violated move weighs 0 at 1/2",
+    ]
 
 
 def test_negative_word_weight_at_a_start_of_zero_is_an_invariant_error(monkeypatch):
