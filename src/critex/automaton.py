@@ -4,6 +4,8 @@ Machines are immutable after construction.  Transition tables are complete:
 every (state, symbol) pair maps somewhere, with a dead sink absorbing moves
 out of the useful part.  Symbols are d-tuples of base-k digits, indexed in
 lexicographic order, so symbol index arithmetic is mixed-radix base k.
+Dfa (accepting states) and Dfao (an output per state) share one checked
+table core, `_Table`, which raises every error in the base or the table.
 """
 
 from __future__ import annotations
@@ -61,40 +63,29 @@ def state_limit() -> int:
     return limit
 
 
-def _checked_table(trans, initial: int, k, tracks: int) -> tuple:
-    """The rows of a complete table as tuples, once the base is an integer
-    >= 2 and the initial state, each row's length and each row's targets are
-    in range."""
-    _check_base(k, AutomatonError)
-    s_count = k**tracks
-    table = tuple(tuple(row) for row in trans)
-    n = len(table)
-    if not 0 <= initial < n:
-        raise AutomatonError(f"initial state {initial} out of range")
-    for s, row in enumerate(table):
-        if len(row) != s_count:
-            raise AutomatonError(f"state {s} has {len(row)} moves, expected {s_count}")
-        for t in row:
-            if not 0 <= t < n:
-                raise AutomatonError(f"state {s} has transition target {t} out of range")
-    return table
+class _Table:
+    """A complete transition table over (Sigma_k)^tracks, read most
+    significant digit first; rows are stored as tuples."""
 
-
-class Dfa:
-    """Complete deterministic acceptor over (Sigma_k)^tracks, reading
-    digits most significant first."""
-
-    __slots__ = ("k", "tracks", "trans", "accept", "initial")
+    __slots__ = ("k", "tracks", "trans", "initial")
     order = "msd"  # the only digit order, read by serialize_automaton and machine digests
 
-    def __init__(self, k, tracks, trans, accept, initial):
+    def __init__(self, k, tracks, trans, initial):
+        _check_base(k, AutomatonError)
         self.k = k
         self.tracks = tracks
-        self.trans = _checked_table(trans, initial, k, tracks)
-        self.accept = frozenset(accept)
+        self.trans = tuple(tuple(row) for row in trans)
         self.initial = initial
-        if not self.accept <= set(range(len(self.trans))):
-            raise AutomatonError("accepting set contains unknown states")
+        s_count = k**tracks
+        n = len(self.trans)
+        if not 0 <= initial < n:
+            raise AutomatonError(f"initial state {initial} out of range")
+        for s, row in enumerate(self.trans):
+            if len(row) != s_count:
+                raise AutomatonError(f"state {s} has {len(row)} moves, expected {s_count}")
+            for t in row:
+                if not 0 <= t < n:
+                    raise AutomatonError(f"state {s} has transition target {t} out of range")
 
     @property
     def num_states(self) -> int:
@@ -103,6 +94,21 @@ class Dfa:
     @property
     def alphabet_size(self) -> int:
         return self.k**self.tracks
+
+    def __repr__(self):
+        return f"<{type(self).__name__} k={self.k} tracks={self.tracks} states={self.num_states}>"
+
+
+class Dfa(_Table):
+    """Complete deterministic acceptor over (Sigma_k)^tracks."""
+
+    __slots__ = ("accept",)
+
+    def __init__(self, k, tracks, trans, accept, initial):
+        super().__init__(k, tracks, trans, initial)
+        self.accept = frozenset(accept)
+        if not self.accept <= set(range(len(self.trans))):
+            raise AutomatonError("accepting set contains unknown states")
 
     def run(self, word: DigitWord) -> int:
         if word.k != self.k or word.tracks != self.tracks:
@@ -128,33 +134,17 @@ class Dfa:
     def __hash__(self):
         return hash((self.k, self.tracks, self.initial, self.trans, self.accept))
 
-    def __repr__(self):
-        return f"<Dfa k={self.k} tracks={self.tracks} states={self.num_states}>"
 
+class Dfao(_Table):
+    """Deterministic automaton with an output symbol attached to every state."""
 
-class Dfao:
-    """Deterministic automaton with an output symbol attached to every state,
-    reading digits most significant first."""
-
-    __slots__ = ("k", "tracks", "trans", "output", "initial")
-    order = "msd"
+    __slots__ = ("output",)
 
     def __init__(self, k, tracks, trans, output, initial):
-        self.k = k
-        self.tracks = tracks
-        self.trans = _checked_table(trans, initial, k, tracks)
+        super().__init__(k, tracks, trans, initial)
         self.output = tuple(str(o) for o in output)
-        self.initial = initial
         if len(self.output) != len(self.trans):
             raise AutomatonError("output map is not total")
-
-    @property
-    def num_states(self) -> int:
-        return len(self.trans)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.k**self.tracks
 
     @property
     def output_alphabet(self) -> frozenset:
@@ -176,9 +166,6 @@ class Dfao:
         """True iff prepending zero digits never changes the computed output."""
         cls = self.behavioral_classes()
         return cls[self.trans[self.initial][0]] == cls[self.initial]
-
-    def __repr__(self):
-        return f"<Dfao k={self.k} tracks={self.tracks} states={self.num_states}>"
 
 
 @dataclass(frozen=True)

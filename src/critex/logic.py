@@ -44,7 +44,8 @@ ASCII grammar (parse):
              | 'seq[' term ']' '=' ( 'seq[' term ']' | const )
     term    := var | const | term '+' term
 
-Precedence: ~ > & > | > ->; quantifiers extend to the right maximally.
+Precedence: ~ > & > | > ->, & and | left-associative, -> right-associative,
+all defined in one place, `_INFIX`; quantifiers extend to the right maximally.
 """
 
 from __future__ import annotations
@@ -210,24 +211,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
             raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", pos)
         pos = m.end()
-        for kind in ("arrow", "le", "ge", "ne", "num", "ident", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
+def implies(f: Formula, g: Formula) -> Formula:
+    return Or(Not(f), g)
+
+
+# operator: (precedence, precedence of its right operand, node builder)
+_INFIX = {"->": (0, 0, implies), "|": (1, 2, Or), "&": (2, 3, And)}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -252,34 +256,16 @@ class _Parser:
         validate_scopes(f)
         return f
 
-    # precedence: -> (lowest, right assoc) < | < & < ~ (highest)
-    def formula(self) -> Formula:
-        left = self.or_level()
-        kind, val, _ = self.peek()
-        if kind == "arrow":
-            self.next()
-            return Or(Not(left), self.formula())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while True:
-            kind, val, _ = self.peek()
-            if val == "|":
-                self.next()
-                left = Or(left, self.and_level())
-            else:
-                return left
-
-    def and_level(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """The formula starting here whose infix operators have precedence at
+        least `level`, by precedence climbing over `_INFIX`."""
         left = self.unary()
         while True:
-            kind, val, _ = self.peek()
-            if val == "&":
-                self.next()
-                left = And(left, self.unary())
-            else:
+            op = _INFIX.get(self.peek()[1])
+            if op is None or op[0] < level:
                 return left
+            self.next()
+            left = op[2](left, self.formula(op[1]))
 
     def unary(self) -> Formula:
         kind, val, pos = self.peek()

@@ -88,10 +88,10 @@ def _symbol_weights(k: int, P: int, Q: int) -> list[int]:
     return [Q * c1 - P * c2 for (c1, c2) in symbols(k, 2)]
 
 
-def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = None) -> dict[int, int]:
+def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict) -> dict[int, int]:
     """One max-plus step: the best weight of each state one symbol further.
 
-    Ties keep the first move found; with `par`, records each winner's
+    Ties keep the first move found; records in `par` each winner's
     predecessor and symbol index as one small int, pred * len(w) + index.
     """
     nxt: dict[int, int] = {}
@@ -102,8 +102,7 @@ def _layer(cur: dict[int, int], adj, k: int, w: list[int], par: dict | None = No
             old = nxt.get(t)
             if old is None or nv > old:
                 nxt[t] = nv
-                if par is not None:
-                    par[t] = s * len(w) + c
+                par[t] = s * len(w) + c
     return nxt
 
 
@@ -454,10 +453,12 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
 
     Infinite iff an unbounded pump exists; otherwise the maximum of the
     largest limit value and the best quotient among words shorter than the
-    state count (a shortest supremum-attaining word is always that short,
-    by the usual pumping exchange).  The short-word search starts at the
-    limit value: the supremum is attained iff the word-weight maximum there
-    is >= 0, in which case the witness is a shortest attaining word.
+    trim size T.  The short-word search starts at the limit value: the
+    supremum is attained iff the word-weight maximum there is >= 0, in which
+    case the witness is a shortest attaining word.  At each P/Q it probes
+    no pump weighs more than 0, so the prefix DP's best weights over walks
+    shorter than T are a feasible potential (`max_pump_weight`) that no
+    longer word beats; a finite language has no walk of T symbols.
     """
     work, graph, pump, limit = _solve(L, ctx)
     if not graph.adj:
@@ -465,7 +466,7 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
     if pump is not None:
         return SupResult(INF, False, pump)
     start = Fraction(0) if limit is None else limit[0]
-    m_short, m_witness = bounded_max_ratio(work, work.num_states - 1, graph.adj, start)
+    m_short, m_witness = bounded_max_ratio(work, len(graph.adj) - 1, graph.adj, start)
     if m_short is None:
         raise EmptyLanguageError("no accepted word carries a nonzero denominator")
     if m_witness is None:

@@ -98,6 +98,17 @@ def test_constructors_refuse_a_base_below_2_naming_it(k):
         Dfa(k, 1, [[0]], {0}, 0)
 
 
+def test_acceptors_and_output_machines_stay_distinct_types():
+    # Dfa and Dfao share their table core, but each repr names its own class,
+    # a Dfao is not a Dfa and Dfao equality is identity
+    d, o = Dfa(2, 1, [[0, 1], [1, 1]], {1}, 0), Dfao(2, 1, [[0, 1], [1, 0]], "01", 0)
+    assert (repr(d), repr(o)) == ("<Dfa k=2 tracks=1 states=2>", "<Dfao k=2 tracks=1 states=2>")
+    assert d.order == o.order == "msd"
+    assert (d.num_states, d.alphabet_size, o.num_states, o.alphabet_size) == (2, 2, 2, 2)
+    assert not isinstance(o, Dfa) and d != o
+    assert o != Dfao(2, 1, [[0, 1], [1, 0]], "01", 0) and o == o
+
+
 # ------------------------------------------------------------- product
 
 

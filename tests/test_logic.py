@@ -91,6 +91,11 @@ def test_parse_precedence():
     assert f == Or(Not(Or(And(Not(x), y), z)), w)
     # -> is right associative: a -> b -> c is a -> (b -> c)
     assert parse("x = 0 -> y = 0 -> z = 0") == Or(Not(x), Or(Not(y), z))
+    # | and & are left associative, & binds tighter than | and | than ->
+    assert parse("x = 0 | y = 0 | z = 0") == Or(Or(x, y), z)
+    assert parse("x = 0 & y = 0 & z = 0") == And(And(x, y), z)
+    assert parse("x = 0 | y = 0 & z = 0") == Or(x, And(y, z))
+    assert parse("x = 0 & y = 0 -> z = 0") == Or(Not(And(x, y)), z)
 
 
 def test_parse_bounded_quantifier_sugar():

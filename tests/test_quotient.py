@@ -107,6 +107,8 @@ def test_comparator_respects_the_state_cap(monkeypatch):
 
 
 def test_comparator_cache_respects_the_state_cap(monkeypatch):
+    # an earlier uncapped build of the same comparator must not let a capped
+    # rebuild through
     comp = Comparator(Fraction(5001, 5000), "<=", CTX)
     assert comparator_dfa(comp).num_states > 1000
     monkeypatch.setenv("CRITEX_MAX_STATES", "1000")
@@ -213,6 +215,26 @@ def _outcome(solver, L, ctx):
         return repr(solver(L, ctx))
     except QuotientError as exc:
         return type(exc).__name__
+
+
+def test_solver_results_are_pinned():
+    # sup_quo and largest_limit_quotient of each machine as one line, each
+    # result as its repr or the error's class name; the digest pins every
+    # value and witness the solvers return on these suites
+    suite = comparator_bounded_suite(777, 300) + [
+        (m, RadixContext(k)) for seed, count, k in ((778, 300, 2), (779, 100, 3))
+        for m in prepared_random_suite(seed, count, k=k)
+    ]
+
+    def shown(solve, machine, ctx) -> str:
+        try:
+            return repr(solve(machine, ctx))
+        except QuotientError as e:
+            return type(e).__name__
+
+    lines = [f"{shown(sup_quo, m, ctx)} {shown(largest_limit_quotient, m, ctx)}" for m, ctx in suite]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4cd1f5d8f1ca3e63752a63887ae2b163fe4070e40cb8b01e71bc3a16708bd800"
 
 
 def test_solve_memo_hits_equal_cold_solves():
