@@ -20,8 +20,11 @@ Each maximizer returns a word or pump of the weight it reports, read back
 from its own DP parent records: one that attains the maximum when the
 maximum is 0, and one that weighs more than 0 when it is positive.  So
 Dinkelbach's iteration on it rises through genuine ratios to the exact
-largest ratio and its witness without enumerating words or pumps;
-`sup_quo` starts the word search at the largest limit value.  The
+largest ratio and its witness without enumerating words or pumps; `_limit`
+starts the pump search at the largest ratio of one seed pump per strongly
+connected component, and `sup_quo` starts the word search at the largest
+limit value.  Both maximizers share one prefix DP (`_prefix_walk`), which
+stops at its first layer that raises no state's best weight.  The
 enumeration-based references, the re-run witness rebuild and the threshold
 comparator machines that cross-validate them live with the tests.  The
 trim moves and their strongly connected components (`_trim_adjacency`,
@@ -41,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .arith import nonzero_track_dfa
@@ -119,17 +123,30 @@ def _read_walk(layers: list[dict], steps: int, end: int, k: int) -> list:
     return out
 
 
-def _prefix_walk(a: Dfa, adj, w: list[int], steps: int, layers: list):
+def _prefix_walk(a: Dfa, adj, w: list[int], steps: int, layers: list, best: dict):
     """The max-plus DP from a's initial state over the moves `adj`: yields
     (length, best weight of each state a walk of that length reaches) for
-    lengths 0 to steps, and appends each layer's `_layer` parent records to
-    `layers`; stops at the first length no walk reaches."""
+    lengths 0 to steps, appends each layer's `_layer` parent records to
+    `layers`, and keeps in `best` each state's X(s), the heaviest of those
+    weights, with the first length that reaches it.
+
+    Stops at the first layer that reaches no new state and raises no X(s),
+    which an empty layer also does: the moves out of s were relaxed in the
+    layer after X(s) was set, so X(t) >= k*X(s) + w(c) then holds on every
+    move s -c-> t, and no later layer raises anything.  So `best` and every
+    parent record a caller reads back are those of all `steps` layers.
+    """
     cur = {a.initial: 0} if a.initial in adj else {}
     for ln in range(steps + 1):
         if ln:
             layers.append({})
             cur = _layer(cur, adj, a.k, w, layers[-1])
-        if not cur:
+        raised = False
+        for s, val in cur.items():
+            if s not in best or val > best[s][0]:
+                best[s] = (val, ln)
+                raised = True
+        if not raised:
             return
         yield ln, cur
 
@@ -199,7 +216,9 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
 
     With x(s) the heaviest D(u) over walks u of fewer than T symbols to s,
     one pass over the trim moves tests whether x is a feasible potential:
-    x(t) >= k*x(s) + w(c) on every move s -c-> t, w(c) = Q*c1 - P*c2.
+    x(t) >= k*x(s) + w(c) on every move s -c-> t, w(c) = Q*c1 - P*c2.  The
+    prefix DP stops early only once x is one (`_prefix_walk`), so a probe
+    at which a pump weighs more than 0 runs all T - 1 layers.
 
     * If a move s -c-> t breaks it, every walk to s of weight x(s) has T - 1
       symbols (a shorter one followed by c would count in x(t)), so that
@@ -221,10 +240,8 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
     w = _symbol_weights(k, P, Q)
     xstar: dict[int, tuple[int, int]] = {}
     upar: list[dict] = []
-    for ln, cur in _prefix_walk(a, graph.adj, w, len(graph.adj) - 1, upar):
-        for s, val in cur.items():
-            if s not in xstar or val > xstar[s][0]:
-                xstar[s] = (val, ln)
+    for _ in _prefix_walk(a, graph.adj, w, len(graph.adj) - 1, upar, xstar):
+        pass
     tight = _tight_moves(graph.adj, k, w, xstar)
     if isinstance(tight, tuple):
         s, c = tight
@@ -251,11 +268,14 @@ def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict) -> tuple[in
     """Maximum of Q*p - P*q over accepted words of length <= max_len with the
     first word found to attain it, shortest first; or None if no such word
     is accepted.  `adj` is `_trim_adjacency` of a's trim part; the word is
-    read back (`_read_walk`) from the DP's parent records."""
+    read back (`_read_walk`) from the DP's parent records.  The DP stops at
+    its first layer that raises no state's best weight (`_prefix_walk`):
+    no longer word weighs more at any state, so the maximum and the word
+    are those of all max_len layers."""
     w = _symbol_weights(a.k, P, Q)
     layers: list[dict] = []
     best = None
-    for ln, cur in _prefix_walk(a, adj, w, max_len, layers):
+    for ln, cur in _prefix_walk(a, adj, w, max_len, layers, {}):
         for s, val in cur.items():
             if s in a.accept and (best is None or val > best[0]):
                 best = (val, ln, s)
@@ -278,6 +298,8 @@ def _dinkelbach(oracle, ratio_of, start: Fraction = Fraction(0)):
     move to the ratio of the returned candidate until the maximum is 0.
     Each step lands on a candidate's ratio and rises strictly, so the loop
     ends, at the largest ratio, whose candidate does not depend on start.
+    A start that is itself a candidate's ratio, as `_limit`'s seed is,
+    never returns (start, None): the maximum there is at least 0.
     """
     lam = start
     while True:
@@ -346,6 +368,13 @@ def _backtrack(parent: dict, node, syms) -> list:
     return out
 
 
+def _path(src: int, dst: int, sub, syms) -> list:
+    """Symbols of a breadth-first path from src to dst over the moves `sub`,
+    which reach dst from src, as when both share a strongly connected
+    component of `sub`."""
+    return _backtrack(_bfs_parents(src, sub.__getitem__), dst, syms)
+
+
 def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposition | None:
     """A pump with zero denominator increment and positive numerator increment.
 
@@ -366,10 +395,6 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
         (a.initial, 0), lambda node: [(c, (t, node[1] | (syms[c][0] != 0))) for c, t in adj[node[0]]]
     )
 
-    def path(src: int, dst: int, sub) -> list:
-        # src and dst share a strongly connected component, so dst is reached
-        return _backtrack(_bfs_parents(src, sub.__getitem__), dst, syms)
-
     for s, flag in parent:
         sub = cycles.get(s)
         if sub is None:
@@ -377,12 +402,12 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
         if flag:
             # any cycle at s will do
             c, t = sub[s][0]
-            return make_pump(a.k, _backtrack(parent, (s, flag), syms), [syms[c]] + path(t, s, sub), s)
+            return make_pump(a.k, _backtrack(parent, (s, flag), syms), [syms[c]] + _path(t, s, sub, syms), s)
         # route the cycle through a nonzero-numerator edge
         for x, moves in sub.items():
             for c, t in moves:
                 if syms[c][0] != 0:
-                    v = path(s, x, sub) + [syms[c]] + path(t, s, sub)
+                    v = _path(s, x, sub, syms) + [syms[c]] + _path(t, s, sub, syms)
                     return make_pump(a.k, _backtrack(parent, (s, flag), syms), v, s)
     return None
 
@@ -390,24 +415,59 @@ def find_unbounded_pump(a: Dfa, graph: PumpGraph | None = None) -> PumpDecomposi
 # ------------------------------------------------------------- solvers
 
 
+@cache
+def _nonzero_denominator(k: int, cap: int) -> Dfa:
+    """`canonicalize` of the nonzero second track in base k, built once per
+    base and state cap: keyed on `cap`, a build under one cap never stands
+    in for a build under a smaller one."""
+    return canonicalize(nonzero_track_dfa(RadixContext(k), 2, 1))
+
+
 def _prepare(L: Dfa, ctx: RadixContext) -> Dfa:
     """Canonical machine restricted to nonzero denominator values."""
-    return product(L, canonicalize(nonzero_track_dfa(ctx, 2, 1)))
+    return product(L, _nonzero_denominator(ctx.k, state_limit()))
+
+
+def _seed_ratio(work: Dfa, graph: PumpGraph) -> Fraction:
+    """The largest ratio among one seed pump per strongly connected
+    component of the trim part, skipping seeds with a zero denominator
+    increment, or 0 if none is left.  A component's seed has loop state s0,
+    its smallest state; u is the breadth-first path from the initial state
+    to s0, and v is s0's first move inside the component followed by the
+    breadth-first path back to s0.  u is a simple path and v a simple
+    cycle, so each seed is a pump within `max_pump_weight`'s bounds and its
+    ratio is at most the largest limit value."""
+    syms = symbols(work.k, 2)
+    parent = _bfs_parents(work.initial, graph.adj.__getitem__)
+    best = Fraction(0)
+    # the states of one component share one dict of its moves
+    for sub in {id(sub): sub for sub in graph.cycles.values()}.values():
+        s0 = min(sub)
+        c, t = sub[s0][0]
+        pump = make_pump(work.k, _backtrack(parent, s0, syms), [syms[c]] + _path(t, s0, sub, syms), s0)
+        if pump.inc2:
+            best = max(best, Fraction(pump.inc1, pump.inc2))
+    return best
 
 
 def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:
     """Largest pump ratio of a prepared infinite machine without an unbounded
     pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
-    pump that attains it read back from its DP; `graph` is `pump_graph(work)`."""
+    pump that attains it read back from its DP; `graph` is `pump_graph(work)`.
+    It starts at `_seed_ratio`, where the maximum is >= 0, and its answer is
+    the maximizer's at the limit, which does not depend on the start."""
 
     def ratio_of(pump):
         if pump.inc2 == 0:
             raise InvariantError("a weighed pump has a zero denominator increment")
         return Fraction(pump.inc1, pump.inc2)
 
-    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), ratio_of)
+    start = _seed_ratio(work, graph)
+    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), ratio_of, start)
     if got is None:
         raise InvariantError("an infinite machine has no pump to weigh")
+    if got[1] is None:
+        raise InvariantError(f"every pump weighs less than 0 at the seed ratio {start}")
     return got
 
 

@@ -19,7 +19,9 @@ for the maximum pump weight and its argmax, which `quotient.max_pump_weight`
 matches in sign at every P/Q and exactly where the maximum is 0, and
 `max_pump_weight_reference` is the whole-trim DP that search is pinned
 against; both read their pump back from their parent records, as the
-library does.
+library does.  `max_word_weight_reference` is `quotient.max_word_weight`
+with every one of its prefix DP's layers run, which the library's stop at
+the first layer that raises no state is pinned against.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
 with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
@@ -353,6 +355,27 @@ def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph):
                 if best is None or combo > best[0]:
                     best = (combo, s0, xlen, b, vpar)
     return None if best is None else _read_pump(k, upar, *best)
+
+
+def max_word_weight_reference(a: Dfa, P: int, Q: int, max_len: int, adj: dict):
+    """`quotient.max_word_weight` without the prefix DP's stop: all max_len
+    layers run, and the first strict maximum over accepting states, layer by
+    layer and in each layer's order, wins."""
+    w = _symbol_weights(a.k, P, Q)
+    cur = {a.initial: 0} if a.initial in adj else {}
+    layers: list[dict] = []
+    best = None
+    for ln in range(max_len + 1):
+        if ln:
+            layers.append({})
+            cur = _layer(cur, adj, a.k, w, layers[-1])
+        for s, val in cur.items():
+            if s in a.accept and (best is None or val > best[0]):
+                best = (val, ln, s)
+    if best is None:
+        return None
+    weight, ln, s = best
+    return weight, DigitWord(a.k, 2, tuple(_read_walk(layers, ln, s, a.k)))
 
 
 def heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:

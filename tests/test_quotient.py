@@ -51,6 +51,7 @@ from reference import (
     is_sup_infinite_reference,
     max_pump_weight_per_component,
     max_pump_weight_reference,
+    max_word_weight_reference,
     pump_decompositions,
     pump_ratio,
     sup_quo_reference,
@@ -608,12 +609,15 @@ def test_limit_probe_runs_one_cycle_dp(monkeypatch):
 
 def _potential(a: Dfa, P: int, Q: int) -> tuple[dict, list]:
     """x(s), the best weight of a walk of fewer than T symbols from a's
-    initial state to the trim state s (`_prefix_walk`), and the symbol
-    weights Q*c1 - P*c2."""
+    initial state to the trim state s, and the symbol weights Q*c1 - P*c2.
+    Runs all T - 1 layers, without `_prefix_walk`'s stop, so the checks on
+    x do not lean on the stop rule."""
     w = quotient._symbol_weights(a.k, P, Q)
     adj = quotient.pump_graph(a).adj
-    x: dict[int, int] = {}
-    for _ln, cur in quotient._prefix_walk(a, adj, w, len(adj) - 1, []):
+    cur = {a.initial: 0}
+    x = dict(cur)
+    for _ in range(len(adj) - 1):
+        cur = quotient._layer(cur, adj, a.k, w, {})
         for s, val in cur.items():
             x[s] = max(x.get(s, val), val)
     return x, w
@@ -683,17 +687,120 @@ def test_prefix_potential_certifies_each_finite_supremum():
 
 
 def test_limit_probes_land_on_argmax_ratios(monkeypatch):
-    # each pump DP moves the probe to the exact ratio of the pump it found
+    # the pump search starts at the seed ratio, and each later pump DP
+    # probes the exact ratio of the pump the one before it found
     probes = []
     real = quotient.max_pump_weight
 
     def recorded(a, P, Q, *rest):
-        probes.append((P, Q))
-        return real(a, P, Q, *rest)
+        got = real(a, P, Q, *rest)
+        probes.append((P, Q, got[1]))
+        return got
 
     monkeypatch.setattr(quotient, "max_pump_weight", recorded)
     assert largest_limit_quotient(pairs_ones_then_01(), CTX)[0] == Fraction(1, 2)
-    assert probes == [(0, 1), (1, 2)]
+    assert [(P, Q) for P, Q, _ in probes] == [(1, 2)]
+    # a seed of ratio 4/3 below the limit 8/3
+    work, ctx = comparator_bounded_suite(5200, 25)[24]
+    assert quotient._seed_ratio(work, quotient.pump_graph(work)) == Fraction(4, 3)
+    del probes[:]
+    assert largest_limit_quotient(work, ctx)[0] == Fraction(8, 3)
+    assert [(P, Q) for P, Q, _ in probes] == [(4, 3), (12, 5), (22, 9), (8, 3)]
+    for (_, _, pump), (P, Q, _) in zip(probes, probes[1:]):
+        assert Fraction(pump.inc1, pump.inc2) == Fraction(P, Q)
+
+
+def test_any_start_up_to_the_seed_reaches_the_same_limit():
+    # each seed is a pump within first-repeat bounds, so its ratio is at
+    # most the limit, and Dinkelbach's iteration from 0 and from the seed
+    # ends at the same limit with the same pump
+    ratio_of = lambda pump: Fraction(pump.inc1, pump.inc2)
+    seeded = 0
+    for idx, (work, limit) in enumerate(_finite_limit_suite()):
+        graph = quotient.pump_graph(work)
+        seed = quotient._seed_ratio(work, graph)
+        assert 0 <= seed <= limit, idx
+        oracle = lambda P, Q: max_pump_weight(work, P, Q, graph)
+        got = quotient._dinkelbach(oracle, ratio_of, seed)
+        assert got[0] == limit and got == quotient._dinkelbach(oracle, ratio_of), idx
+        assert got == quotient._limit(work, graph), idx
+        seeded += seed > 0
+    assert seeded == 87
+
+
+def test_pump_probes_of_positive_weight_run_every_prefix_layer(monkeypatch):
+    # below the limit a pump weighs more than 0, so the prefix potential is
+    # not feasible and the prefix DP runs all T - 1 layers; at or above the
+    # limit it may stop at the first layer that raises no state
+    rng = random.Random(6000)
+    real = quotient._layer
+    cases = _bounded_suite_limits() + _random_limits()
+    counts = {1: [], 0: [], -1: []}
+    for idx, (work, limit) in enumerate(cases):
+        graph = quotient.pump_graph(work)
+        layers = []
+
+        def counted(cur, adj, *rest, graph=graph):
+            layers.append(adj is graph.adj)
+            return real(cur, adj, *rest)
+
+        monkeypatch.setattr(quotient, "_layer", counted)
+        probes = [Fraction(0), Fraction(rng.randrange(20), rng.randrange(1, 8))]
+        if limit is not INF:
+            probes += [limit, limit + Fraction(1, 1000 * limit.denominator)]
+        for beta in probes:
+            del layers[:]
+            weight = max_pump_weight(work, beta.numerator, beta.denominator, graph)[0]
+            counts[_sign(weight)].append(sum(layers) < len(graph.adj) - 1)
+            assert sum(layers) <= len(graph.adj) - 1, (idx, beta)
+    # (probes, probes that stopped before layer T - 1) of each sign
+    got = {sign: (len(stops), sum(stops)) for sign, stops in counts.items()}
+    assert got == {1: (528, 0), 0: (104, 87), -1: (170, 149)}
+
+
+def test_word_weight_matches_the_full_length_reference():
+    # stopping the prefix DP at its first layer that raises no state keeps
+    # the word DP's maximum, its argmax and the word read back
+    rng = random.Random(6100)
+    suite = [work for work, _ctx in comparator_bounded_suite(5800, 50)]
+    suite += prepared_random_suite(5900, 50) + prepared_random_suite(5901, 30, k=3)
+    checked = 0
+    for idx, a in enumerate(suite):
+        adj = quotient.pump_graph(a).adj
+        for max_len in (0, len(adj) - 1, len(adj) + 3):
+            for _ in range(3):
+                P, Q = rng.randrange(0, 12), rng.randrange(1, 6)
+                want = max_word_weight_reference(a, P, Q, max_len, adj)
+                assert quotient.max_word_weight(a, P, Q, max_len, adj) == want, (idx, max_len, P, Q)
+                checked += 1
+    assert checked == 1170
+
+
+def test_negative_pump_weight_at_the_seed_is_an_invariant_error(monkeypatch):
+    # the seed is a pump, so the maximum at its ratio is >= 0; a negative one
+    # would end the search at the seed with no witness, and is refused
+    real = quotient.max_pump_weight
+    monkeypatch.setattr(quotient, "max_pump_weight", lambda *args: (-1, real(*args)[1]))
+    with pytest.raises(InvariantError, match="seed ratio 1/2"):
+        largest_limit_quotient(pairs_ones_then_01(), CTX)
+
+
+def test_prepare_builds_the_denominator_filter_once_per_base_and_cap(monkeypatch):
+    # a cap below the filter's own size still refuses it after a build
+    # under the default cap
+    calls = []
+    real = quotient.nonzero_track_dfa
+    monkeypatch.setattr(quotient, "nonzero_track_dfa", lambda ctx, *rest: calls.append(ctx.k) or real(ctx, *rest))
+    quotient._nonzero_denominator.cache_clear()
+    for machine in prepared_random_suite(5100, 20):
+        _prepare(machine, CTX)
+    for machine in prepared_random_suite(5101, 20, k=3):
+        _prepare(machine, RadixContext(3))
+    assert calls == [2, 3]
+    monkeypatch.setenv("CRITEX_MAX_STATES", "1")
+    with pytest.raises(StateLimitError):
+        _prepare(pairs_single(), CTX)
+    assert calls == [2, 3, 2]
 
 
 def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
