@@ -6,6 +6,8 @@ out of the useful part.  Symbols are d-tuples of base-k digits, indexed in
 lexicographic order, so symbol index arithmetic is mixed-radix base k.
 Dfa (accepting states) and Dfao (an output per state) share one checked
 table core, `_Table`, which raises every error in the base or the table.
+Moore rounds, product steps and reversal packing read whole rows at a time:
+itemgetter signatures, int pair keys, and rows packed straight from a table.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
+from operator import add, itemgetter
 
 from .numeral import DigitWord, _check_base, digits_of
 from .rational import INF, Value
@@ -239,16 +242,19 @@ def explore(start, step):
 
 def product(a: Dfa, b: Dfa, mode: str = "and") -> Dfa:
     """Canonical minimal machine of the intersection ("and") or union ("or")
-    of two languages, built over the reachable state pairs."""
+    of two languages over the reachable state pairs, (i, j) keyed i*nb + j:
+    its successors add a's row i, scaled by nb once, and b's row j."""
     if mode not in ("and", "or"):
         raise AutomatonError(f"unknown product mode {mode!r}")
     _require_compatible(a, b)
-    ta, tb, fa, fb = a.trans, b.trans, a.accept, b.accept
+    nb, tb, fa, fb = b.num_states, b.trans, a.accept, b.accept
+    ta = [list(map(nb.__mul__, row)) for row in a.trans]
     if mode == "and":
-        accepting = lambda p: p[0] in fa and p[1] in fb
+        accepting = lambda p: p // nb in fa and p % nb in fb
     else:
-        accepting = lambda p: p[0] in fa or p[1] in fb
-    return minimal(a.k, a.tracks, (a.initial, b.initial), lambda p: list(zip(ta[p[0]], tb[p[1]])), accepting)
+        accepting = lambda p: p // nb in fa or p % nb in fb
+    step = lambda p: list(map(add, ta[p // nb], tb[p % nb]))
+    return minimal(a.k, a.tracks, a.initial * nb + b.initial, step, accepting)
 
 
 def complement(a: Dfa) -> Dfa:
@@ -261,23 +267,32 @@ def _mask(states) -> int:
     return sum(1 << s for s in states)
 
 
-def _subsets(masks: list[list[int]], start: int, s_count: int):
-    """Subset construction from the subset `start`; masks[s][c] is the
-    bitmask of the c-successors of state s, one of n = len(masks) states.
-    Returns explore's (rows, subsets); the empty subset is the dead sink.
+def _reversed_rows(trans, col) -> list[int]:
+    """The reversal of a table as `_subsets` steps it: each move s -c-> t of
+    the n = len(trans) states sets bit col[c]*n + s of t's packed row."""
+    n = len(trans)
+    shifts = [j * n for j in col]
+    packed = [0] * n
+    for s, row in enumerate(trans):
+        for t, sh in zip(row, shifts):
+            packed[t] |= 1 << (sh + s)
+    return packed
 
-    Each state's s_count masks are packed side by side into one int, column
-    c at bit offset c*n, so the successors of a subset on every symbol are
-    one OR of its members' packed rows, cut into columns by
-    (big >> c*n) & full.  The ORs are memoized per 8-state chunk: chunk j
-    maps each byte value seen at bits 8j..8j+7 of a subset to the OR of the
-    packed rows of those members, so it holds at most 255 entries of
-    n*s_count bits, and a step ORs at most ceil(n/8) of them.
+
+def _subsets(packed: list[int], start: int, s_count: int):
+    """Subset construction from the subset `start`; packed[s] holds, at bit
+    offset c*n, the mask of the c-successors of state s, one of n =
+    len(packed) states.  Returns explore's (rows, subsets); the empty subset
+    is the dead sink.  A subset's successors on every symbol are one OR of
+    its members' packed rows, cut into columns by (big >> c*n) & full.  The
+    ORs are memoized per 8-state chunk: chunk j maps each byte value seen at
+    bits 8j..8j+7 of a subset to the OR of the packed rows of those members,
+    so it holds at most 255 entries of n*s_count bits, and a step ORs at
+    most ceil(n/8) of them.
     """
-    n = len(masks)
+    n = len(packed)
     full = (1 << n) - 1
     shifts = [c * n for c in range(s_count)]
-    packed = [sum(m << sh for m, sh in zip(row, shifts)) for row in masks]
     memos: list[dict[int, int]] = [{} for _ in range(0, n, 8)]
     width = len(memos)
 
@@ -301,39 +316,31 @@ def _subsets(masks: list[list[int]], start: int, s_count: int):
     return explore(start, step)
 
 
-def _reverse_subsets(n: int, s_count: int, arcs, accept, initials):
-    """Subset construction of the reversed machine: arcs lists the moves
-    (s, c, t) of an n-state machine, the reversal starts from its accepting
-    states and accepts the subsets that meet its initial states.
+def _reverse_subsets(packed: list[int], s_count: int, accept, initials):
+    """Subset construction of a machine's reversal, given by its packed rows,
+    from its accepting states; the subsets that meet its initial states accept.
 
     When the machine is deterministic and every state is reachable, the
     result is the minimal machine of the reversed language, and explore's
     breadth-first numbering makes it the canonical one (Brzozowski).
     """
-    rm = [[0] * s_count for _ in range(n)]
-    for s, c, t in arcs:
-        rm[t][c] |= 1 << s
-    rows, subsets = _subsets(rm, _mask(accept), s_count)
+    rows, subsets = _subsets(packed, _mask(accept), s_count)
     initial_mask = _mask(initials)
     return rows, [i for i, m in enumerate(subsets) if m & initial_mask]
 
 
-def _dfa_arcs(rows):
-    return ((s, c, t) for s, row in enumerate(rows) for c, t in enumerate(row))
-
-
-def _double_reversal(k: int, tracks: int, n: int, arcs, accept, initials) -> Dfa:
-    """Minimal canonical machine of the language of an n-state
-    nondeterministic machine over (Sigma_k)^tracks, given by its moves
-    (s, c, t), its accepting states and its initial states.
+def _double_reversal(k: int, tracks: int, packed: list[int], accept, initials) -> Dfa:
+    """Minimal canonical machine of the language of a nondeterministic
+    machine over (Sigma_k)^tracks, given by its packed reversed rows, its
+    accepting states and its initial states.
 
     Brzozowski's det(rev(det(rev(N)))): the first pass determinizes the
-    reversal; the second reverses that accessible machine back, which yields
-    the minimal machine in minimize's numbering.
+    reversal; the second reverses that accessible machine back, packed from
+    its table, which yields the minimal machine in minimize's numbering.
     """
     s_count = k**tracks
-    rows, acc = _reverse_subsets(n, s_count, arcs, accept, initials)
-    rows, acc = _reverse_subsets(len(rows), s_count, _dfa_arcs(rows), acc, (0,))
+    rows, acc = _reverse_subsets(packed, s_count, accept, initials)
+    rows, acc = _reverse_subsets(_reversed_rows(rows, range(s_count)), s_count, acc, (0,))
     return Dfa(k, tracks, rows, acc, 0)
 
 
@@ -355,19 +362,21 @@ def erase(a: Dfa, track: int) -> Dfa:
     reduced = [sym_index(sym[:track] + sym[track + 1 :], k) for sym in symbols(k, a.tracks)]
     zeros = [c for c, r in enumerate(reduced) if r == 0]
     start = explore(a.initial, lambda s: [a.trans[s][c] for c in zeros])[1]
-    arcs = ((s, c, t) for s, row in enumerate(a.trans) for c, t in zip(reduced, row))
-    return _double_reversal(k, a.tracks - 1, a.num_states, arcs, a.accept, start)
+    return _double_reversal(k, a.tracks - 1, _reversed_rows(a.trans, reduced), a.accept, start)
 
 
 def _refine(trans, cls: list[int]) -> list[int]:
     """Coarsest partition refining cls that the transitions respect (Moore).
 
-    Class ids are numbered by first occurrence in state order.
+    Class ids are numbered by first occurrence in state order.  Each row is
+    one itemgetter, built once, so a round reads the successor classes in C
+    (a one-symbol row's getter returns a class, not a 1-tuple).
     """
+    gets = [itemgetter(*row) for row in trans]
     n_cls = len(set(cls))
     while True:
         sig2id: dict[tuple, int] = {}
-        cls = [sig2id.setdefault((c, *map(cls.__getitem__, row)), len(sig2id)) for c, row in zip(cls, trans)]
+        cls = [sig2id.setdefault((c, g(cls)), len(sig2id)) for c, g in zip(cls, gets)]
         if len(sig2id) == n_cls:
             return cls
         n_cls = len(sig2id)
@@ -435,13 +444,11 @@ def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]
     on_stack = set()
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = [0]
     for root in nodes:
         if root in index:
             continue
         work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -449,8 +456,7 @@ def _tarjan_sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]
             advanced = False
             for t in it:
                 if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
+                    index[t] = low[t] = len(index)
                     stack.append(t)
                     on_stack.add(t)
                     work.append((t, iter(succ[t])))
@@ -522,7 +528,6 @@ def enumerate_accepted(a: Dfa, max_len: int):
     if dist[a.initial] == float("inf"):
         return
     syms = symbols(a.k, a.tracks)
-    s_count = len(syms)
     trans = a.trans
     accept = a.accept
 
@@ -531,9 +536,7 @@ def enumerate_accepted(a: Dfa, max_len: int):
             if state in accept:
                 yield DigitWord(a.k, a.tracks, tuple(prefix))
             return
-        row = trans[state]
-        for c in range(s_count):
-            t = row[c]
+        for c, t in enumerate(trans[state]):
             if dist[t] <= remaining - 1:
                 prefix.append(syms[c])
                 yield from rec(t, remaining - 1, prefix)
@@ -555,8 +558,5 @@ def lift_tracks(a: Dfa, positions: list[int], new_tracks: int) -> Dfa:
     k = a.k
     wide = symbols(k, new_tracks)
     mapping = [sym_index(tuple(sym[p] for p in positions), k) for sym in wide]
-    rows = []
-    for s in range(a.num_states):
-        row_in = a.trans[s]
-        rows.append([row_in[m] for m in mapping])
+    rows = [[row[m] for m in mapping] for row in a.trans]
     return Dfa(k, new_tracks, rows, a.accept, a.initial)

@@ -12,6 +12,12 @@ core and the packed `_subsets` step are checked against, field for field;
 `reverse`, `language_equal`, `permute_tracks` and `shortest_accepted` are
 small constructions only the tests use; `product_reference` is the
 reachable product before minimization, which `product` is pinned against;
+`refine_reference` is Moore refinement with tuple signatures, which
+`automaton._refine` matches class for class; `pack_arcs` packs a
+reversal's rows from its moves (s, c, t), as `dfa_arcs` lists them for a
+table, through the per-symbol masks `pack_masks` packs: `reverse`,
+`determinize_minimal` and `zero_closure` run the library's double-reversal
+core on it, and the table packer `automaton._reversed_rows` is pinned to it;
 and `pump_ratio` recomputes from its two words the ratio
 `PumpDecomposition.ratio()` reads off a pump's stored increments.
 `max_pump_weight_per_component` searches the cycle DP of every loop state
@@ -68,7 +74,6 @@ from critex.automaton import (
     Dfao,
     InvariantError,
     PumpDecomposition,
-    _dfa_arcs,
     _double_reversal,
     _mask,
     _require_compatible,
@@ -506,10 +511,46 @@ def determinize(nfa: Nfa) -> Dfa:
 
 def determinize_minimal(nfa: Nfa) -> Dfa:
     """Minimal canonical machine of an NFA's language: the library's
-    double-reversal core run on the NFA's moves.  Equals
-    minimize(determinize(nfa)) field for field."""
+    double-reversal core run on the NFA's moves, packed by `pack_arcs`.
+    Equals minimize(determinize(nfa)) field for field."""
     arcs = ((s, c, t) for s, row in enumerate(nfa.trans) for c, tgt in enumerate(row) for t in tgt)
-    return _double_reversal(nfa.k, nfa.tracks, nfa.num_states, arcs, nfa.accept, nfa.initials)
+    packed = pack_arcs(nfa.num_states, nfa.alphabet_size, arcs)
+    return _double_reversal(nfa.k, nfa.tracks, packed, nfa.accept, nfa.initials)
+
+
+def pack_masks(masks: list[list[int]]) -> list[int]:
+    """The rows automaton._subsets steps over: masks[s][c], a mask over
+    the n = len(masks) states, lands at bit offset c*n of state s's int."""
+    n = len(masks)
+    return [sum(m << c * n for c, m in enumerate(row)) for row in masks]
+
+
+def pack_arcs(n: int, s_count: int, arcs) -> list[int]:
+    """The reversed rows of an n-state machine given by its moves (s, c, t),
+    packed the way the library packed them before it read a table: the
+    reversed masks rm[t][c] first, then one int per state."""
+    rm = [[0] * s_count for _ in range(n)]
+    for s, c, t in arcs:
+        rm[t][c] |= 1 << s
+    return pack_masks(rm)
+
+
+def dfa_arcs(rows):
+    """The moves (s, c, t) of a transition table."""
+    return ((s, c, t) for s, row in enumerate(rows) for c, t in enumerate(row))
+
+
+def refine_reference(trans, cls: list[int]) -> list[int]:
+    """automaton._refine with tuple signatures: each Moore round maps every
+    state to (its class, *the classes of its successors), numbered by first
+    occurrence in state order, until a round splits no class."""
+    n_cls = len(set(cls))
+    while True:
+        sig2id: dict[tuple, int] = {}
+        cls = [sig2id.setdefault((c, *map(cls.__getitem__, row)), len(sig2id)) for c, row in zip(cls, trans)]
+        if len(sig2id) == n_cls:
+            return cls
+        n_cls = len(sig2id)
 
 
 def atom_conjoin_all(self, core: tuple, parts: list) -> tuple[Dfa, tuple[str, ...]]:
@@ -599,7 +640,8 @@ def reverse(a: Dfa) -> Dfa:
     a accepts w read backwards."""
     rows, reach = explore(a.initial, a.trans.__getitem__)
     acc = [i for i, s in enumerate(reach) if s in a.accept]
-    rows, acc = _reverse_subsets(len(rows), a.alphabet_size, _dfa_arcs(rows), acc, (0,))
+    packed = pack_arcs(len(rows), a.alphabet_size, dfa_arcs(rows))
+    rows, acc = _reverse_subsets(packed, a.alphabet_size, acc, (0,))
     return Dfa(a.k, a.tracks, rows, acc, 0)
 
 
@@ -728,7 +770,8 @@ def zero_closure(a: Dfa) -> Dfa:
     n = a.num_states
     pad = [(n, 0, n)] + [(n, c, t) for c, t in enumerate(a.trans[a.initial])]
     acc = a.accept | {n} if a.initial in a.accept else a.accept
-    return _double_reversal(a.k, a.tracks, n + 1, chain(_dfa_arcs(a.trans), pad), acc, (n,))
+    packed = pack_arcs(n + 1, a.alphabet_size, chain(dfa_arcs(a.trans), pad))
+    return _double_reversal(a.k, a.tracks, packed, acc, (n,))
 
 
 def check_pair_closure(L: Dfa, ctx: RadixContext) -> dict:

@@ -10,6 +10,9 @@ from critex.automaton import (
     Dfao,
     IncompatibleError,
     StateLimitError,
+    _refine,
+    _reverse_subsets,
+    _reversed_rows,
     _subsets,
     canonicalize,
     complement,
@@ -42,12 +45,16 @@ from reference import (
     accepted_from,
     determinize,
     determinize_minimal,
+    dfa_arcs,
     is_infinite_reference,
     language_equal,
+    pack_arcs,
+    pack_masks,
     permute_tracks,
     product_reference,
     project,
     pump_decompositions,
+    refine_reference,
     reverse,
     shortest_accepted,
     subsets_reference,
@@ -140,16 +147,20 @@ def test_product_or_against_membership():
 
 
 def test_product_is_the_minimal_reachable_product_random():
+    # a one-state operand on either side: on the right, nb == 1 makes every
+    # pair key p // 1 == p; on the left, every key is 0 * nb + j
     rng = random.Random(20)
     for _ in range(300):
         k = rng.randint(2, 3)
         tracks = rng.randint(1, 3)
         a = random_dfa(rng, k=k, tracks=tracks, max_states=5)
         b = random_dfa(rng, k=k, tracks=tracks, max_states=5)
+        ones = (all_words_dfa(k, tracks), empty_dfa(k, tracks))
         for mode in ("and", "or"):
-            got = product(a, b, mode)
-            assert got == minimize(product_reference(a, b, mode)), (a.trans, b.trans, mode)
-            assert minimize(got) == got
+            for left, right in ((a, b), *((one, a) for one in ones), *((a, one) for one in ones)):
+                got = product(left, right, mode)
+                assert got == minimize(product_reference(left, right, mode)), (left.trans, right.trans, mode)
+                assert minimize(got) == got
 
 
 def test_product_rejects_mismatched_alphabets():
@@ -327,7 +338,101 @@ def test_packed_subsets_match_member_by_symbol_step():
                     for _ in range(n)
                 ]
                 for start in (rng.getrandbits(n), 0):
-                    assert _subsets(masks, start, s_count) == subsets_reference(masks, start, s_count)
+                    assert _subsets(pack_masks(masks), start, s_count) == subsets_reference(masks, start, s_count)
+
+
+def _packed_both_ways(trans, col, s_count):
+    """The reversed rows of a table, from the table and from its moves."""
+    arcs = ((s, col[c], t) for s, c, t in dfa_arcs(trans))
+    return _reversed_rows(trans, col), pack_arcs(len(trans), s_count, arcs)
+
+
+def _assert_table_and_arc_packers_agree(a: Dfa, col, s_count, start):
+    # both passes of a double reversal: the table under col, then the
+    # first pass's accessible table under the identity
+    table, arcs = _packed_both_ways(a.trans, col, s_count)
+    assert table == arcs
+    first = _reverse_subsets(table, s_count, a.accept, start)
+    assert first == _reverse_subsets(arcs, s_count, a.accept, start)
+    rows, acc = first
+    table, arcs = _packed_both_ways(rows, range(s_count), s_count)
+    assert table == arcs
+    assert _reverse_subsets(table, s_count, acc, (0,)) == _reverse_subsets(arcs, s_count, acc, (0,))
+
+
+def test_table_packer_matches_arc_packer_random():
+    # a random column map folds symbols together as an erase does; 0-track
+    # machines have one symbol and one column
+    rng = random.Random(23)
+    for _ in range(300):
+        a = random_dfa(rng, k=rng.randint(2, 3), tracks=rng.randint(0, 2), max_states=6)
+        s_count = rng.randint(1, a.alphabet_size)
+        for col in (range(a.alphabet_size), [rng.randrange(s_count) for _ in range(a.alphabet_size)]):
+            width = max(col) + 1
+            _assert_table_and_arc_packers_agree(a, col, width, [a.initial])
+
+
+def test_table_packer_matches_arc_packer_on_erase_tables(tm, monkeypatch):
+    # every machine erase packs while the six measures of tm are computed,
+    # under the column map and start set erase gives it
+    from critex import logic
+    from critex.automaton import explore, sym_index, symbols
+    from critex.exponents import MEASURES, compute_measure
+
+    erased = []
+
+    def recorded(a, track):
+        erased.append((a, track))
+        return erase(a, track)
+
+    monkeypatch.setattr(logic, "erase", recorded)
+    for which in MEASURES:
+        compute_measure(tm, which)
+    assert len(erased) >= 18
+    for a, track in erased:
+        reduced = [sym_index(sym[:track] + sym[track + 1 :], a.k) for sym in symbols(a.k, a.tracks)]
+        zeros = [c for c, r in enumerate(reduced) if r == 0]
+        start = explore(a.initial, lambda s: [a.trans[s][c] for c in zeros])[1]
+        _assert_table_and_arc_packers_agree(a, reduced, a.k ** (a.tracks - 1), start)
+
+
+def test_refine_matches_tuple_signature_reference_random():
+    # one-symbol rows, the tables of 0-track machines, make each row's
+    # itemgetter return one class instead of a tuple
+    rng = random.Random(24)
+    one_symbol = 0
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        width = rng.choice((1, 1, 2, 3, 4, 9))
+        one_symbol += width == 1
+        trans = [[rng.randrange(n) for _ in range(width)] for _ in range(n)]
+        cls = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+        assert _refine(trans, cls) == refine_reference(trans, cls), (trans, cls)
+        flags = [rng.random() < 0.5 for _ in range(n)]
+        assert _refine(trans, flags) == refine_reference(trans, flags), (trans, flags)
+        if width == 1:
+            zero_track = Dfa(2, 0, trans, [s for s in range(n) if flags[s]], 0)
+            assert minimize(zero_track) == brzozowski_minimize(zero_track)
+    assert one_symbol > 100
+
+
+def test_refine_matches_tuple_signature_reference_on_measure_tables(tm, monkeypatch):
+    # every table _refine gets while the six measures of tm are computed
+    from critex import automaton
+    from critex.exponents import MEASURES, compute_measure
+
+    calls = []
+
+    def recorded(trans, cls):
+        calls.append((trans, cls))
+        return _refine(trans, cls)
+
+    monkeypatch.setattr(automaton, "_refine", recorded)
+    for which in MEASURES:
+        compute_measure(tm, which)
+    assert len(calls) >= 41
+    for trans, cls in calls:
+        assert _refine(trans, cls) == refine_reference(trans, cls)
 
 
 def _random_dfa_any_initial(rng: random.Random) -> Dfa:
