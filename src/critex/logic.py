@@ -45,7 +45,8 @@ ASCII grammar (parse):
     term    := var | const | term '+' term
 
 Precedence: ~ > & > | > ->, & and | left-associative, -> right-associative,
-all defined in one place, `_INFIX`; quantifiers extend to the right maximally.
+all in `_INFIX`; `+` is left-associative, in `_TERM_INFIX`; quantifiers
+extend to the right maximally.
 """
 
 from __future__ import annotations
@@ -228,6 +229,7 @@ def implies(f: Formula, g: Formula) -> Formula:
 
 # operator: (precedence, precedence of its right operand, node builder)
 _INFIX = {"->": (0, 0, implies), "|": (1, 2, Or), "&": (2, 3, And)}
+_TERM_INFIX = {"+": (0, 1, Add)}
 
 
 class _Parser:
@@ -256,16 +258,20 @@ class _Parser:
         validate_scopes(f)
         return f
 
-    def formula(self, level: int = 0) -> Formula:
-        """The formula starting here whose infix operators have precedence at
-        least `level`, by precedence climbing over `_INFIX`."""
-        left = self.unary()
+    def climb(self, operand, table: dict, level: int = 0):
+        """The expression starting here: operands read by `operand`, joined
+        by the infix operators of `table` of precedence at least `level`, by
+        precedence climbing."""
+        left = operand()
         while True:
-            op = _INFIX.get(self.peek()[1])
+            op = table.get(self.peek()[1])
             if op is None or op[0] < level:
                 return left
             self.next()
-            left = op[2](left, self.formula(op[1]))
+            left = op[2](left, self.climb(operand, table, op[1]))
+
+    def formula(self) -> Formula:
+        return self.climb(self.unary, _INFIX)
 
     def unary(self) -> Formula:
         kind, val, pos = self.peek()
@@ -330,14 +336,7 @@ class _Parser:
         return Cmp(ops[val], left, right)
 
     def term(self) -> Term:
-        left = self.term_atom()
-        while True:
-            kind, val, _ = self.peek()
-            if val == "+":
-                self.next()
-                left = Add(left, self.term_atom())
-            else:
-                return left
+        return self.climb(self.term_atom, _TERM_INFIX)
 
     def term_atom(self) -> Term:
         kind, val, pos = self.next()

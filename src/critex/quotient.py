@@ -1,42 +1,44 @@
 """Quotient analysis of regular pair languages: suprema and largest limit
 values, all as exact rationals or infinite.
 
-The supremum solver rests on three exact primitives:
+One solve (`_solve`) finds both values of a language:
 
 * an unbounded-pump test: the quotient supremum is infinite exactly when
   some reachable, co-accessible loop pumps the numerator while leaving the
-  denominator fixed (its denominator-track increment is zero),
-* a pump-weight maximizer: for a fraction P/Q, a pump whose weight
-  Q*inc1 - P*inc2 has the sign of the maximum over all pumps within
-  first-repeat bounds, and the pump that attains it when the maximum is 0;
-  when the prefix DP's best weights are not a feasible potential, the
-  first move that breaks it gives a pump of positive weight with no cycle
-  DP, and when they are one and their tight moves close a cycle, the
-  maximum is 0 and one cycle DP finds its pump,
-* a word-weight maximizer: the maximum of Q*p - P*q over accepted words of
-  bounded length, with the word that attains it.
+  denominator fixed (its denominator-track increment is zero);
+* otherwise one Dinkelbach loop (`_search`).  A probe at P/Q runs the
+  prefix DP once (`potential`): the best weight Q*p - P*q of a walk to
+  each trim state, the DP's parent records and its first heaviest
+  accepting walk.  Two readers share it:
+  - `max_pump_weight`, a pump whose weight Q*inc1 - P*inc2 has the sign of
+    the maximum over all pumps within first-repeat bounds, and the pump
+    that attains it when the maximum is 0: when the best weights are not a
+    feasible potential, the first move that breaks it gives a pump of
+    positive weight with no cycle DP, and when they are one and their tight
+    moves close a cycle, the maximum is 0 and one cycle DP finds its pump;
+  - `max_word_weight`, the maximum of Q*p - P*q over accepted words shorter
+    than the trim size, with the word that attains it.
 
-Each maximizer returns a word or pump of the weight it reports, read back
-from its own DP parent records: one that attains the maximum when the
-maximum is 0, and one that weighs more than 0 when it is positive.  So
-Dinkelbach's iteration on it rises through genuine ratios to the exact
-largest ratio and its witness without enumerating words or pumps; `_limit`
-starts the pump search at the largest ratio of one seed pump per strongly
-connected component, and `sup_quo` starts the word search at the largest
-limit value.  Both maximizers share one prefix DP (`_prefix_walk`), which
-stops at its first layer that raises no state's best weight.  The
-enumeration-based references, the re-run witness rebuild and the threshold
-comparator machines that cross-validate them live with the tests.  The
-trim moves and their strongly connected components (`_trim_adjacency`,
-`_cycle_adjacency`) come from `automaton`, whose `is_infinite` reads the
-same components.
+Each reader returns a word or pump of the weight it reports, read back
+from the DP parent records: one that attains the maximum when the maximum
+is 0, and one that weighs more than 0 when it is positive.  So the loop
+rises through genuine ratios to the exact largest ratio and its witness
+without enumerating words or pumps: through pump ratios from the ratio of
+one seed pump per strongly connected component to the largest limit
+value, whose probe's potential then weighs the short words, and through
+word ratios from there to the supremum.  The enumeration-based
+references, the re-run witness rebuild, the short-word search to any
+length and the threshold comparator machines that cross-validate them
+live with the tests.  The trim moves and their strongly connected
+components (`_trim_adjacency`, `_cycle_adjacency`) come from `automaton`,
+whose `is_infinite` reads the same components.
 
-Both solvers share one memo of `_solve` (`_prepare`, `pump_graph`, the
-unbounded-pump test, `_limit`), keyed on the language, base and state cap
-and emptied at 4096 entries; `_prepare` is canonical and the solve
-deterministic, so a hit equals a fresh solve.  The trim part is computed
-once per solve: every later step (emptiness, finiteness, both maximizers,
-the unbounded-pump test) reads that one `PumpGraph`.
+The memo of `_solve` holds both answers, keyed on the language, base and
+state cap and emptied at 4096 entries, so whichever solver runs second
+reads it; `_prepare` is canonical and the solve deterministic, so a hit
+equals a fresh solve.  The trim part is computed once per solve: every
+later step (emptiness, finiteness, both readers, the unbounded-pump test)
+reads that one `PumpGraph`.
 """
 
 from __future__ import annotations
@@ -123,34 +125,6 @@ def _read_walk(layers: list[dict], steps: int, end: int, k: int) -> list:
     return out
 
 
-def _prefix_walk(a: Dfa, adj, w: list[int], steps: int, layers: list, best: dict):
-    """The max-plus DP from a's initial state over the moves `adj`: yields
-    (length, best weight of each state a walk of that length reaches) for
-    lengths 0 to steps, appends each layer's `_layer` parent records to
-    `layers`, and keeps in `best` each state's X(s), the heaviest of those
-    weights, with the first length that reaches it.
-
-    Stops at the first layer that reaches no new state and raises no X(s),
-    which an empty layer also does: the moves out of s were relaxed in the
-    layer after X(s) was set, so X(t) >= k*X(s) + w(c) then holds on every
-    move s -c-> t, and no later layer raises anything.  So `best` and every
-    parent record a caller reads back are those of all `steps` layers.
-    """
-    cur = {a.initial: 0} if a.initial in adj else {}
-    for ln in range(steps + 1):
-        if ln:
-            layers.append({})
-            cur = _layer(cur, adj, a.k, w, layers[-1])
-        raised = False
-        for s, val in cur.items():
-            if s not in best or val > best[s][0]:
-                best[s] = (val, ln)
-                raised = True
-        if not raised:
-            return
-        yield ln, cur
-
-
 class PumpGraph(NamedTuple):
     """The trim part of a machine as the pump DPs read it: the moves of each
     trim state inside it and `_cycle_adjacency` of those moves.  Only P/Q
@@ -163,6 +137,56 @@ class PumpGraph(NamedTuple):
 def pump_graph(a: Dfa) -> PumpGraph:
     adj = _trim_adjacency(a, trim_states(a))
     return PumpGraph(adj, _cycle_adjacency(adj))
+
+
+class Potential(NamedTuple):
+    """One prefix DP at P/Q, as `potential` leaves it: the symbol weights
+    w(c) = Q*c1 - P*c2; x[s] = (X(s), the first length reaching it), X(s)
+    the best weight of a walk to s; each layer's `_layer` parent records;
+    and (weight, length, end state) of the first heaviest accepting walk,
+    or None if the DP reaches no accepting state."""
+
+    P: int
+    Q: int
+    w: list[int]
+    x: dict[int, tuple[int, int]]
+    layers: list[dict]
+    top: tuple[int, int, int] | None
+
+
+def potential(a: Dfa, adj, P: int, Q: int) -> Potential:
+    """The max-plus DP from a's initial state over the moves `adj`, the
+    trim part's, for the walks of fewer than T = len(adj) symbols: the
+    prefix potential both `max_pump_weight` and `max_word_weight` read.
+
+    Stops at the first layer that reaches no new state and raises no X(s),
+    which an empty layer also does: the moves out of s were relaxed in the
+    layer after X(s) was set, so X(t) >= k*X(s) + w(c) then holds on every
+    move s -c-> t, and no later layer raises anything.  So X and every
+    parent record a reader reads back are those of all T - 1 layers.  Ties
+    keep the first: a walk heavier than `top` ends at an accepting state
+    whose X it raises, so `top` is the heaviest, then shortest, then first
+    in layer order.
+    """
+    w = _symbol_weights(a.k, P, Q)
+    x: dict[int, tuple[int, int]] = {}
+    layers: list[dict] = []
+    top = None
+    cur = {a.initial: 0} if a.initial in adj else {}
+    for ln in range(len(adj)):
+        if ln:
+            layers.append({})
+            cur = _layer(cur, adj, a.k, w, layers[-1])
+        raised = False
+        for s, val in cur.items():
+            if s not in x or val > x[s][0]:
+                x[s] = (val, ln)
+                raised = True
+                if s in a.accept and (top is None or val > top[0]):
+                    top = (val, ln, s)
+        if not raised:
+            break
+    return Potential(P, Q, w, x, layers, top)
 
 
 def _tight_moves(adj, k: int, w: list[int], xstar: dict) -> dict | tuple[int, int]:
@@ -200,12 +224,13 @@ def _first_repeat_pump(a: Dfa, P: int, Q: int, walk: list) -> tuple[int, PumpDec
     raise InvariantError(f"the walk over a violated move repeats no state at {P}/{Q}")
 
 
-def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, PumpDecomposition] | None:
+def max_pump_weight(a: Dfa, graph: PumpGraph, pot: Potential) -> tuple[int, PumpDecomposition] | None:
     """A pump whose weight Q*inc1 - P*inc2 has the sign of the maximum over
     pumps, with that weight, or None if no pump exists; when the maximum is
     0, the pump attaining it of smallest loop state, then of shortest v.
-    `graph` is `pump_graph(a)`; u and v are read back (`_read_walk`) from
-    the parent records of the prefix DP and of at most one cycle DP.
+    `graph` is `pump_graph(a)` and `pot` is `potential(a, graph.adj, P, Q)`;
+    u and v are read back (`_read_walk`) from the parent records of `pot`
+    and of at most one cycle DP.
 
     Pumps range over walks u (|u| < T) from the initial state to a trim
     state s plus closed walks v (1 <= |v| <= |SCC(s)|) at s, T the trim
@@ -214,11 +239,12 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
     pump (a simple path u and a simple cycle v) is inside these bounds, so
     the sign of the maximum compares the largest limit quotient with P/Q.
 
-    With x(s) the heaviest D(u) over walks u of fewer than T symbols to s,
-    one pass over the trim moves tests whether x is a feasible potential:
-    x(t) >= k*x(s) + w(c) on every move s -c-> t, w(c) = Q*c1 - P*c2.  The
-    prefix DP stops early only once x is one (`_prefix_walk`), so a probe
-    at which a pump weighs more than 0 runs all T - 1 layers.
+    With x(s) = X(s), the heaviest D(u) over walks u of fewer than T
+    symbols to s, one pass over the trim moves tests whether x is a
+    feasible potential: x(t) >= k*x(s) + w(c) on every move s -c-> t,
+    w(c) = Q*c1 - P*c2.  The prefix DP stops early only once x is one
+    (`potential`), so a probe at which a pump weighs more than 0 runs all
+    T - 1 layers.
 
     * If a move s -c-> t breaks it, every walk to s of weight x(s) has T - 1
       symbols (a shorter one followed by c would count in x(t)), so that
@@ -236,19 +262,14 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
     """
     if not graph.cycles:
         return None
-    k = a.k
-    w = _symbol_weights(k, P, Q)
-    xstar: dict[int, tuple[int, int]] = {}
-    upar: list[dict] = []
-    for _ in _prefix_walk(a, graph.adj, w, len(graph.adj) - 1, upar, xstar):
-        pass
-    tight = _tight_moves(graph.adj, k, w, xstar)
+    k, w, x = a.k, pot.w, pot.x
+    tight = _tight_moves(graph.adj, k, w, x)
     if isinstance(tight, tuple):
         s, c = tight
-        return _first_repeat_pump(a, P, Q, _read_walk(upar, xstar[s][1], s, k) + [symbols(k, 2)[c]])
+        return _first_repeat_pump(a, pot.P, pot.Q, _read_walk(pot.layers, x[s][1], s, k) + [symbols(k, 2)[c]])
     s0 = min(_cycle_adjacency(tight) or graph.cycles)
     sub = graph.cycles[s0]
-    x0, xlen = xstar[s0]
+    x0, xlen = x[s0]
     curz = {s0: 0}
     vpar: list[dict] = [{} for _ in sub]
     best = None
@@ -261,84 +282,18 @@ def max_pump_weight(a: Dfa, P: int, Q: int, graph: PumpGraph) -> tuple[int, Pump
                 if combo == 0:
                     break
     weight, b = best
-    return weight, make_pump(k, _read_walk(upar, xlen, s0, k), _read_walk(vpar, b, s0, k), s0)
+    return weight, make_pump(k, _read_walk(pot.layers, xlen, s0, k), _read_walk(vpar, b, s0, k), s0)
 
 
-def max_word_weight(a: Dfa, P: int, Q: int, max_len: int, adj: dict) -> tuple[int, DigitWord] | None:
-    """Maximum of Q*p - P*q over accepted words of length <= max_len with the
-    first word found to attain it, shortest first; or None if no such word
-    is accepted.  `adj` is `_trim_adjacency` of a's trim part; the word is
-    read back (`_read_walk`) from the DP's parent records.  The DP stops at
-    its first layer that raises no state's best weight (`_prefix_walk`):
-    no longer word weighs more at any state, so the maximum and the word
-    are those of all max_len layers."""
-    w = _symbol_weights(a.k, P, Q)
-    layers: list[dict] = []
-    best = None
-    for ln, cur in _prefix_walk(a, adj, w, max_len, layers, {}):
-        for s, val in cur.items():
-            if s in a.accept and (best is None or val > best[0]):
-                best = (val, ln, s)
-    if best is None:
+def max_word_weight(a: Dfa, pot: Potential) -> tuple[int, DigitWord] | None:
+    """Maximum of Q*p - P*q over accepted words shorter than the trim size,
+    with the first shortest word that attains it, read back (`_read_walk`)
+    from the parent records of `pot`, `potential(a, adj, P, Q)` over the
+    trim moves; or None if no such word is accepted."""
+    if pot.top is None:
         return None
-    weight, ln, s = best
-    return weight, DigitWord(a.k, 2, tuple(_read_walk(layers, ln, s, a.k)))
-
-
-def _dinkelbach(oracle, ratio_of, start: Fraction = Fraction(0)):
-    """Largest ratio over a finite candidate set with a candidate attaining
-    it, None if the set is empty, or (start, None) if start > 0 and every
-    candidate's ratio lies below start.
-
-    oracle(P, Q) gives a weight with the sign of the maximum of
-    Q*num - P*den over the candidates and a candidate of that weight, or
-    None: when the maximum is 0, a candidate attaining it; when it is
-    positive, any candidate of positive weight.  ratio_of(candidate) gives
-    that candidate's exact ratio.  Dinkelbach's Newton step: from start,
-    move to the ratio of the returned candidate until the maximum is 0.
-    Each step lands on a candidate's ratio and rises strictly, so the loop
-    ends, at the largest ratio, whose candidate does not depend on start.
-    A start that is itself a candidate's ratio, as `_limit`'s seed is,
-    never returns (start, None): the maximum there is at least 0.
-    """
-    lam = start
-    while True:
-        got = oracle(lam.numerator, lam.denominator)
-        if got is None:
-            if lam != start:
-                raise InvariantError(f"no candidate to weigh at {lam}")
-            return None
-        weight, witness = got
-        if weight < 0:
-            if lam != start or not start:
-                raise InvariantError(f"negative maximum weight {weight} at {lam}")
-            return start, None
-        if weight == 0:
-            return lam, witness
-        nxt = ratio_of(witness)
-        if nxt <= lam:
-            raise InvariantError(f"the argmax at {lam} has ratio {nxt}, which does not rise")
-        lam = nxt
-
-
-def bounded_max_ratio(
-    a: Dfa, max_len: int, adj: dict | None = None, start: Fraction = Fraction(0)
-) -> tuple[Fraction | None, DigitWord | None]:
-    """Exact maximum quotient over accepted words of length <= max_len, with
-    a shortest word attaining it; (None, None) if no such word is accepted,
-    or (start, None) if start > 0 and every such quotient is below start.
-
-    Expects a language whose accepted words all carry a nonzero denominator
-    track.  Runs Dinkelbach's iteration on the word-weight maximizer from
-    start, each step taking the word the maximizer read back from its DP,
-    so no word enumeration happens; the reference for it is the enumeration
-    in oracle.brute_quo_profile.  `adj` is as in `max_word_weight`, built
-    here when not given.
-    """
-    if adj is None:
-        adj = _trim_adjacency(a, trim_states(a))
-    got = _dinkelbach(lambda P, Q: max_word_weight(a, P, Q, max_len, adj), ratio, start)
-    return (None, None) if got is None else got
+    weight, ln, s = pot.top
+    return weight, DigitWord(a.k, 2, tuple(_read_walk(pot.layers, ln, s, a.k)))
 
 
 # ------------------------------------------------------------- unbounded pumps
@@ -450,45 +405,74 @@ def _seed_ratio(work: Dfa, graph: PumpGraph) -> Fraction:
     return best
 
 
-def _limit(work: Dfa, graph: PumpGraph) -> tuple[Fraction, PumpDecomposition]:
-    """Largest pump ratio of a prepared infinite machine without an unbounded
-    pump, by Dinkelbach's iteration on the pump-weight maximizer, with the
-    pump that attains it read back from its DP; `graph` is `pump_graph(work)`.
-    It starts at `_seed_ratio`, where the maximum is >= 0, and its answer is
-    the maximizer's at the limit, which does not depend on the start."""
+def _search(work: Dfa, graph: PumpGraph) -> tuple[SupResult, tuple[Fraction, PumpDecomposition] | None]:
+    """The supremum of a prepared machine with a nonempty trim part and no
+    unbounded pump, and its largest limit value with the pump that attains
+    it, or None if the language is finite; `graph` is `pump_graph(work)`.
 
-    def ratio_of(pump):
-        if pump.inc2 == 0:
-            raise InvariantError("a weighed pump has a zero denominator increment")
-        return Fraction(pump.inc1, pump.inc2)
-
-    start = _seed_ratio(work, graph)
-    got = _dinkelbach(lambda P, Q: max_pump_weight(work, P, Q, graph), ratio_of, start)
-    if got is None:
-        raise InvariantError("an infinite machine has no pump to weigh")
-    if got[1] is None:
-        raise InvariantError(f"every pump weighs less than 0 at the seed ratio {start}")
-    return got
+    Dinkelbach's iteration, each probe at P/Q running one `potential`.
+    Until the limit is known, `max_pump_weight` reads each probe's
+    potential, from `_seed_ratio`, where the maximum is >= 0: a pump of
+    positive weight moves the probe to its ratio, and a pump of weight 0
+    makes the probe's ratio the limit.  From then on (from 0 on a finite
+    language) `max_word_weight` reads the same potential, over the words
+    shorter than the trim size T: a negative maximum at the limit leaves
+    every such word below it, so the supremum is the limit, not attained;
+    a word of weight 0 attains the supremum; a heavier word moves the probe
+    to its ratio.  At or above the limit no pump weighs more than 0, so the
+    potential is feasible and no longer word weighs more
+    (`max_pump_weight`); a finite language has no walk of T symbols.  Each
+    step lands on a genuine ratio and rises strictly, so the loop ends, and
+    each answer is the reader's at its final ratio, whatever the path.
+    """
+    lam = seed = _seed_ratio(work, graph)
+    limit = None
+    while True:
+        pot = potential(work, graph.adj, lam.numerator, lam.denominator)
+        if limit is None and graph.cycles:
+            weight, witness = max_pump_weight(work, graph, pot)
+            if weight == 0:
+                limit = lam, witness
+        if limit is not None or not graph.cycles:
+            got = max_word_weight(work, pot)
+            if got is None:
+                raise InvariantError(f"no accepted word is shorter than the trim size at {lam}")
+            weight, witness = got
+            if weight == 0:
+                return SupResult(lam, True, witness), limit
+            if weight < 0 and limit is not None and limit[0] == lam:
+                return SupResult(lam, False, limit[1]), limit
+        if weight < 0:
+            raise InvariantError(f"negative maximum weight {weight} at {lam}, from the seed ratio {seed}")
+        nxt = ratio(witness) if isinstance(witness, DigitWord) else witness.ratio()
+        if nxt is INF or nxt <= lam:
+            raise InvariantError(f"the argmax at {lam} has ratio {nxt}, not a finite ratio above it")
+        lam = nxt
 
 
 _SOLVED: dict[tuple, tuple] = {}
 
 
 def _solve(L: Dfa, ctx: RadixContext) -> tuple:
-    """(prepared machine, its `pump_graph`, unbounded pump or None, `_limit`
-    result or None when the machine is finite or has an unbounded pump),
-    memoized.  The language is infinite iff its trim part has a cycle."""
+    """(supremum or None, (largest limit value, its pump) or None),
+    memoized: the supremum is None for the empty language and the limit
+    None for a finite one.  An unbounded pump witnesses both infinite
+    values; otherwise `_search` finds both.  The language is empty iff its
+    trim part is, and infinite iff that has a cycle."""
     key = (L, ctx.k, state_limit())
     if key not in _SOLVED:
         work = _prepare(L, ctx)
         graph = pump_graph(work)
         pump = find_unbounded_pump(work, graph)
-        if pump is not None and not (pump.inc2 == 0 and pump.inc1 > 0):
+        if pump is None:
+            solved = _search(work, graph) if graph.adj else (None, None)
+        elif pump.inc2 == 0 and pump.inc1 > 0:
+            solved = SupResult(INF, False, pump), (INF, pump)
+        else:
             raise InvariantError("unbounded pump with a nonzero denominator increment")
-        limit = _limit(work, graph) if pump is None and graph.cycles else None
         if len(_SOLVED) >= 4096:
             _SOLVED.clear()
-        _SOLVED[key] = (work, graph, pump, limit)
+        _SOLVED[key] = solved
     return _SOLVED[key]
 
 
@@ -500,9 +484,7 @@ def largest_limit_quotient(L: Dfa, ctx: RadixContext) -> tuple[Value, PumpDecomp
     limit, and any such limit is realized by a pump within first-repeat
     bounds.
     """
-    _, _, pump, limit = _solve(L, ctx)
-    if pump is not None:
-        return INF, pump
+    limit = _solve(L, ctx)[1]
     if limit is None:
         raise FiniteLanguageError("a finite language has no limit value")
     return limit
@@ -513,23 +495,10 @@ def sup_quo(L: Dfa, ctx: RadixContext) -> SupResult:
 
     Infinite iff an unbounded pump exists; otherwise the maximum of the
     largest limit value and the best quotient among words shorter than the
-    trim size T.  The short-word search starts at the limit value: the
-    supremum is attained iff the word-weight maximum there is >= 0, in which
-    case the witness is a shortest attaining word.  At each P/Q it probes
-    no pump weighs more than 0, so the prefix DP's best weights over walks
-    shorter than T are a feasible potential (`max_pump_weight`) that no
-    longer word beats; a finite language has no walk of T symbols.
+    trim size, attained iff a short word reaches it, with a shortest such
+    word as the witness and the limit's pump otherwise (`_search`).
     """
-    work, graph, pump, limit = _solve(L, ctx)
-    if not graph.adj:
+    sup = _solve(L, ctx)[0]
+    if sup is None:
         raise EmptyLanguageError("the supremum of an empty language is undefined")
-    if pump is not None:
-        return SupResult(INF, False, pump)
-    start = Fraction(0) if limit is None else limit[0]
-    m_short, m_witness = bounded_max_ratio(work, len(graph.adj) - 1, graph.adj, start)
-    if m_short is None:
-        raise EmptyLanguageError("no accepted word carries a nonzero denominator")
-    if m_witness is None:
-        return SupResult(limit[0], False, limit[1])
-    return SupResult(m_short, True, m_witness)
-
+    return sup

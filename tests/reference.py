@@ -25,9 +25,12 @@ for the maximum pump weight and its argmax, which `quotient.max_pump_weight`
 matches in sign at every P/Q and exactly where the maximum is 0, and
 `max_pump_weight_reference` is the whole-trim DP that search is pinned
 against; both read their pump back from their parent records, as the
-library does.  `max_word_weight_reference` is `quotient.max_word_weight`
-with every one of its prefix DP's layers run, which the library's stop at
-the first layer that raises no state is pinned against.
+library does.  `max_word_weight_reference` is the word maximum
+`quotient.max_word_weight` reads from a `quotient.potential`, with every
+one of max_len layers run, which the library's stop at the first layer
+that raises no state is pinned against at max_len = T - 1;
+`bounded_max_ratio` is Dinkelbach's iteration over it, the largest
+quotient of the accepted words up to any length.
 `heaviest_walk` is the re-run witness rebuild: it runs a weight DP again,
 with parents, to recover the walk behind an argmax, which the solvers read
 from their maximizers' own parent records and are pinned against.
@@ -78,6 +81,7 @@ from critex.automaton import (
     _mask,
     _require_compatible,
     _reverse_subsets,
+    _trim_adjacency,
     complement,
     enumerate_accepted,
     erase,
@@ -363,9 +367,10 @@ def max_pump_weight_per_component(a: Dfa, P: int, Q: int, graph: PumpGraph):
 
 
 def max_word_weight_reference(a: Dfa, P: int, Q: int, max_len: int, adj: dict):
-    """`quotient.max_word_weight` without the prefix DP's stop: all max_len
-    layers run, and the first strict maximum over accepting states, layer by
-    layer and in each layer's order, wins."""
+    """`quotient.max_word_weight` of a `quotient.potential` without its
+    stop and over words of length <= max_len: all max_len layers run, and
+    the first strict maximum over accepting states, layer by layer and in
+    each layer's order, wins."""
     w = _symbol_weights(a.k, P, Q)
     cur = {a.initial: 0} if a.initial in adj else {}
     layers: list[dict] = []
@@ -381,6 +386,25 @@ def max_word_weight_reference(a: Dfa, P: int, Q: int, max_len: int, adj: dict):
         return None
     weight, ln, s = best
     return weight, DigitWord(a.k, 2, tuple(_read_walk(layers, ln, s, a.k)))
+
+
+def bounded_max_ratio(a: Dfa, max_len: int) -> tuple[Fraction | None, DigitWord | None]:
+    """Exact maximum quotient over accepted words of length <= max_len, with
+    the first shortest word attaining it, or (None, None) if no such word is
+    accepted: Dinkelbach's iteration from 0 over `max_word_weight_reference`.
+    Expects a language whose accepted words all carry a nonzero denominator."""
+    adj = _trim_adjacency(a, trim_states(a))
+    lam = Fraction(0)
+    while True:
+        got = max_word_weight_reference(a, lam.numerator, lam.denominator, max_len, adj)
+        if got is None:
+            return None, None
+        weight, word = got
+        if weight == 0:
+            return lam, word
+        if weight < 0 or ratio(word) <= lam:
+            raise InvariantError(f"the word search does not rise at {lam}")
+        lam = ratio(word)
 
 
 def heaviest_walk(a: Dfa, adj, P: int, Q: int, start: int, steps: int, end: int) -> list:

@@ -17,11 +17,11 @@ from critex.exponents import (
 )
 from critex.numeral import RadixContext
 from critex.oracle import scan_max_exponent, scan_recurrence, sequence_prefix
-from critex.quotient import bounded_max_ratio, largest_limit_quotient, sup_quo
+from critex.quotient import largest_limit_quotient, sup_quo
 from critex.rational import INF
 
 from helpers import prepared_random_suite
-from reference import Comparator, candidates, comparator_dfa, product_reference
+from reference import Comparator, bounded_max_ratio, candidates, comparator_dfa, product_reference
 from property_suites import run_chain_suite, run_comparator_suite, run_mediant_suite
 
 CTX = RadixContext(2)

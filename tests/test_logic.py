@@ -96,6 +96,9 @@ def test_parse_precedence():
     assert parse("x = 0 & y = 0 & z = 0") == And(And(x, y), z)
     assert parse("x = 0 | y = 0 & z = 0") == Or(x, And(y, z))
     assert parse("x = 0 & y = 0 -> z = 0") == Or(Not(And(x, y)), z)
+    # + is left associative over terms
+    xyz3 = Add(Add(Add(Var("x"), Var("y")), Var("z")), Const(3))
+    assert parse("x + y + z + 3 = w") == Cmp("==", xyz3, Var("w"))
 
 
 def test_parse_bounded_quantifier_sugar():

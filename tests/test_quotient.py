@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,11 @@ from critex.quotient import (
     FiniteLanguageError,
     QuotientError,
     SupResult,
-    bounded_max_ratio,
     find_unbounded_pump,
     largest_limit_quotient,
     max_pump_weight,
+    max_word_weight,
+    potential,
     sup_quo,
     _prepare,
 )
@@ -43,6 +45,7 @@ from helpers import (
 from reference import (
     Comparator,
     UndefinedRatioError,
+    bounded_max_ratio,
     candidates,
     check_pair_closure,
     comparator_dfa,
@@ -188,6 +191,16 @@ def test_is_sup_infinite_matches_reference_on_random_machines():
 # ------------------------------------------------------------- sup and limits
 
 
+def _pump_probe(a: Dfa, P: int, Q: int, graph) -> tuple | None:
+    """`max_pump_weight` at P/Q, over the potential it reads."""
+    return max_pump_weight(a, graph, potential(a, graph.adj, P, Q))
+
+
+def _word_probe(a: Dfa, P: int, Q: int, adj) -> tuple | None:
+    """`max_word_weight` at P/Q, over the potential it reads."""
+    return max_word_weight(a, potential(a, adj, P, Q))
+
+
 def test_sup_examples():
     r = sup_quo(pairs_ones_then_01(), CTX)
     assert (r.value, r.attained) == (Fraction(1), True)
@@ -271,12 +284,36 @@ def test_sup_and_limit_share_one_solve(monkeypatch):
         real = getattr(quotient, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("_limit", "find_unbounded_pump"):
+    for name in ("_search", "find_unbounded_pump"):
         monkeypatch.setattr(quotient, name, counting(name))
     L = pairs_ones_then_01()
     assert sup_quo(L, CTX).value == Fraction(1)
     assert largest_limit_quotient(L, CTX)[0] == Fraction(1, 2)
-    assert sorted(calls) == ["_limit", "find_unbounded_pump"]
+    assert sorted(calls) == ["_search", "find_unbounded_pump"]
+
+
+def test_a_second_solver_call_computes_no_potential(monkeypatch):
+    # the memo holds both answers, so whichever solver runs second on a
+    # language runs no DP and returns what a cold solve returns
+    languages = [pairs_ones_then_01(), comparator_bounded_suite(5100, 23)[22][0]]
+    solvers = (sup_quo, largest_limit_quotient)
+    cold = {}
+    for L in languages:
+        for solver in solvers:
+            quotient._SOLVED.clear()
+            cold[L, solver] = solver(L, CTX)
+    pots = []
+    real = quotient.potential
+    monkeypatch.setattr(quotient, "potential", lambda *args: pots.append(args) or real(*args))
+    for L in languages:
+        for first, second in (solvers, solvers[::-1]):
+            quotient._SOLVED.clear()
+            del pots[:]
+            assert first(L, CTX) == cold[L, first]
+            ran = len(pots)
+            assert ran > 0
+            assert second(L, CTX) == cold[L, second]
+            assert len(pots) == ran
 
 
 def test_sup_and_limit_compute_the_trim_part_once(monkeypatch):
@@ -390,19 +427,25 @@ def test_largest_limit_matches_pump_enumeration():
 
 
 def test_bounded_max_ratio_matches_enumeration():
+    # the largest quotient of the accepted words shorter than the trim size
+    # T, the words the library's potential weighs: the search over the
+    # full-length word DP against one enumeration, and the library's word
+    # reading at that quotient weighs its witness at 0
     for machine in prepared_random_suite(4500, 40):
-        got, witness = bounded_max_ratio(machine, 7)
+        adj = quotient.pump_graph(machine).adj
+        max_len = len(adj) - 1
+        got, witness = bounded_max_ratio(machine, max_len)
         # one enumeration: quotient and length of each accepted word with a
-        # nonzero denominator, the words brute_quo_profile keeps
-        profile = [(ratio(w), len(w)) for w in enumerate_accepted(machine, 7) if w.value(1) != 0]
-        if not profile:
-            assert got is None
-        else:
-            best = max(q for q, _ in profile)
-            assert got == best
-            assert machine.accepts(witness) and ratio(witness) == got
-            # the witness is a shortest word attaining the maximum
-            assert len(witness) == min(n for q, n in profile if q == best)
+        # nonzero denominator, the words brute_quo_profile keeps; a nonempty
+        # trim part always accepts a word shorter than T
+        profile = [(ratio(w), len(w)) for w in enumerate_accepted(machine, max_len) if w.value(1) != 0]
+        assert profile
+        best = max(q for q, _ in profile)
+        assert got == best
+        assert machine.accepts(witness) and ratio(witness) == got
+        # the witness is a shortest word attaining the maximum
+        assert len(witness) == min(n for q, n in profile if q == best)
+        assert _word_probe(machine, got.numerator, got.denominator, adj) == (0, witness)
 
 
 def test_max_pump_weight_sign_matches_enumerated_pumps():
@@ -420,7 +463,7 @@ def test_max_pump_weight_sign_matches_enumerated_pumps():
         graph = quotient.pump_graph(machine)
         for _ in range(10):
             P, Q = rng.randrange(0, 8), rng.randrange(1, 8)
-            m = max_pump_weight(machine, P, Q, graph)[0]
+            m = _pump_probe(machine, P, Q, graph)[0]
             probe = Fraction(P, Q)
             want = 0 if best == probe else (1 if best > probe else -1)
             got = 0 if m == 0 else (1 if m > 0 else -1)
@@ -440,7 +483,7 @@ def test_max_pump_weight_sign_matches_whole_trim_reference():
     for idx, (work, ctx) in enumerate(comparator_bounded_suite(5000, 100)):
         limit, _pump = largest_limit_quotient(work, ctx)
         graph = quotient.pump_graph(work)
-        got = max_pump_weight(work, limit.numerator, limit.denominator, graph)
+        got = _pump_probe(work, limit.numerator, limit.denominator, graph)
         assert got[0] == 0 and got == max_pump_weight_reference(work, limit.numerator, limit.denominator, graph), idx
         probes = [
             Fraction(0),
@@ -453,7 +496,7 @@ def test_max_pump_weight_sign_matches_whole_trim_reference():
         for beta in probes:
             P, Q = beta.numerator, beta.denominator
             want = max_pump_weight_reference(work, P, Q, graph)[0]
-            assert _sign(max_pump_weight(work, P, Q, graph)[0]) == _sign(want), (idx, beta)
+            assert _sign(_pump_probe(work, P, Q, graph)[0]) == _sign(want), (idx, beta)
 
 
 def test_solvers_match_whole_trim_reference(monkeypatch):
@@ -463,7 +506,9 @@ def test_solvers_match_whole_trim_reference(monkeypatch):
         return [repr((sup_quo(work, ctx), largest_limit_quotient(work, ctx))) for work, ctx in suite]
 
     got = solve()
-    monkeypatch.setattr(quotient, "max_pump_weight", max_pump_weight_reference)
+    monkeypatch.setattr(
+        quotient, "max_pump_weight", lambda a, graph, pot: max_pump_weight_reference(a, pot.P, pot.Q, graph)
+    )
     quotient._SOLVED.clear()
     assert solve() == got
 
@@ -488,7 +533,7 @@ def test_max_pump_weight_cost_is_per_component(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(quotient, "_layer", counted)
-    assert max_pump_weight(work, 1, 1, graph) is not None
+    assert _pump_probe(work, 1, 1, graph) is not None
     assert len(calls) <= (T - 1) + 2 * 2
 
 
@@ -514,7 +559,7 @@ def test_pruned_pump_weight_matches_per_component_reference():
         for beta in probes:
             P, Q = beta.numerator, beta.denominator
             want = max_pump_weight_per_component(work, P, Q, graph)
-            got = max_pump_weight(work, P, Q, graph)
+            got = _pump_probe(work, P, Q, graph)
             weight, pump = got
             assert _sign(weight) == _sign(want[0]), (idx, beta)
             if beta == limit:
@@ -533,7 +578,7 @@ def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
 
     suite = _bounded_suite_limits()
     real = quotient._layer
-    counts = {max_pump_weight: 0, max_pump_weight_per_component: 0}
+    counts = {_pump_probe: 0, max_pump_weight_per_component: 0}
     for fn in counts:
         for work, limit in suite:
             graph = quotient.pump_graph(work)
@@ -546,7 +591,7 @@ def test_pruned_pump_weight_runs_fewer_cycle_layers(monkeypatch):
             monkeypatch.setattr(reference, "_layer", counted)
             for beta in (Fraction(0), limit):
                 assert fn(work, beta.numerator, beta.denominator, graph)[0] >= 0
-    assert counts[max_pump_weight] < counts[max_pump_weight_per_component]
+    assert counts[_pump_probe] < counts[max_pump_weight_per_component]
 
 
 def _random_limits():
@@ -595,7 +640,7 @@ def test_limit_probe_runs_one_cycle_dp(monkeypatch):
         for beta, sign in probes:
             P, Q = beta.numerator, beta.denominator
             del layers[:]
-            got = max_pump_weight(work, P, Q, graph)
+            got = _pump_probe(work, P, Q, graph)
             want = max_pump_weight_per_component(work, P, Q, graph)
             assert _sign(got[0]) == _sign(want[0]) == sign, (idx, beta)
             if sign == 0:
@@ -610,7 +655,7 @@ def test_limit_probe_runs_one_cycle_dp(monkeypatch):
 def _potential(a: Dfa, P: int, Q: int) -> tuple[dict, list]:
     """x(s), the best weight of a walk of fewer than T symbols from a's
     initial state to the trim state s, and the symbol weights Q*c1 - P*c2.
-    Runs all T - 1 layers, without `_prefix_walk`'s stop, so the checks on
+    Runs all T - 1 layers, without `potential`'s stop, so the checks on
     x do not lean on the stop rule."""
     w = quotient._symbol_weights(a.k, P, Q)
     adj = quotient.pump_graph(a).adj
@@ -692,9 +737,9 @@ def test_limit_probes_land_on_argmax_ratios(monkeypatch):
     probes = []
     real = quotient.max_pump_weight
 
-    def recorded(a, P, Q, *rest):
-        got = real(a, P, Q, *rest)
-        probes.append((P, Q, got[1]))
+    def recorded(a, graph, pot):
+        got = real(a, graph, pot)
+        probes.append((pot.P, pot.Q, got[1]))
         return got
 
     monkeypatch.setattr(quotient, "max_pump_weight", recorded)
@@ -710,20 +755,29 @@ def test_limit_probes_land_on_argmax_ratios(monkeypatch):
         assert Fraction(pump.inc1, pump.inc2) == Fraction(P, Q)
 
 
+def _pump_search(work: Dfa, graph, lam: Fraction) -> tuple:
+    """Dinkelbach's iteration over the pump probes alone, from lam up to the
+    largest limit value, with the pump of weight 0 there."""
+    while True:
+        weight, pump = _pump_probe(work, lam.numerator, lam.denominator, graph)
+        if weight == 0:
+            return lam, pump
+        assert weight > 0 and Fraction(pump.inc1, pump.inc2) > lam
+        lam = Fraction(pump.inc1, pump.inc2)
+
+
 def test_any_start_up_to_the_seed_reaches_the_same_limit():
     # each seed is a pump within first-repeat bounds, so its ratio is at
     # most the limit, and Dinkelbach's iteration from 0 and from the seed
-    # ends at the same limit with the same pump
-    ratio_of = lambda pump: Fraction(pump.inc1, pump.inc2)
+    # ends at the same limit with the same pump, the solver's
     seeded = 0
     for idx, (work, limit) in enumerate(_finite_limit_suite()):
         graph = quotient.pump_graph(work)
         seed = quotient._seed_ratio(work, graph)
         assert 0 <= seed <= limit, idx
-        oracle = lambda P, Q: max_pump_weight(work, P, Q, graph)
-        got = quotient._dinkelbach(oracle, ratio_of, seed)
-        assert got[0] == limit and got == quotient._dinkelbach(oracle, ratio_of), idx
-        assert got == quotient._limit(work, graph), idx
+        got = _pump_search(work, graph, seed)
+        assert got[0] == limit and got == _pump_search(work, graph, Fraction(0)), idx
+        assert got == largest_limit_quotient(work, RadixContext(work.k)), idx
         seeded += seed > 0
     assert seeded == 87
 
@@ -750,7 +804,7 @@ def test_pump_probes_of_positive_weight_run_every_prefix_layer(monkeypatch):
             probes += [limit, limit + Fraction(1, 1000 * limit.denominator)]
         for beta in probes:
             del layers[:]
-            weight = max_pump_weight(work, beta.numerator, beta.denominator, graph)[0]
+            weight = _pump_probe(work, beta.numerator, beta.denominator, graph)[0]
             counts[_sign(weight)].append(sum(layers) < len(graph.adj) - 1)
             assert sum(layers) <= len(graph.adj) - 1, (idx, beta)
     # (probes, probes that stopped before layer T - 1) of each sign
@@ -760,19 +814,19 @@ def test_pump_probes_of_positive_weight_run_every_prefix_layer(monkeypatch):
 
 def test_word_weight_matches_the_full_length_reference():
     # stopping the prefix DP at its first layer that raises no state keeps
-    # the word DP's maximum, its argmax and the word read back
+    # the word DP's maximum over the words shorter than the trim size, its
+    # argmax and the word read back
     rng = random.Random(6100)
     suite = [work for work, _ctx in comparator_bounded_suite(5800, 50)]
     suite += prepared_random_suite(5900, 50) + prepared_random_suite(5901, 30, k=3)
     checked = 0
     for idx, a in enumerate(suite):
         adj = quotient.pump_graph(a).adj
-        for max_len in (0, len(adj) - 1, len(adj) + 3):
-            for _ in range(3):
-                P, Q = rng.randrange(0, 12), rng.randrange(1, 6)
-                want = max_word_weight_reference(a, P, Q, max_len, adj)
-                assert quotient.max_word_weight(a, P, Q, max_len, adj) == want, (idx, max_len, P, Q)
-                checked += 1
+        for _ in range(9):
+            P, Q = rng.randrange(0, 12), rng.randrange(1, 6)
+            want = max_word_weight_reference(a, P, Q, len(adj) - 1, adj)
+            assert _word_probe(a, P, Q, adj) == want, (idx, P, Q)
+            checked += 1
     assert checked == 1170
 
 
@@ -824,15 +878,16 @@ def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
         del steps[:]
         quotient._SOLVED.clear()
         sup = sup_quo(work, ctx)
-        limit = quotient._solve(work, ctx)[3]
+        limit = quotient._solve(work, ctx)[1]
         last = {}
         for name, args, got in steps:
             if got is None:
                 continue
             weight, witness = got
-            a, P, Q, *_, moves = args
+            a, pot = args[0], args[-1]
+            P, Q, moves = pot.P, pot.Q, quotient.pump_graph(a)
             if name == "max_word_weight":
-                walk = heaviest_walk(a, moves, P, Q, a.initial, len(witness), a.run(witness))
+                walk = heaviest_walk(a, moves.adj, P, Q, a.initial, len(witness), a.run(witness))
                 assert list(witness.symbols) == walk
             elif weight > 0:
                 # u.v leads the heaviest walk of T - 1 symbols to the first
@@ -853,7 +908,7 @@ def test_read_back_witnesses_match_the_rerun_rebuild(monkeypatch):
             kinds.add((name, weight == 0))
         if sup.attained:
             assert sup.witness == last["max_word_weight"]
-        if limit is not None:
+        if limit is not None and limit[0] is not INF:
             assert limit[1] == last["max_pump_weight"]
             if not sup.attained:
                 assert sup.witness == limit[1]
@@ -872,10 +927,10 @@ def test_returned_witnesses_attain_the_returned_weights():
         max_len = a.num_states - 1
         for _ in range(4):
             P, Q = rng.randrange(0, 12), rng.randrange(1, 6)
-            weight, word = quotient.max_word_weight(a, P, Q, max_len, graph.adj)
+            weight, word = _word_probe(a, P, Q, graph.adj)
             assert a.accepts(word) and len(word) <= max_len
             assert Q * word.value(0) - P * word.value(1) == weight
-            weight, pump = max_pump_weight(a, P, Q, graph)
+            weight, pump = _pump_probe(a, P, Q, graph)
             assert verify_pump(a, pump) and Q * pump.inc1 - P * pump.inc2 == weight
             checked += 1
     # 400 words and 400 pumps
@@ -895,20 +950,19 @@ def test_sup_warm_start_matches_reference_on_each_branch():
 
 
 def test_limit_win_weighs_words_once_at_the_limit(monkeypatch):
-    # the short-word search starts at the limit; when every short word lies
-    # below it, the first word DP is negative and the search stops there
+    # when every short word lies below the limit, the words are weighed once,
+    # on the limit probe's own potential, and no potential is computed
+    # after the limit probe
     work, ctx = comparator_bounded_suite(5100, 23)[22]
-    limit = largest_limit_quotient(work, ctx)[0]
-    probes = []
-    real = quotient.max_word_weight
-
-    def recorded(a, P, Q, *rest):
-        probes.append((P, Q))
-        return real(a, P, Q, *rest)
-
-    monkeypatch.setattr(quotient, "max_word_weight", recorded)
-    assert sup_quo(work, ctx) == SupResult(limit, False, largest_limit_quotient(work, ctx)[1])
-    assert probes == [(limit.numerator, limit.denominator)]
+    pots, read = [], []
+    real_potential, real_words = quotient.potential, quotient.max_word_weight
+    monkeypatch.setattr(quotient, "potential", lambda *args: pots.append(real_potential(*args)) or pots[-1])
+    monkeypatch.setattr(quotient, "max_word_weight", lambda a, pot: read.append(pot) or real_words(a, pot))
+    sup = sup_quo(work, ctx)
+    limit, pump = largest_limit_quotient(work, ctx)
+    assert sup == SupResult(limit, False, pump)
+    assert len(read) == 1 and read[0] is pots[-1]
+    assert (pots[-1].P, pots[-1].Q) == (limit.numerator, limit.denominator)
 
 
 def test_negative_word_weight_after_the_first_step_is_an_invariant_error(monkeypatch):
@@ -951,7 +1005,7 @@ def test_violated_move_without_an_improving_pump_is_an_invariant_error(monkeypat
         for c, _t in row:
             monkeypatch.setattr(quotient, "_tight_moves", lambda *args, s=s, c=c: (s, c))
             with pytest.raises(InvariantError) as err:
-                max_pump_weight(work, 1, 2, graph)
+                _pump_probe(work, 1, 2, graph)
             raised.append(str(err.value))
     assert raised == [
         "the walk over a violated move repeats no state at 1/2",
@@ -960,10 +1014,12 @@ def test_violated_move_without_an_improving_pump_is_an_invariant_error(monkeypat
 
 
 def test_negative_word_weight_at_a_start_of_zero_is_an_invariant_error(monkeypatch):
+    # a finite language's search starts at 0, where no word weighs less
+    # than 0
     real = quotient.max_word_weight
     monkeypatch.setattr(quotient, "max_word_weight", lambda *args: (-1, real(*args)[1]))
-    with pytest.raises(InvariantError):
-        bounded_max_ratio(_prepare(pairs_ones_then_01(), CTX), 5)
+    with pytest.raises(InvariantError, match="negative maximum weight -1 at 0"):
+        sup_quo(pairs_single(), CTX)
 
 
 def test_off_by_one_word_weight_is_an_invariant_error(monkeypatch):
@@ -974,8 +1030,8 @@ def test_off_by_one_word_weight_is_an_invariant_error(monkeypatch):
         return None if got is None else (got[0] + 1, got[1])
 
     monkeypatch.setattr(quotient, "max_word_weight", off_by_one)
-    with pytest.raises(InvariantError):
-        bounded_max_ratio(_prepare(pairs_ones_then_01(), CTX), 5)
+    with pytest.raises(InvariantError, match="not a finite ratio above it"):
+        sup_quo(pairs_ones_then_01(), CTX)
 
 
 # ------------------------------------------------------------- closure report
@@ -1014,28 +1070,36 @@ def test_comparator_fuzz_base3():
 
 def test_sup_invariants_on_larger_machines():
     # machines too big for the enumeration reference: check the defining
-    # properties of the answer through comparator products instead
-    for machine in prepared_random_suite(4900, 12, max_states=6):
-        res = sup_quo(machine, CTX)
+    # properties of the answer through comparator products instead; the
+    # random machines all have an unbounded pump, and the comparator-bounded
+    # ones, of 5 to 42 trim states, a finite supremum and limit value
+    suite = [(m, CTX) for m in prepared_random_suite(4900, 12, max_states=6)] + comparator_bounded_suite(4901, 12)
+    branches = Counter()
+    for machine, ctx in suite:
+        res = sup_quo(machine, ctx)
         if res.value is INF:
             pump = res.witness
             assert pump.inc2 == 0 < pump.inc1
             assert verify_pump(machine, pump)
+            branches["infinite"] += 1
             continue
-        above = product(machine, comparator_dfa(Comparator(res.value, ">", CTX)), "and")
+        above = product(machine, comparator_dfa(Comparator(res.value, ">", ctx)), "and")
         from critex.automaton import is_empty as _is_empty
 
         assert _is_empty(above)
-        at = product(machine, comparator_dfa(Comparator(res.value, "==", CTX)), "and")
+        at = product(machine, comparator_dfa(Comparator(res.value, "==", ctx)), "and")
         assert (not _is_empty(at)) == res.attained
         m9, _ = bounded_max_ratio(machine, 9)
         assert m9 is not None and m9 <= res.value
+        branches["finite"] += 1
         if is_infinite(machine):
-            sigma, pump = largest_limit_quotient(machine, CTX)
+            sigma, pump = largest_limit_quotient(machine, ctx)
             assert sigma <= res.value
             if sigma is not INF:
                 assert verify_pump(machine, pump)
                 assert pump_ratio(pump.u, pump.v) == sigma
+                branches["finite limit"] += 1
+    assert branches == {"infinite": 12, "finite": 12, "finite limit": 12}
 
 
 def test_check_pair_closure_decrement_failure():
